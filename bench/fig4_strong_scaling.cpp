@@ -1,5 +1,7 @@
-// E5 / Fig. 4: strong scaling of the RPA computation across rank counts,
-// via the simulated-rank runtime (see DESIGN.md for the substitution).
+// E5 / Fig. 4: strong scaling of the RPA computation across rank counts:
+// compute_rpa_energy on n_ranks column slices, with the modeled p-rank
+// wall clock of par/kernel_breakdown.hpp (see DESIGN.md for the
+// substitution).
 //
 // Expected shape (paper Fig. 4): good parallel efficiency at moderate p,
 // degrading at high p from Sternheimer load imbalance and collective
@@ -8,9 +10,9 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "obs/run_report.hpp"
-#include "par/parallel_rpa.hpp"
+#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
+#include "sched/thread_pool.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -32,11 +34,11 @@ int main() {
     // Fixed-work protocol: one quadrature point, exactly 2 filter passes
     // (tolerance unreachable), so every p runs the same mathematics and
     // only the partition (and its block-size cap) differs.
-    par::ParallelRpaOptions base;
-    base.rpa = sys.default_rpa_options();
-    base.rpa.ell = 1;
-    base.rpa.tol_eig = {1e-30};
-    base.rpa.max_filter_iter = 2;
+    rpa::RpaOptions base = sys.default_rpa_options();
+    base.ell = 1;
+    base.tol_eig = {1e-30};
+    base.max_filter_iter = 2;
+    const par::CollectiveModel net;
 
     std::printf("%s (n_d = %zu, n_eig = %zu):\n", preset.name.c_str(),
                 preset.n_grid(), preset.n_eig());
@@ -47,28 +49,32 @@ int main() {
     double prev_t = 1e300;
     obs::Json points = obs::Json::array();
     for (std::size_t p = 1; p * 4 <= preset.n_eig(); p *= 2) {
-      par::ParallelRpaOptions opts = base;
+      rpa::RpaOptions opts = base;
       opts.n_ranks = p;
-      par::ParallelRpaResult res = par::run_parallel_rpa(sys.ks, *sys.klap, opts);
-      if (p == 1) t1 = res.modeled_total_seconds;
-      const double speedup = t1 / res.modeled_total_seconds;
+      const sched::PoolStats pool0 = sched::global_pool().stats();
+      const rpa::RpaResult res =
+          rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+      obs::Json rec = par::scaling_report(
+          res, p, net, sched::global_pool().stats().since(pool0));
+      const par::KernelBreakdown k = par::modeled_breakdown(res, p, net);
+      if (p == 1) t1 = k.total();
+      const double speedup = t1 / k.total();
       const double eff = speedup / static_cast<double>(p);
       // Load imbalance of the Sternheimer stage: critical path / average.
-      const double avg =
-          res.apply_work_seconds / static_cast<double>(p);
-      const double imb =
-          (res.modeled.nu_chi0 + res.modeled.eval_error) / avg;
-      std::printf("  %-6zu %-12.2f %-10.2f %-12.2f %-12.2f\n", p,
-                  res.modeled_total_seconds, speedup, eff, imb);
-      all_ok = all_ok && res.modeled_total_seconds <= prev_t * 1.10;
-      prev_t = res.modeled_total_seconds;
+      const double avg = rec.at("apply_work_seconds").as_double() /
+                         static_cast<double>(p);
+      const double imb = (k.nu_chi0 + k.eval_error) / avg;
+      std::printf("  %-6zu %-12.2f %-10.2f %-12.2f %-12.2f\n", p, k.total(),
+                  speedup, eff, imb);
+      all_ok = all_ok && k.total() <= prev_t * 1.10;
+      prev_t = k.total();
 
       obs::Json pt = obs::Json::object();
       pt["p"] = obs::Json(p);
       pt["speedup"] = obs::Json(speedup);
       pt["efficiency"] = obs::Json(eff);
       pt["imbalance"] = obs::Json(imb);
-      pt["result"] = obs::to_json(res);
+      pt["result"] = std::move(rec);
       points.push_back(std::move(pt));
       if (p >= 64) break;
     }

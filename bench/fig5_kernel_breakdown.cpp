@@ -1,5 +1,6 @@
 // E6 / Fig. 5: per-kernel timing breakdown vs rank count for the largest
-// default system, via the simulated-rank runtime.
+// default system: compute_rpa_energy on n_ranks column slices, with the
+// modeled p-rank wall clock of par/kernel_breakdown.hpp.
 //
 // Expected shape (paper Fig. 5): the nu^{1/2} chi0 nu^{1/2} kernel
 // dominates and scales well; eval error tracks it plus an allreduce;
@@ -7,9 +8,9 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "obs/run_report.hpp"
-#include "par/parallel_rpa.hpp"
+#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
+#include "sched/thread_pool.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -27,11 +28,11 @@ int main() {
   std::printf("System: %s (n_d = %zu, n_eig = %zu)\n\n", preset.name.c_str(),
               preset.n_grid(), preset.n_eig());
 
-  par::ParallelRpaOptions base;
-  base.rpa = sys.default_rpa_options();
-  base.rpa.ell = 1;
-  base.rpa.tol_eig = {1e-30};
-  base.rpa.max_filter_iter = 2;
+  rpa::RpaOptions base = sys.default_rpa_options();
+  base.ell = 1;
+  base.tol_eig = {1e-30};
+  base.max_filter_iter = 2;
+  const par::CollectiveModel net;
 
   std::printf("%-6s %-12s %-12s %-12s %-12s %-12s %-10s\n", "p", "nu_chi0",
               "eval_error", "matmult", "eigensolve", "total", "chi0 share");
@@ -44,10 +45,12 @@ int main() {
   obs::Json points = obs::Json::array();
 
   for (std::size_t p = 1; p * 4 <= preset.n_eig() && p <= 64; p *= 2) {
-    par::ParallelRpaOptions opts = base;
+    rpa::RpaOptions opts = base;
     opts.n_ranks = p;
-    par::ParallelRpaResult res = par::run_parallel_rpa(sys.ks, *sys.klap, opts);
-    const auto& k = res.modeled;
+    const sched::PoolStats pool0 = sched::global_pool().stats();
+    const rpa::RpaResult res = rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+    const sched::PoolStats pool = sched::global_pool().stats().since(pool0);
+    const par::KernelBreakdown k = par::modeled_breakdown(res, p, net);
     const double share = k.nu_chi0 / k.total();
     std::printf("%-6zu %-12.3f %-12.3f %-12.4f %-12.4f %-12.3f %-10.2f\n", p,
                 k.nu_chi0, k.eval_error, k.matmult, k.eigensolve, k.total(),
@@ -55,7 +58,7 @@ int main() {
     obs::Json pt = obs::Json::object();
     pt["p"] = obs::Json(p);
     pt["chi0_share"] = obs::Json(share);
-    pt["result"] = obs::to_json(res);
+    pt["result"] = par::scaling_report(res, p, net, pool);
     points.push_back(std::move(pt));
     if (p == 1) {
       chi0_share_first = share;
@@ -63,10 +66,9 @@ int main() {
       p_first = p;
       // Measured arithmetic intensity of the fused Sternheimer applies
       // (paper SS III-C), from the solver traffic model + apply counters.
-      if (res.rpa.stern.matvec_bytes > 0.0)
-        stern_ai = res.rpa.stern.matvec_flops / res.rpa.stern.matvec_bytes;
-      apply_counter_events =
-          res.rpa.events.count(obs::events::kApplyCounters);
+      if (res.stern.matvec_bytes > 0.0)
+        stern_ai = res.stern.matvec_flops / res.stern.matvec_bytes;
+      apply_counter_events = res.events.count(obs::events::kApplyCounters);
     }
     chi0_share_last = share;
     t_nuchi0_last = k.nu_chi0;

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/run_report.hpp"
-#include "par/parallel_rpa.hpp"
+#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
+#include "sched/thread_pool.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -32,24 +32,25 @@ int main() {
     preset.fd_radius = 4;
     rpa::BuiltSystem sys = rpa::build_system(preset);
 
-    par::ParallelRpaOptions opts;
-    opts.rpa = sys.default_rpa_options();
-    opts.rpa.ell = 1;
-    opts.rpa.tol_eig = {1e-30};
-    opts.rpa.max_filter_iter = 2;
-    opts.n_ranks = 1;
-    par::ParallelRpaResult res = par::run_parallel_rpa(sys.ks, *sys.klap, opts);
+    rpa::RpaOptions opts = sys.default_rpa_options();
+    opts.ell = 1;
+    opts.tol_eig = {1e-30};
+    opts.max_filter_iter = 2;
+    const sched::PoolStats pool0 = sched::global_pool().stats();
+    const rpa::RpaResult res = rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+    const par::CollectiveModel net;
+    const double t = par::modeled_breakdown(res, 1, net).total();
 
     nds.push_back(static_cast<double>(preset.n_grid()));
-    times.push_back(res.modeled_total_seconds);
+    times.push_back(t);
     std::printf("%-8s %-8zu %-8zu %-8zu %-12.2f\n", preset.name.c_str(),
-                preset.n_grid(), preset.n_occ(), preset.n_eig(),
-                res.modeled_total_seconds);
+                preset.n_grid(), preset.n_occ(), preset.n_eig(), t);
 
     obs::Json pt = obs::Json::object();
     pt["system"] = obs::Json(preset.name);
     pt["n_d"] = obs::Json(preset.n_grid());
-    pt["result"] = obs::to_json(res);
+    pt["result"] = par::scaling_report(
+        res, 1, net, sched::global_pool().stats().since(pool0));
     points.push_back(std::move(pt));
   }
 

@@ -8,9 +8,9 @@
 #include <map>
 
 #include "bench_util.hpp"
-#include "obs/run_report.hpp"
-#include "par/parallel_rpa.hpp"
+#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
+#include "sched/thread_pool.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -33,13 +33,13 @@ int main() {
 
     // Emulate the paper's per-processor view: partition columns over a few
     // ranks so the n_eig/p block cap is active, as on the cluster.
-    par::ParallelRpaOptions opts;
-    opts.rpa = sys.default_rpa_options();
+    rpa::RpaOptions opts = sys.default_rpa_options();
     opts.n_ranks = 4;
-    par::ParallelRpaResult res = par::run_parallel_rpa(sys.ks, *sys.klap, opts);
+    const sched::PoolStats pool0 = sched::global_pool().stats();
+    const rpa::RpaResult res = rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
 
     names.push_back(preset.name);
-    histograms.push_back(res.rpa.stern.block_size_chunks);
+    histograms.push_back(res.stern.block_size_chunks);
     long total = 0, s1 = 0;
     for (const auto& [size, count] : histograms.back()) {
       total += count;
@@ -48,12 +48,14 @@ int main() {
     s1_fraction.push_back(static_cast<double>(s1) /
                           static_cast<double>(total));
     std::printf("%s done (%.1f s, converged %s)\n", preset.name.c_str(),
-                res.rpa.total_seconds, res.rpa.converged ? "yes" : "NO");
+                res.total_seconds, res.converged ? "yes" : "NO");
 
     obs::Json sysrec = obs::Json::object();
     sysrec["system"] = obs::Json(preset.name);
     sysrec["s1_fraction"] = obs::Json(s1_fraction.back());
-    sysrec["result"] = obs::to_json(res);
+    sysrec["result"] = par::scaling_report(
+        res, opts.n_ranks, par::CollectiveModel{},
+        sched::global_pool().stats().since(pool0));
     systems.push_back(std::move(sysrec));
   }
 

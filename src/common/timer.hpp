@@ -9,7 +9,7 @@
 // SINGLE-OWNER — one thread constructs, accumulates and reads; sharing an
 // instance across concurrent sched tasks is a data race. Concurrent code
 // either gives each task its own instance and merges afterwards (the
-// per-rank pattern in par/parallel_rpa) or accumulates through WallClock,
+// per-rank pattern in rpa/erpa.cpp) or accumulates through WallClock,
 // whose atomic bucket many tasks may share.
 #pragma once
 
@@ -48,8 +48,7 @@ inline void atomic_add_seconds(std::atomic<double>& bucket, double seconds) {
 /// RAII stopwatch that adds the lifetime of the scope into an atomic
 /// bucket on destruction. Unlike WallTimer + manual accumulation, a
 /// single bucket may be shared by many concurrent sched tasks — this is
-/// the form the per-rank timing in par/parallel_rpa and the pool's
-/// per-worker busy counters use inside tasks.
+/// the form the pool's per-worker busy counters use inside tasks.
 class WallClock {
  public:
   explicit WallClock(std::atomic<double>& bucket) : bucket_(bucket) {}

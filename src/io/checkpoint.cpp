@@ -69,17 +69,12 @@ obs::Json payload_json(const RunCheckpoint& ck) {
       slq_per_omega.push_back(obs::to_json(rec));
     j["slq_per_omega"] = std::move(slq_per_omega);
   }
-  if (ck.parallel) {
-    obs::Json p = obs::Json::object();
-    p["matmult_seconds"] = ck.matmult_seconds;
-    p["eigensolve_seconds"] = ck.eigensolve_seconds;
-    p["error_checks"] = ck.error_checks;
+  if (!ck.rank_apply_seconds.empty()) {
     obs::Json ra = obs::Json::array(), re = obs::Json::array();
     for (double s : ck.rank_apply_seconds) ra.push_back(s);
     for (double s : ck.rank_error_seconds) re.push_back(s);
-    p["rank_apply_seconds"] = std::move(ra);
-    p["rank_error_seconds"] = std::move(re);
-    j["parallel"] = std::move(p);
+    j["rank_apply_seconds"] = std::move(ra);
+    j["rank_error_seconds"] = std::move(re);
   }
   return j;
 }
@@ -102,14 +97,10 @@ RunCheckpoint payload_from_json(const obs::Json& j) {
   ck.stern = obs::sternheimer_stats_from_json(j.at("sternheimer"));
   ck.timers = obs::kernel_timers_from_json(j.at("timers"));
   ck.events = obs::event_log_from_json(j.at("events"));
-  if (const obs::Json* p = j.find("parallel")) {
-    ck.parallel = true;
-    ck.matmult_seconds = p->at("matmult_seconds").as_double();
-    ck.eigensolve_seconds = p->at("eigensolve_seconds").as_double();
-    ck.error_checks = p->at("error_checks").as_int();
-    for (const obs::Json& s : p->at("rank_apply_seconds").as_array())
+  if (const obs::Json* ra = j.find("rank_apply_seconds")) {
+    for (const obs::Json& s : ra->as_array())
       ck.rank_apply_seconds.push_back(s.as_double());
-    for (const obs::Json& s : p->at("rank_error_seconds").as_array())
+    for (const obs::Json& s : j.at("rank_error_seconds").as_array())
       ck.rank_error_seconds.push_back(s.as_double());
   }
   if (const obs::Json* s = j.find("slq")) {
@@ -177,8 +168,7 @@ void hash_sternheimer_options(Fnv1a& f, const rpa::SternheimerOptions& st) {
 }  // namespace
 
 std::uint64_t run_fingerprint(const dft::KsSystem& sys,
-                              const rpa::RpaOptions& opts,
-                              std::size_t n_ranks) {
+                              const rpa::RpaOptions& opts) {
   Fnv1a f;
   f.str("rsrpa.run_checkpoint/1");
   hash_system(f, sys);
@@ -198,7 +188,7 @@ std::uint64_t run_fingerprint(const dft::KsSystem& sys,
   f.f64(opts.ssa.residual_tol);
   f.b(opts.ssa.refresh);
   hash_sternheimer_options(f, opts.stern);
-  f.u64(n_ranks);
+  f.u64(opts.n_ranks > 1 ? opts.n_ranks : 0);
   return f.h;
 }
 

@@ -57,14 +57,9 @@ struct RunCheckpoint {
   obs::EventLog events;           ///< RpaResult::events so far
   la::Matrix<double> v;           ///< warm-start subspace after the point
 
-  /// Parallel-driver extras (run_parallel_rpa). `parallel` guards against
-  /// resuming a serial checkpoint in the parallel driver or vice versa;
-  /// the rest keeps the modeled Fig. 5 breakdown continuous across the
-  /// restart (informational wall-clock, not part of the bitwise contract).
-  bool parallel = false;
-  double matmult_seconds = 0.0;
-  double eigensolve_seconds = 0.0;
-  long error_checks = 0;
+  /// RpaResult::ranks of a column-partitioned run (n_ranks > 1); empty
+  /// for a serial one. Informational wall clock, not part of the bitwise
+  /// contract.
   std::vector<double> rank_apply_seconds;
   std::vector<double> rank_error_seconds;
 
@@ -73,7 +68,7 @@ struct RunCheckpoint {
   /// placeholder (the matrix stream format rejects empty shapes);
   /// `slq_per_omega` replaces `per_omega`, and e_rpa_partial /
   /// completed_points / rng_state / events carry the same meaning as in
-  /// the Sternheimer drivers.
+  /// the Sternheimer driver.
   bool slq = false;
   std::vector<rpa::SlqOmegaRecord> slq_per_omega;
 };
@@ -82,11 +77,10 @@ struct RunCheckpoint {
 /// the grid, the orbitals and eigenvalues (bitwise), and every
 /// computation-relevant RpaOptions field (tolerances, seeds, resilience
 /// and fault-injection policy — but NOT the checkpoint policy itself).
-/// `n_ranks` distinguishes the drivers: 0 for compute_rpa_energy, the
-/// rank count for run_parallel_rpa.
+/// The rank count enters as 0 for n_ranks = 1, so serial fingerprints
+/// are unchanged from before the rank count became an RpaOptions field.
 std::uint64_t run_fingerprint(const dft::KsSystem& sys,
-                              const rpa::RpaOptions& opts,
-                              std::size_t n_ranks);
+                              const rpa::RpaOptions& opts);
 
 /// SLQ flavor of run_fingerprint: the same bitwise system hash plus every
 /// computation-relevant SlqRpaOptions field (probe counts, Lanczos depth,

@@ -1,6 +1,6 @@
 // Structured event log for solver telemetry.
 //
-// The drivers (erpa, parallel_rpa) and the solver stack (dynamic block
+// The drivers (erpa, erpa_slq) and the solver stack (dynamic block
 // selection, subspace iteration) emit discrete events — block-COCG
 // breakdowns that trigger the single-column fallback, Rayleigh-Ritz
 // eigensolve collapses, trace-term domain violations — into an EventLog

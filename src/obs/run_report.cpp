@@ -182,44 +182,6 @@ Json to_json(const rpa::RpaResult& res) {
   return j;
 }
 
-Json to_json(const par::KernelBreakdown& k) {
-  Json j = Json::object();
-  j["nu_chi0"] = k.nu_chi0;
-  j["matmult"] = k.matmult;
-  j["eigensolve"] = k.eigensolve;
-  j["eval_error"] = k.eval_error;
-  j["total"] = k.total();
-  return j;
-}
-
-Json to_json(const par::ParallelRpaResult& res) {
-  Json j = Json::object();
-  j["n_ranks"] = res.n_ranks;
-  j["rpa"] = to_json(res.rpa);
-  j["modeled"] = to_json(res.modeled);
-  j["modeled_total_seconds"] = res.modeled_total_seconds;
-  j["apply_work_seconds"] = res.apply_work_seconds;
-  j["sched"] = to_json(res.sched_stats);
-
-  // Per-rank measured seconds, plus each rank's timers merged into the
-  // bucket convention of the serial driver so rank rows and the Fig. 5
-  // breakdown share names.
-  Json ranks = Json::array();
-  for (std::size_t r = 0; r < res.n_ranks; ++r) {
-    KernelTimers rank_timers;
-    if (r < res.rank_apply_seconds.size())
-      rank_timers.add(rpa::kernels::kNuChi0, res.rank_apply_seconds[r]);
-    if (r < res.rank_error_seconds.size())
-      rank_timers.add(rpa::kernels::kEvalError, res.rank_error_seconds[r]);
-    Json rj = Json::object();
-    rj["rank"] = r;
-    rj["timers"] = to_json(rank_timers);
-    ranks.push_back(std::move(rj));
-  }
-  j["ranks"] = std::move(ranks);
-  return j;
-}
-
 Json to_json(const direct::DirectRpaResult& res) {
   Json j = Json::object();
   j["e_rpa"] = res.e_rpa;

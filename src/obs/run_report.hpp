@@ -13,7 +13,6 @@
 #include "isdf/erpa_isdf.hpp"
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
-#include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/erpa_slq.hpp"
 #include "sched/pool_stats.hpp"
@@ -49,11 +48,6 @@ KernelTimers kernel_timers_from_json(const Json& j);
 rpa::SternheimerStats sternheimer_stats_from_json(const Json& j);
 rpa::OmegaRecord omega_record_from_json(const Json& j);
 rpa::SlqOmegaRecord slq_omega_record_from_json(const Json& j);
-
-Json to_json(const par::KernelBreakdown& k);
-/// Adds the per-rank measured seconds and per-rank merged timers on top
-/// of the embedded RpaResult record.
-Json to_json(const par::ParallelRpaResult& res);
 
 // The other three backends' run records share the RpaResult field names
 // (e_rpa, e_rpa_per_atom, converged, total_seconds, per_omega, timers,

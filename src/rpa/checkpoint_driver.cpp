@@ -57,21 +57,24 @@ io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
   ck.timers = result.timers;
   ck.events = result.events;
   ck.v = v;
+  if (result.ranks) {
+    ck.rank_apply_seconds = result.ranks->apply_seconds;
+    ck.rank_error_seconds = result.ranks->error_seconds;
+  }
   return ck;
 }
 
 int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
-                       bool parallel, RpaResult& result,
-                       la::Matrix<double>& v, Rng& rng) {
-  RSRPA_REQUIRE_MSG(ck.parallel == parallel,
-                    std::string("checkpoint was written by the ") +
-                        (ck.parallel ? "parallel" : "serial") +
-                        " driver; refusing to resume in the other one");
+                       RpaResult& result, la::Matrix<double>& v, Rng& rng) {
   // Belt and braces: the fingerprint already covers these, but a stale
   // file loaded with expected_fingerprint == 0 must still fail loudly.
   RSRPA_REQUIRE_MSG(ck.ell == opts.ell, "checkpoint ell mismatch");
   RSRPA_REQUIRE_MSG(ck.v.rows() == v.rows() && ck.v.cols() == v.cols(),
                     "checkpoint subspace shape mismatch");
+  const std::size_t rank_rows = result.ranks ? opts.n_ranks : 0;
+  RSRPA_REQUIRE_MSG(ck.rank_apply_seconds.size() == rank_rows &&
+                        ck.rank_error_seconds.size() == rank_rows,
+                    "checkpoint rank count mismatch");
   const int completed = ck.completed_points;
   // Assign into the existing objects: the caller has already handed out
   // pointers to result.events (the solver telemetry sink), so the
@@ -83,6 +86,10 @@ int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
   result.stern = std::move(ck.stern);
   result.timers = std::move(ck.timers);
   result.events = std::move(ck.events);
+  if (result.ranks) {
+    result.ranks->apply_seconds = std::move(ck.rank_apply_seconds);
+    result.ranks->error_seconds = std::move(ck.rank_error_seconds);
+  }
   v = std::move(ck.v);
   rng = Rng::load_state(ck.rng_state);
   if (opts.checkpoint.events != nullptr)

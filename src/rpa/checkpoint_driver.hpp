@@ -1,10 +1,8 @@
-// Driver-side glue shared by compute_rpa_energy and run_parallel_rpa:
-// capture/restore of the per-run state a RunCheckpoint persists, the
-// checkpoint lifecycle events, and the warm-start decontamination step
-// (re-randomizing quarantined subspace columns before the next
-// quadrature point). Kept out of erpa.cpp so the serial and parallel
-// sweeps wire the exact same behavior — resume-equivalence bugs from
-// drifted copies are how runs stop being bitwise reproducible.
+// Driver-side glue shared by compute_rpa_energy and
+// compute_rpa_energy_slq: capture/restore of the per-run state a
+// RunCheckpoint persists, the checkpoint lifecycle events, and the
+// warm-start decontamination step (re-randomizing quarantined subspace
+// columns before the next quadrature point).
 #pragma once
 
 #include <cstdint>
@@ -34,7 +32,8 @@ void reseed_quarantined_columns(la::Matrix<double>& v,
                                 obs::EventLog& events);
 
 /// Snapshot the driver state after `completed_points` quadrature points
-/// into a RunCheckpoint (the caller adds the parallel extras, if any).
+/// into a RunCheckpoint, including the per-rank seconds when the result
+/// carries them.
 io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
                                   int completed_points,
                                   const RpaOptions& opts,
@@ -42,13 +41,13 @@ io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
                                   const la::Matrix<double>& v,
                                   const Rng& rng);
 
-/// Restore a loaded checkpoint into the driver state; validates that the
-/// checkpoint came from the same driver flavor and sweep shape, emits
-/// run_resumed into the lifecycle sink, and returns the index of the
-/// first quadrature point still to run.
+/// Restore a loaded checkpoint into the driver state; validates the sweep
+/// shape and that the checkpoint carries per-rank seconds exactly when
+/// `result` has a rank section (of opts.n_ranks rows), emits run_resumed
+/// into the lifecycle sink, and returns the index of the first quadrature
+/// point still to run.
 int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
-                       bool parallel, RpaResult& result,
-                       la::Matrix<double>& v, Rng& rng);
+                       RpaResult& result, la::Matrix<double>& v, Rng& rng);
 
 /// Post-write lifecycle: emit checkpoint_written into the sink and fire
 /// the simulated-crash test hook (throws RunHalted) when armed for `k`.

@@ -88,7 +88,7 @@ struct SternheimerStats {
   void merge(const solver::DynamicBlockReport& rep);
   /// Merge another stats object; `col0` shifts its quarantined column
   /// indices into this object's column frame (the rank offset when
-  /// merging per-rank slices in par/parallel_rpa).
+  /// compute_rpa_energy merges per-rank slices at n_ranks > 1).
   void merge(const SternheimerStats& other, long col0 = 0);
 };
 
@@ -99,7 +99,7 @@ class Chi0Applier {
   /// out = chi0(i omega) * v for a block of real vectors. `stats`
   /// (optional) accumulates solver statistics. `events` (optional)
   /// overrides the options-level event sink for this call — concurrent
-  /// callers (the rank tasks of par/parallel_rpa) pass per-task logs here
+  /// callers (the rank tasks of compute_rpa_energy) pass per-task logs here
   /// because EventLog itself is single-owner.
   void apply(const la::Matrix<double>& v, la::Matrix<double>& out,
              double omega, SternheimerStats* stats = nullptr,

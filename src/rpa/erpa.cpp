@@ -7,11 +7,51 @@
 
 #include "io/checkpoint.hpp"
 #include "rpa/checkpoint_driver.hpp"
+#include "rpa/partition.hpp"
 #include "rpa/ssa.hpp"
+#include "sched/task_group.hpp"
 #include "solver/mixed.hpp"
 #include "solver/resilience.hpp"
 
 namespace rsrpa::rpa {
+
+namespace {
+
+// Apply `op` to the full block as one concurrent task per rank's column
+// slice (paper SS III-D), adding each slice's wall time to its rank's
+// entry of `rank_seconds`. Output columns are disjoint, every task
+// accumulates telemetry into its own sinks, and the sinks merge in
+// ascending rank order after the join — so both the numbers and the
+// telemetry stream are identical to sequential rank execution at any
+// thread count.
+void ranked_apply(const NuChi0Operator& op, const ColumnPartition& part,
+                  double omega, const la::Matrix<double>& in,
+                  la::Matrix<double>& out, std::vector<double>& rank_seconds,
+                  SternheimerStats& stats, obs::EventLog& events) {
+  const std::size_t p = part.n_ranks();
+  std::vector<SternheimerStats> rank_stats(p);
+  std::vector<obs::EventLog> rank_events(p);
+  sched::TaskGroup group;
+  for (std::size_t r = 0; r < p; ++r)
+    group.run([&, r] {
+      WallTimer t;
+      const std::size_t j0 = part.begin(r), cnt = part.count(r);
+      la::Matrix<double> slice = in.slice_cols(j0, cnt);
+      la::Matrix<double> oslice(in.rows(), cnt);
+      op.apply(slice, oslice, omega, &rank_stats[r], nullptr,
+               &rank_events[r]);
+      out.set_cols(j0, oslice);
+      rank_seconds[r] += t.seconds();  // slot r belongs to this task alone
+    });
+  group.wait();
+  for (std::size_t r = 0; r < p; ++r) {
+    // Rank r's quarantined-column indices are relative to its slice.
+    stats.merge(rank_stats[r], static_cast<long>(part.begin(r)));
+    events.merge(rank_events[r]);
+  }
+}
+
+}  // namespace
 
 double rpa_trace_term(double mu) {
   // ln(1 - mu) is undefined for mu >= 1. The physical spectrum of
@@ -66,14 +106,35 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
                              const RpaOptions& opts) {
   RSRPA_REQUIRE_MSG(opts.n_eig >= 1 && opts.n_eig <= sys.n_grid(),
                     "n_eig must be in [1, n_d]");
+  RSRPA_REQUIRE_MSG(opts.n_ranks >= 1 && opts.n_ranks <= opts.n_eig,
+                    "n_ranks must be in [1, n_eig] (paper SS III-D: every "
+                    "rank owns at least one eigenvector column)");
   RSRPA_REQUIRE(opts.ell >= 1);
 
   WallTimer total;
   RpaResult result;
-  // Route solver-level telemetry (single-column fallbacks) into the
-  // result's event log for the lifetime of this call.
+  const std::size_t p = opts.n_ranks;
+  const ColumnPartition part(opts.n_eig, p);
   SternheimerOptions stern_opts = opts.stern;
-  stern_opts.events = &result.events;
+  if (p == 1) {
+    // Route solver-level telemetry (single-column fallbacks) into the
+    // result's event log for the lifetime of this call.
+    stern_opts.events = &result.events;
+  } else {
+    // Each rank caps its block size at n_eig / p (paper SS III-D). Solver
+    // telemetry lands in per-rank logs that merge into the result log in
+    // rank order after each join, so the options-level sink stays null
+    // and concurrent tasks never share one.
+    const int cap = static_cast<int>(part.max_block_size());
+    if (stern_opts.max_block == 0 || stern_opts.max_block > cap)
+      stern_opts.max_block = cap;
+    stern_opts.events = nullptr;
+    result.ranks.emplace();
+    result.ranks->panel_rows = sys.n_grid();
+    result.ranks->panel_cols = opts.n_eig;
+    result.ranks->apply_seconds.assign(p, 0.0);
+    result.ranks->error_seconds.assign(p, 0.0);
+  }
   NuChi0Operator op(sys, klap, stern_opts);
   const std::vector<QuadPoint> quad = rpa_frequency_quadrature(opts.ell);
 
@@ -85,14 +146,13 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
   const CheckpointOptions& copts = opts.checkpoint;
   const bool checkpointing = !copts.path.empty();
   const std::uint64_t fingerprint =
-      checkpointing ? io::run_fingerprint(sys, opts, 0) : 0;
+      checkpointing ? io::run_fingerprint(sys, opts) : 0;
 
   int k0 = 0;
   bool tol_warned = false;
   if (checkpointing && copts.resume && std::filesystem::exists(copts.path)) {
     io::RunCheckpoint ck = io::load_run_checkpoint(copts.path, fingerprint);
-    k0 = detail::restore_checkpoint(std::move(ck), opts, /*parallel=*/false,
-                                    result, v, rng);
+    k0 = detail::restore_checkpoint(std::move(ck), opts, result, v, rng);
     // The restored event log already carries point 0's one-time TOL_EIG
     // warning (if any); don't emit it twice.
     tol_warned = true;
@@ -125,6 +185,25 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
 
     if (fault_scope.requested() != solver::FaultMode::kNone)
       fault_scope.select_for_point(k, opts.fault_omega);
+
+    // nu^{1/2} chi0 nu^{1/2} at this omega. The eval_error applications
+    // are timed by subspace_iteration; every other one is charged to
+    // nu_chi0_apply here.
+    const SubspaceApply apply = [&](const la::Matrix<double>& in,
+                                    la::Matrix<double>& out,
+                                    bool eval_error) {
+      if (p == 1) {
+        op.apply(in, out, q.omega, &result.stern,
+                 eval_error ? nullptr : &result.timers);
+        return;
+      }
+      WallTimer t;
+      ranked_apply(op, part, q.omega, in, out,
+                   eval_error ? result.ranks->error_seconds
+                              : result.ranks->apply_seconds,
+                   result.stern, result.events);
+      if (!eval_error) result.timers.add(kernels::kNuChi0, t.seconds());
+    };
 
     const bool frozen = ssa_frozen(opts.ssa, k);
     if (frozen && k == opts.ssa.freeze_after)
@@ -164,7 +243,7 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       // elisions clear it with margin.
       const SsaProjection proj = ssa_project(
           [&](const la::Matrix<double>& in, la::Matrix<double>& out) {
-            op.apply(in, out, q.omega, &result.stern, &result.timers);
+            apply(in, out, false);
           },
           v, q.omega, &result.events, 0.25 * opts.ssa.residual_tol);
       result.timers.add(kernels::kMatmult, proj.matmult_seconds);
@@ -207,9 +286,8 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       const bool keep_basis = rec.fallback && !opts.ssa.refresh;
       if (keep_basis) scratch = v;
       la::Matrix<double>& target = keep_basis ? scratch : v;
-      SubspaceResult sub = subspace_iteration(op, q.omega, target, sopts,
-                                              &result.stern, &result.timers,
-                                              &result.events);
+      SubspaceResult sub = subspace_iteration(apply, q.omega, target, sopts,
+                                              &result.timers, &result.events);
       rec.filter_iterations = sub.filter_iterations;
       rec.error = sub.error;
       rec.converged = sub.converged;

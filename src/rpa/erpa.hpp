@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "obs/event_log.hpp"
@@ -147,6 +148,13 @@ inline bool ssa_frozen(const SsaOptions& ssa, int k) {
 
 struct RpaOptions {
   std::size_t n_eig = 0;  ///< N_NUCHI_EIGS; required
+  /// Simulated processor count of the SS III-D column partition, in
+  /// [1, n_eig]. 1 applies the operator to the whole block. p > 1 splits
+  /// every application into p contiguous column slices run as concurrent
+  /// tasks, caps the Sternheimer block size at n_eig / p, and records
+  /// per-rank seconds in RpaResult::ranks. The rest of the sweep is the
+  /// same code at every p.
+  std::size_t n_ranks = 1;
   int ell = 8;            ///< N_OMEGA
   /// Per-quadrature-point subspace tolerances (TOL_EIG). Padded with the
   /// last entry if shorter than ell.
@@ -216,6 +224,17 @@ struct OmegaRecord {
   std::vector<double> eigenvalues;  ///< converged Ritz values (ascending)
 };
 
+/// Measured per-rank seconds of a column-partitioned run (n_ranks > 1):
+/// rank r's share of the filter, Rayleigh-Ritz and SSA applications, and
+/// of the Eq. (7) convergence-check applications. The panel shape feeds
+/// the collective model (par/kernel_breakdown.hpp).
+struct RankSeconds {
+  std::size_t panel_rows = 0;  ///< n_d
+  std::size_t panel_cols = 0;  ///< n_eig
+  std::vector<double> apply_seconds;
+  std::vector<double> error_seconds;
+};
+
 struct RpaResult {
   double e_rpa = 0.0;           ///< total correlation energy (Ha)
   double e_rpa_per_atom = 0.0;  ///< e_rpa / n_atoms, filled by the driver
@@ -229,10 +248,13 @@ struct RpaResult {
   SternheimerStats stern;       ///< Table IV statistics
   obs::EventLog events;         ///< fallbacks, collapses, domain violations
   double total_seconds = 0.0;
+  /// Present only when the run used n_ranks > 1.
+  std::optional<RankSeconds> ranks;
 };
 
 /// Compute E_RPA for the given Kohn-Sham system. `klap` must discretize
 /// the same grid with the same stencil radius as the system Hamiltonian.
+/// Throws Error unless 1 <= n_ranks <= n_eig.
 RpaResult compute_rpa_energy(const dft::KsSystem& sys,
                              const poisson::KroneckerLaplacian& klap,
                              const RpaOptions& opts);
@@ -253,14 +275,13 @@ double accumulate_trace_terms(const std::vector<double>& eigenvalues,
                               int omega_index, OmegaRecord& rec,
                               obs::EventLog* events);
 
-/// Resolve TOL_EIG for quadrature point `k` (shared by the serial and
-/// parallel drivers): an empty vector falls back to 5e-4, a vector
-/// shorter than ell is padded with its last entry, and entries beyond
-/// ell are ignored — with a one-time tol_eig_truncated warning emitted
-/// into `events` the first call that sees the excess. `warned` (one bool
-/// per run, owned by the driver loop) suppresses repeats; resumed runs
-/// start it true because the restored event log already carries the
-/// point-0 warning.
+/// Resolve TOL_EIG for quadrature point `k`: an empty vector falls back
+/// to 5e-4, a vector shorter than ell is padded with its last entry, and
+/// entries beyond ell are ignored — with a one-time tol_eig_truncated
+/// warning emitted into `events` the first call that sees the excess.
+/// `warned` (one bool per run, owned by the driver loop) suppresses
+/// repeats; resumed runs start it true because the restored event log
+/// already carries the point-0 warning.
 double tol_for_point(const RpaOptions& opts, int k,
                      obs::EventLog* events = nullptr, bool* warned = nullptr);
 

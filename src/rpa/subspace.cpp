@@ -22,14 +22,12 @@ struct RrOutcome {
   bool collapsed = false;  ///< generalized eigensolve fell back to sym_eig
 };
 
-RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
-                                  la::Matrix<double>& v,
-                                  SternheimerStats* stats,
-                                  KernelTimers* timers,
+RrOutcome rayleigh_ritz_and_error(const SubspaceApply& apply, double omega,
+                                  la::Matrix<double>& v, KernelTimers* timers,
                                   obs::EventLog* events) {
   const std::size_t n = v.rows(), m = v.cols();
   la::Matrix<double> av(n, m);
-  op.apply(v, av, omega, stats, timers);
+  apply(v, av, false);
 
   la::Matrix<double> hs(m, m), ms(m, m);
   {
@@ -63,7 +61,7 @@ RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
                      {{"omega", omega},
                       {"subspace_dim", static_cast<double>(m)}});
       la::orthonormalize(v);
-      op.apply(v, av, omega, stats, timers);
+      apply(v, av, false);
       la::gemm_tn(1.0, v, av, 0.0, hs);
       sub = la::sym_eig(hs);
     }
@@ -85,7 +83,7 @@ RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
   out.collapsed = collapsed;
   {
     WallTimer t;
-    op.apply(v, av, omega, stats, nullptr);  // time under eval_error
+    apply(v, av, true);  // timed here, under eval_error
     // Per-column residual norms fan out (disjoint slots); the final sum
     // stays serial in ascending j so the error — and through it every
     // filtering decision — is bitwise identical at any thread count.
@@ -114,18 +112,17 @@ RrOutcome rayleigh_ritz_and_error(const NuChi0Operator& op, double omega,
 
 }  // namespace
 
-SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
+SubspaceResult subspace_iteration(const SubspaceApply& apply, double omega,
                                   la::Matrix<double>& v,
                                   const SubspaceOptions& opts,
-                                  SternheimerStats* stats,
                                   KernelTimers* timers,
                                   obs::EventLog* events) {
-  RSRPA_REQUIRE(v.rows() == op.n_grid() && v.cols() >= 1);
+  RSRPA_REQUIRE(v.cols() >= 1);
   SubspaceResult res;
 
   // Lines 2-5 of Algorithm 5: Rayleigh-Ritz on the initial guess with NO
   // filtering; an accurate warm start exits here with ncheb = 0.
-  RrOutcome rr = rayleigh_ritz_and_error(op, omega, v, stats, timers, events);
+  RrOutcome rr = rayleigh_ritz_and_error(apply, omega, v, timers, events);
   res.eigenvalues = rr.values;
   res.error = rr.error;
   res.converged = rr.error <= opts.tol;
@@ -146,12 +143,12 @@ SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
 
     solver::BlockOpR a_op = [&](const la::Matrix<double>& in,
                                 la::Matrix<double>& out) {
-      op.apply(in, out, omega, stats, timers);
+      apply(in, out, false);
     };
     solver::chebyshev_filter_op(a_op, v, opts.cheb_degree, damp_lo, damp_hi,
                                 a0);
 
-    rr = rayleigh_ritz_and_error(op, omega, v, stats, timers, events);
+    rr = rayleigh_ritz_and_error(apply, omega, v, timers, events);
     res.eigenvalues = rr.values;
     res.error = rr.error;
     res.converged = rr.error <= opts.tol;
@@ -159,6 +156,21 @@ SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
     ++res.filter_iterations;
   }
   return res;
+}
+
+SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
+                                  la::Matrix<double>& v,
+                                  const SubspaceOptions& opts,
+                                  SternheimerStats* stats,
+                                  KernelTimers* timers,
+                                  obs::EventLog* events) {
+  RSRPA_REQUIRE(v.rows() == op.n_grid());
+  return subspace_iteration(
+      [&](const la::Matrix<double>& in, la::Matrix<double>& out,
+          bool eval_error) {
+        op.apply(in, out, omega, stats, eval_error ? nullptr : timers);
+      },
+      omega, v, opts, timers, events);
 }
 
 }  // namespace rsrpa::rpa

@@ -1,7 +1,7 @@
 // Fixed-size thread pool with per-worker work-stealing deques — the
 // execution substrate behind sched::TaskGroup / parallel_for /
 // parallel_reduce and, through them, the concurrent stages of the RPA
-// drivers (par/parallel_rpa rank slices, rpa/chi0 RHS blocks, la/blas
+// drivers (rpa/erpa rank slices, rpa/chi0 RHS blocks, la/blas
 // tiled GEMM).
 //
 // Lane model: a pool configured for `threads` lanes spawns `threads - 1`

@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "io/checkpoint.hpp"
 #include "obs/run_report.hpp"
-#include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
@@ -163,10 +162,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   Rng vr(7);
   ck.v = la::Matrix<double>(13, 4);
   for (std::size_t j = 0; j < 4; ++j) vr.fill_uniform(ck.v.col(j));
-  ck.parallel = true;
-  ck.matmult_seconds = 0.5;
-  ck.eigensolve_seconds = 0.25;
-  ck.error_checks = 9;
   ck.rank_apply_seconds = {1.0, 2.0};
   ck.rank_error_seconds = {0.125, 0.5};
 
@@ -194,9 +189,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   ASSERT_EQ(r.v.cols(), 4u);
   for (std::size_t j = 0; j < 4; ++j)
     for (std::size_t i = 0; i < 13; ++i) EXPECT_EQ(r.v(i, j), ck.v(i, j));
-  EXPECT_TRUE(r.parallel);
-  EXPECT_EQ(r.matmult_seconds, 0.5);
-  EXPECT_EQ(r.error_checks, 9);
   EXPECT_EQ(r.rank_apply_seconds, ck.rank_apply_seconds);
   EXPECT_EQ(r.rank_error_seconds, ck.rank_error_seconds);
 }
@@ -204,26 +196,28 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
 TEST_F(CheckpointTest, FingerprintSeparatesRunsThatMustNotResume) {
   auto& b = built();
   const rpa::RpaOptions opts = base_options();
-  const std::uint64_t base = io::run_fingerprint(b.ks, opts, 0);
-  EXPECT_EQ(io::run_fingerprint(b.ks, opts, 0), base);  // deterministic
+  const std::uint64_t base = io::run_fingerprint(b.ks, opts);
+  EXPECT_EQ(io::run_fingerprint(b.ks, opts), base);  // deterministic
 
   rpa::RpaOptions o2 = opts;
   o2.seed += 1;
-  EXPECT_NE(io::run_fingerprint(b.ks, o2, 0), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o2), base);
   rpa::RpaOptions o3 = opts;
   o3.tol_eig[1] = 2.0000000001e-3;
-  EXPECT_NE(io::run_fingerprint(b.ks, o3, 0), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o3), base);
   rpa::RpaOptions o4 = opts;
   o4.stern.tol *= 2;
-  EXPECT_NE(io::run_fingerprint(b.ks, o4, 0), base);
-  // Same options, different driver (serial vs 2 ranks).
-  EXPECT_NE(io::run_fingerprint(b.ks, opts, 2), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o4), base);
+  // Same options, different rank count (serial vs 2 ranks).
+  rpa::RpaOptions o6 = opts;
+  o6.n_ranks = 2;
+  EXPECT_NE(io::run_fingerprint(b.ks, o6), base);
   // The checkpoint policy itself must NOT move the fingerprint.
   rpa::RpaOptions o5 = opts;
   o5.checkpoint.path = "elsewhere.ckpt";
   o5.checkpoint.resume = true;
   o5.checkpoint.halt_after_point = 1;
-  EXPECT_EQ(io::run_fingerprint(b.ks, o5, 0), base);
+  EXPECT_EQ(io::run_fingerprint(b.ks, o5), base);
 }
 
 TEST_F(CheckpointTest, TruncatedAndCorruptFilesAreRefused) {
@@ -358,51 +352,63 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedConfiguration) {
   other.checkpoint.resume = true;
   EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, other), Error);
 
-  // A serial checkpoint cannot seed the parallel driver either (the rank
-  // count is part of the fingerprint).
-  par::ParallelRpaOptions popts;
-  popts.rpa = base_options();
-  popts.rpa.checkpoint.path = path("m.ckpt");
-  popts.rpa.checkpoint.resume = true;
-  popts.n_ranks = 2;
-  EXPECT_THROW(par::run_parallel_rpa(b.ks, *b.klap, popts), Error);
+  // A serial checkpoint cannot seed a ranked run either (the rank count
+  // is part of the fingerprint)...
+  rpa::RpaOptions ranked = base_options();
+  ranked.checkpoint.path = path("m.ckpt");
+  ranked.checkpoint.resume = true;
+  ranked.n_ranks = 2;
+  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, ranked), Error);
+
+  // ...and a 2-rank checkpoint seeds neither a serial nor a 4-rank run.
+  rpa::RpaOptions killed2 = base_options();
+  killed2.n_ranks = 2;
+  killed2.checkpoint.path = path("m2.ckpt");
+  killed2.checkpoint.halt_after_point = 0;
+  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed2),
+               rpa::RunHalted);
+  for (std::size_t p : {1u, 4u}) {
+    SCOPED_TRACE("resume at p = " + std::to_string(p));
+    rpa::RpaOptions other_p = base_options();
+    other_p.n_ranks = p;
+    other_p.checkpoint.path = path("m2.ckpt");
+    other_p.checkpoint.resume = true;
+    EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, other_p), Error);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Parallel driver: the checkpoint is cut at the rank-merge barrier.
+// Ranked runs: the checkpoint is cut at the rank-merge barrier.
 
 TEST_F(CheckpointTest, ParallelKillAndResumeIsBitwiseIdentical) {
   auto& b = built();
-  par::ParallelRpaOptions base;
-  base.rpa = base_options();
+  rpa::RpaOptions base = base_options();
   base.n_ranks = 2;
-  const par::ParallelRpaResult straight =
-      par::run_parallel_rpa(b.ks, *b.klap, base);
-  ASSERT_TRUE(std::isfinite(straight.rpa.e_rpa));
+  const rpa::RpaResult straight = rpa::compute_rpa_energy(b.ks, *b.klap, base);
+  ASSERT_TRUE(std::isfinite(straight.e_rpa));
 
   for (int halt : {0, 1, 2}) {
     SCOPED_TRACE("halt after point " + std::to_string(halt));
     const std::string ckpt = path("par.ckpt");
     std::filesystem::remove(ckpt);
 
-    par::ParallelRpaOptions killed = base;
-    killed.rpa.checkpoint.path = ckpt;
-    killed.rpa.checkpoint.halt_after_point = halt;
-    EXPECT_THROW(par::run_parallel_rpa(b.ks, *b.klap, killed),
+    rpa::RpaOptions killed = base;
+    killed.checkpoint.path = ckpt;
+    killed.checkpoint.halt_after_point = halt;
+    EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed),
                  rpa::RunHalted);
 
     obs::EventLog lifecycle;
-    par::ParallelRpaOptions resumed = base;
-    resumed.rpa.checkpoint.path = ckpt;
-    resumed.rpa.checkpoint.resume = true;
-    resumed.rpa.checkpoint.events = &lifecycle;
-    const par::ParallelRpaResult r =
-        par::run_parallel_rpa(b.ks, *b.klap, resumed);
+    rpa::RpaOptions resumed = base;
+    resumed.checkpoint.path = ckpt;
+    resumed.checkpoint.resume = true;
+    resumed.checkpoint.events = &lifecycle;
+    const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, resumed);
 
     EXPECT_EQ(lifecycle.count(obs::events::kRunResumed), 1u);
-    expect_bitwise_equal(straight.rpa, r.rpa);
-    EXPECT_EQ(strip_timing(obs::to_json(straight)).dump(),
-              strip_timing(obs::to_json(r)).dump());
+    expect_bitwise_equal(straight, r);
+    ASSERT_TRUE(r.ranks.has_value());
+    EXPECT_EQ(r.ranks->apply_seconds.size(), 2u);
   }
 }
 
@@ -511,7 +517,7 @@ TEST_F(CheckpointTest, SlqFingerprintSeparatesRunsThatMustNotResume) {
   EXPECT_EQ(io::slq_run_fingerprint(b.ks, o7), base);
   // Distinct domain tag: an SLQ fingerprint can never collide with the
   // Sternheimer fingerprint of the same physical system.
-  EXPECT_NE(base, io::run_fingerprint(b.ks, base_options(), 0));
+  EXPECT_NE(base, io::run_fingerprint(b.ks, base_options()));
 }
 
 TEST_F(CheckpointTest, SlqKillAndResumeIsBitwiseIdentical) {

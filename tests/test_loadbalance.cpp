@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "par/load_balance.hpp"
-#include "par/partition.hpp"
+#include "rpa/partition.hpp"
 #include "direct/direct_rpa.hpp"
 #include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
@@ -118,7 +118,7 @@ TEST(ColumnPartition, ExhaustiveAndDisjointAtEveryRankCount) {
   // column, with the paper's s <= n/p block cap.
   for (std::size_t n : {1u, 2u, 7u, 16u, 33u}) {
     for (std::size_t p = 1; p <= n; ++p) {
-      par::ColumnPartition part(n, p);
+      rpa::ColumnPartition part(n, p);
       std::size_t next = 0;
       const std::size_t base = n / p;
       for (std::size_t r = 0; r < p; ++r) {

@@ -1,17 +1,23 @@
 // Tests for the simulated parallel runtime: column partition, collective
-// cost model, and the rank-decomposed RPA driver.
+// cost model, and compute_rpa_energy on n_ranks column slices.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
-#include "par/parallel_rpa.hpp"
+#include "obs/event_log.hpp"
+#include "par/kernel_breakdown.hpp"
 #include "rpa/erpa.hpp"
+#include "rpa/partition.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
+#include "solver/mixed.hpp"
 
 namespace rsrpa::par {
 namespace {
+
+using rpa::ColumnPartition;
 
 TEST(ColumnPartition, CoversAllColumnsWithoutOverlap) {
   for (std::size_t n : {7u, 16u, 96u}) {
@@ -93,68 +99,159 @@ class ParallelRpaTest : public ::testing::Test {
     return b;
   }
 
-  static ParallelRpaOptions base_options() {
-    ParallelRpaOptions opts;
-    opts.rpa = built().default_rpa_options();
-    opts.rpa.n_eig = 16;
-    opts.rpa.ell = 3;
-    opts.rpa.tol_eig = {4e-3, 2e-3, 2e-3};
+  static rpa::RpaOptions base_options() {
+    rpa::RpaOptions opts = built().default_rpa_options();
+    opts.n_eig = 16;
+    opts.ell = 3;
+    opts.tol_eig = {4e-3, 2e-3, 2e-3};
     return opts;
+  }
+
+  // One column per Sternheimer solve: every column's chi0 result is then
+  // independent of which rank's slice it sits in, so the partition
+  // changes no bits.
+  static rpa::RpaOptions column_options() {
+    rpa::RpaOptions opts = base_options();
+    opts.stern.dynamic_block = false;
+    opts.stern.fixed_block = 1;
+    return opts;
+  }
+
+  static rpa::RpaResult run(rpa::RpaOptions opts, std::size_t p) {
+    opts.n_ranks = p;
+    return rpa::compute_rpa_energy(built().ks, *built().klap, opts);
+  }
+
+  static void expect_same_bits(const rpa::RpaResult& a,
+                               const rpa::RpaResult& b) {
+    EXPECT_EQ(a.e_rpa, b.e_rpa);
+    ASSERT_EQ(a.per_omega.size(), b.per_omega.size());
+    for (std::size_t k = 0; k < a.per_omega.size(); ++k)
+      EXPECT_EQ(a.per_omega[k].eigenvalues, b.per_omega[k].eigenvalues)
+          << "omega " << k;
   }
 };
 
 TEST_F(ParallelRpaTest, EnergyIndependentOfRankCount) {
-  auto& b = built();
-  ParallelRpaOptions o1 = base_options(), o4 = base_options();
-  o1.n_ranks = 1;
-  o4.n_ranks = 4;
-  ParallelRpaResult r1 = run_parallel_rpa(b.ks, *b.klap, o1);
-  ParallelRpaResult r4 = run_parallel_rpa(b.ks, *b.klap, o4);
-  EXPECT_TRUE(r1.rpa.converged);
-  EXPECT_TRUE(r4.rpa.converged);
-  EXPECT_LT(r1.rpa.e_rpa, 0.0);
+  const rpa::RpaResult r1 = run(base_options(), 1);
+  const rpa::RpaResult r4 = run(base_options(), 4);
+  EXPECT_TRUE(r1.converged);
+  EXPECT_TRUE(r4.converged);
+  EXPECT_LT(r1.e_rpa, 0.0);
   // The partition changes solver blocking, not mathematics: energies agree
   // to well within the subspace tolerance.
-  EXPECT_NEAR(r1.rpa.e_rpa, r4.rpa.e_rpa,
-              5e-3 * std::abs(r1.rpa.e_rpa));
+  EXPECT_NEAR(r1.e_rpa, r4.e_rpa, 5e-3 * std::abs(r1.e_rpa));
 }
 
 TEST_F(ParallelRpaTest, MatchesSerialDriverEnergy) {
-  auto& b = built();
-  ParallelRpaOptions opts = base_options();
-  opts.n_ranks = 1;
-  ParallelRpaResult par = run_parallel_rpa(b.ks, *b.klap, opts);
-  rpa::RpaResult ser = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa);
-  EXPECT_NEAR(par.rpa.e_rpa, ser.e_rpa, 5e-3 * std::abs(ser.e_rpa));
+  // With fixed one-column blocking the partition only decides which task
+  // applies which column: E_RPA and every Ritz value are bitwise those of
+  // the serial run, with SSA elision off and on.
+  for (int freeze : {0, 2}) {
+    SCOPED_TRACE("ssa freeze_after " + std::to_string(freeze));
+    rpa::RpaOptions opts = column_options();
+    opts.ssa.freeze_after = freeze;
+    opts.ssa.residual_tol = 0.1;
+    const rpa::RpaResult serial = run(opts, 1);
+    EXPECT_FALSE(serial.ranks.has_value());
+    for (std::size_t p : {2u, 4u}) {
+      SCOPED_TRACE("p = " + std::to_string(p));
+      const rpa::RpaResult ranked = run(opts, p);
+      ASSERT_TRUE(ranked.ranks.has_value());
+      expect_same_bits(serial, ranked);
+      if (freeze > 0) {
+        EXPECT_TRUE(ranked.per_omega[2].elided);
+      }
+    }
+  }
 }
 
 TEST_F(ParallelRpaTest, RecordsPerRankTimings) {
-  auto& b = built();
-  ParallelRpaOptions opts = base_options();
-  opts.n_ranks = 4;
-  ParallelRpaResult res = run_parallel_rpa(b.ks, *b.klap, opts);
-  ASSERT_EQ(res.rank_apply_seconds.size(), 4u);
-  for (double t : res.rank_apply_seconds) EXPECT_GT(t, 0.0);
+  const rpa::RpaResult res = run(base_options(), 4);
+  ASSERT_TRUE(res.ranks.has_value());
+  ASSERT_EQ(res.ranks->apply_seconds.size(), 4u);
+  ASSERT_EQ(res.ranks->error_seconds.size(), 4u);
+  double work = 0.0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_GT(res.ranks->apply_seconds[r], 0.0);
+    work += res.ranks->apply_seconds[r] + res.ranks->error_seconds[r];
+  }
   // Critical path >= average (load imbalance is non-negative).
-  const double avg = res.apply_work_seconds / 4.0;
-  EXPECT_GE(res.modeled.nu_chi0 + res.modeled.eval_error, avg * 0.99);
-  EXPECT_GT(res.modeled_total_seconds, 0.0);
+  const KernelBreakdown modeled = modeled_breakdown(res, 4, CollectiveModel{});
+  EXPECT_GE(modeled.nu_chi0 + modeled.eval_error, work / 4.0 * 0.99);
+  EXPECT_GT(modeled.total(), 0.0);
+  // The result's own timers stay measured: nothing modeled leaks in.
+  EXPECT_GT(res.timers.get(rpa::kernels::kNuChi0), 0.0);
+  EXPECT_THROW(modeled_breakdown(res, 2, CollectiveModel{}), Error);
 }
 
 TEST_F(ParallelRpaTest, BlockSizeCapFollowsPartition) {
-  auto& b = built();
-  ParallelRpaOptions opts = base_options();
-  opts.n_ranks = 8;  // cap = 16 / 8 = 2
-  ParallelRpaResult res = run_parallel_rpa(b.ks, *b.klap, opts);
-  for (const auto& [size, count] : res.rpa.stern.block_size_chunks)
+  const rpa::RpaResult res = run(base_options(), 8);  // cap = 16 / 8 = 2
+  for (const auto& [size, count] : res.stern.block_size_chunks)
     EXPECT_LE(size, 2);
 }
 
-// The deterministic-execution acceptance criterion: both drivers produce
-// the SAME BITS at 1 and 4 threads, on two different preset systems. The
-// serial driver relies on disjoint-write parallel_for (identical FP order
-// per element); the ranked driver additionally routes its norm reductions
-// through the fixed-shape tree of parallel_reduce.
+TEST_F(ParallelRpaTest, RejectsRankCountZero) {
+  try {
+    run(base_options(), 0);
+    FAIL() << "n_ranks = 0 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("n_ranks must be in [1, n_eig]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ParallelRpaTest, RejectsMoreRanksThanEigenvectors) {
+  try {
+    run(base_options(), 17);  // n_eig = 16
+    FAIL() << "n_ranks > n_eig accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("n_ranks must be in [1, n_eig]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ParallelRpaTest, HonoursColdStartAtTwoRanks) {
+  // warm_start = false restarts every point from a fresh random block, at
+  // any rank count.
+  rpa::RpaOptions cold = column_options();
+  cold.warm_start = false;
+  const rpa::RpaResult cold1 = run(cold, 1);
+  const rpa::RpaResult cold2 = run(cold, 2);
+  expect_same_bits(cold1, cold2);
+  const rpa::RpaResult warm2 = run(column_options(), 2);
+  EXPECT_NE(cold2.per_omega[1].eigenvalues, warm2.per_omega[1].eigenvalues);
+}
+
+TEST_F(ParallelRpaTest, EmitsPrecisionClampOnceAtTwoRanks) {
+  rpa::RpaOptions opts = base_options();
+  opts.ell = 2;
+  opts.stern.precision = common::Precision::kMixed;
+  opts.stern.tol = 0.5 * solver::f32_tol_floor();
+  const rpa::RpaResult res = run(opts, 2);
+  EXPECT_EQ(res.events.count(obs::events::kPrecisionClamped), 1u);
+}
+
+TEST_F(ParallelRpaTest, PerPointMatvecWorkSumsToTotalsAtTwoRanks) {
+  const rpa::RpaResult res = run(base_options(), 2);
+  double bytes = 0.0, flops = 0.0;
+  for (const rpa::OmegaRecord& rec : res.per_omega) {
+    EXPECT_GT(rec.matvec_bytes, 0.0);
+    EXPECT_GT(rec.matvec_flops, 0.0);
+    bytes += rec.matvec_bytes;
+    flops += rec.matvec_flops;
+  }
+  EXPECT_GT(res.stern.matvec_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(bytes, res.stern.matvec_bytes);
+  EXPECT_DOUBLE_EQ(flops, res.stern.matvec_flops);
+}
+
+// The deterministic-execution acceptance criterion: serial and ranked runs
+// each produce the SAME BITS at 1 and 4 threads, on two different preset
+// systems. Every concurrent stage writes disjoint slots and reduces in a
+// fixed order, and the rank slices merge their telemetry in rank order.
 TEST(ThreadDeterminism, BitwiseIdenticalEnergiesAtAnyThreadCount) {
   for (bool vacancy : {false, true}) {
     SCOPED_TRACE(vacancy ? "Si vacancy preset" : "Si pristine preset");
@@ -164,52 +261,58 @@ TEST(ThreadDeterminism, BitwiseIdenticalEnergiesAtAnyThreadCount) {
     preset.fd_radius = 3;
     rpa::BuiltSystem b = rpa::build_system(preset);
 
-    ParallelRpaOptions opts;
-    opts.rpa = b.default_rpa_options();
-    opts.rpa.ell = 2;
-    opts.rpa.tol_eig = {4e-3, 2e-3};
+    rpa::RpaOptions opts = b.default_rpa_options();
+    opts.ell = 2;
+    opts.tol_eig = {4e-3, 2e-3};
     // Algorithm 4 chooses Sternheimer block sizes from MEASURED chunk wall
     // time, so its partition is schedule-dependent by construction (it was
     // never run-to-run reproducible, even serially). Pin the block size so
     // the comparison isolates the runtime's determinism.
-    opts.rpa.stern.dynamic_block = false;
-    opts.n_ranks = 4;
+    opts.stern.dynamic_block = false;
+    rpa::RpaOptions ranked = opts;
+    ranked.n_ranks = 4;
+
+    // Ranked run plus the pool's activity across it.
+    struct Run {
+      double e_rpa;
+      sched::PoolStats pool;
+    };
+    const auto run_ranked = [&] {
+      const sched::PoolStats pool0 = sched::global_pool().stats();
+      const double e = rpa::compute_rpa_energy(b.ks, *b.klap, ranked).e_rpa;
+      return Run{e, sched::global_pool().stats().since(pool0)};
+    };
 
     sched::set_global_threads(1);
-    const double serial_1 = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa).e_rpa;
-    const ParallelRpaResult par_1 = run_parallel_rpa(b.ks, *b.klap, opts);
+    const double serial_1 = rpa::compute_rpa_energy(b.ks, *b.klap, opts).e_rpa;
+    const Run par_1 = run_ranked();
 
     sched::set_global_threads(4);
-    const double serial_4 = rpa::compute_rpa_energy(b.ks, *b.klap, opts.rpa).e_rpa;
-    const ParallelRpaResult par_4 = run_parallel_rpa(b.ks, *b.klap, opts);
+    const double serial_4 = rpa::compute_rpa_energy(b.ks, *b.klap, opts).e_rpa;
+    const Run par_4 = run_ranked();
     sched::set_global_threads(1);
 
     EXPECT_EQ(std::memcmp(&serial_1, &serial_4, sizeof(double)), 0)
-        << "run_rpa: " << serial_1 << " vs " << serial_4;
-    EXPECT_EQ(std::memcmp(&par_1.rpa.e_rpa, &par_4.rpa.e_rpa, sizeof(double)),
-              0)
-        << "run_parallel_rpa: " << par_1.rpa.e_rpa << " vs "
-        << par_4.rpa.e_rpa;
+        << "serial: " << serial_1 << " vs " << serial_4;
+    EXPECT_EQ(std::memcmp(&par_1.e_rpa, &par_4.e_rpa, sizeof(double)), 0)
+        << "4 ranks: " << par_1.e_rpa << " vs " << par_4.e_rpa;
     EXPECT_LT(serial_1, 0.0);
 
-    // The threaded run really went through the pool, and the result
-    // carries its scheduler telemetry.
-    EXPECT_EQ(par_4.sched_stats.threads, 4);
-    EXPECT_GT(par_4.sched_stats.tasks, 0);
-    EXPECT_EQ(par_1.sched_stats.threads, 1);
+    // The threaded run really went through the pool.
+    EXPECT_EQ(par_4.pool.threads, 4);
+    EXPECT_GT(par_4.pool.tasks, 0);
+    EXPECT_EQ(par_1.pool.threads, 1);
   }
 }
 
 TEST_F(ParallelRpaTest, ModeledNuChi0TimeShrinksWithRanks) {
-  auto& b = built();
-  ParallelRpaOptions o1 = base_options(), o4 = base_options();
-  o1.n_ranks = 1;
-  o4.n_ranks = 4;
-  ParallelRpaResult r1 = run_parallel_rpa(b.ks, *b.klap, o1);
-  ParallelRpaResult r4 = run_parallel_rpa(b.ks, *b.klap, o4);
+  const rpa::RpaResult r1 = run(base_options(), 1);
+  const rpa::RpaResult r4 = run(base_options(), 4);
   // The embarrassingly parallel kernel must show real speedup in the
   // modeled time (max over ranks shrinks as columns spread out).
-  EXPECT_LT(r4.modeled.nu_chi0, r1.modeled.nu_chi0);
+  const CollectiveModel net;
+  EXPECT_LT(modeled_breakdown(r4, 4, net).nu_chi0,
+            modeled_breakdown(r1, 1, net).nu_chi0);
 }
 
 }  // namespace

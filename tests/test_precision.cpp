@@ -557,8 +557,7 @@ TEST_F(PrecisionCheckpointTest, FingerprintSeparatesPrecisionPolicies) {
   rpa::RpaOptions o64 = mixed_options();
   o64.stern.precision = Precision::kFp64;
   const rpa::RpaOptions om = mixed_options();
-  EXPECT_NE(io::run_fingerprint(b.ks, o64, 0),
-            io::run_fingerprint(b.ks, om, 0));
+  EXPECT_NE(io::run_fingerprint(b.ks, o64), io::run_fingerprint(b.ks, om));
 
   rpa::SlqRpaOptions s64;
   s64.ell = 2;

@@ -16,7 +16,6 @@
 #include "la/blas.hpp"
 #include "la/lu.hpp"
 #include "obs/event_log.hpp"
-#include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/presets.hpp"
 #include "solver/block_cocg.hpp"
@@ -534,19 +533,18 @@ TEST_F(FaultDrillTest, RunRpaSurvivesAFaultyQuadraturePoint) {
 
 TEST_F(FaultDrillTest, RunParallelRpaSurvivesAFaultyQuadraturePoint) {
   auto& b = built();
-  par::ParallelRpaOptions opts;
-  opts.rpa = base_options();
+  rpa::RpaOptions opts = base_options();
   opts.n_ranks = 2;
-  add_point_fault(opts.rpa);
+  add_point_fault(opts);
 
-  par::ParallelRpaResult res = par::run_parallel_rpa(b.ks, *b.klap, opts);
+  rpa::RpaResult res = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
 
-  EXPECT_TRUE(std::isfinite(res.rpa.e_rpa));
-  EXPECT_TRUE(res.rpa.degraded);
-  ASSERT_EQ(res.rpa.per_omega.size(), 3u);
-  EXPECT_GT(res.rpa.per_omega[0].quarantined_columns, 0);
-  EXPECT_EQ(res.rpa.per_omega[1].quarantined_columns, 0);
-  EXPECT_GE(res.rpa.events.count(obs::events::kQuadPointDegraded), 1u);
+  EXPECT_TRUE(std::isfinite(res.e_rpa));
+  EXPECT_TRUE(res.degraded);
+  ASSERT_EQ(res.per_omega.size(), 3u);
+  EXPECT_GT(res.per_omega[0].quarantined_columns, 0);
+  EXPECT_EQ(res.per_omega[1].quarantined_columns, 0);
+  EXPECT_GE(res.events.count(obs::events::kQuadPointDegraded), 1u);
 }
 
 TEST_F(FaultDrillTest, QuarantinedColumnsAreReseededBeforeTheNextPoint) {

@@ -19,7 +19,6 @@
 
 #include "io/checkpoint.hpp"
 #include "obs/run_report.hpp"
-#include "par/parallel_rpa.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/presets.hpp"
 #include "rpa/ssa.hpp"
@@ -401,76 +400,71 @@ TEST_F(SsaCheckpointTest, KillInsideTheFrozenPhaseResumesBitwise) {
 TEST_F(SsaCheckpointTest, SsaPolicyIsPartOfTheFingerprint) {
   auto& b = built();
   const rpa::RpaOptions opts = base_options();
-  const std::uint64_t base = io::run_fingerprint(b.ks, opts, 0);
+  const std::uint64_t base = io::run_fingerprint(b.ks, opts);
 
   rpa::RpaOptions o1 = opts;
   o1.ssa.freeze_after = 2;
-  EXPECT_NE(io::run_fingerprint(b.ks, o1, 0), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o1), base);
   rpa::RpaOptions o2 = opts;
   o2.ssa.residual_tol *= 2;
-  EXPECT_NE(io::run_fingerprint(b.ks, o2, 0), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o2), base);
   rpa::RpaOptions o3 = opts;
   o3.ssa.refresh = false;
-  EXPECT_NE(io::run_fingerprint(b.ks, o3, 0), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o3), base);
 }
 
 // ---------------------------------------------------------------------------
-// Parallel driver.
+// Ranked runs (n_ranks = 2).
 
 TEST_F(SsaCheckpointTest, ParallelElisionKillAndResumeIsBitwise) {
   auto& b = built();
-  par::ParallelRpaOptions base;
-  base.rpa = base_options();
-  base.rpa.ssa.freeze_after = 2;
-  base.rpa.ssa.residual_tol = 0.1;  // elide both frozen points (see above)
+  rpa::RpaOptions base = base_options();
+  base.ssa.freeze_after = 2;
+  base.ssa.residual_tol = 0.1;  // elide both frozen points (see above)
   base.n_ranks = 2;
-  const par::ParallelRpaResult straight =
-      par::run_parallel_rpa(b.ks, *b.klap, base);
-  ASSERT_TRUE(std::isfinite(straight.rpa.e_rpa));
-  EXPECT_EQ(straight.rpa.events.count(obs::events::kSsaBasisFrozen), 1u);
-  EXPECT_EQ(count_elided(straight.rpa), 2);
+  const rpa::RpaResult straight = rpa::compute_rpa_energy(b.ks, *b.klap, base);
+  ASSERT_TRUE(std::isfinite(straight.e_rpa));
+  EXPECT_EQ(straight.events.count(obs::events::kSsaBasisFrozen), 1u);
+  EXPECT_EQ(count_elided(straight), 2);
 
   const std::string ckpt = path("par_ssa.ckpt");
-  par::ParallelRpaOptions killed = base;
-  killed.rpa.checkpoint.path = ckpt;
-  killed.rpa.checkpoint.halt_after_point = 2;  // first frozen point done
-  EXPECT_THROW(par::run_parallel_rpa(b.ks, *b.klap, killed), rpa::RunHalted);
+  rpa::RpaOptions killed = base;
+  killed.checkpoint.path = ckpt;
+  killed.checkpoint.halt_after_point = 2;  // first frozen point done
+  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed), rpa::RunHalted);
 
-  par::ParallelRpaOptions resumed = base;
-  resumed.rpa.checkpoint.path = ckpt;
-  resumed.rpa.checkpoint.resume = true;
-  const par::ParallelRpaResult r = par::run_parallel_rpa(b.ks, *b.klap, resumed);
+  rpa::RpaOptions resumed = base;
+  resumed.checkpoint.path = ckpt;
+  resumed.checkpoint.resume = true;
+  const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, resumed);
 
-  EXPECT_EQ(r.rpa.e_rpa, straight.rpa.e_rpa);
-  ASSERT_EQ(r.rpa.per_omega.size(), straight.rpa.per_omega.size());
-  for (std::size_t k = 0; k < r.rpa.per_omega.size(); ++k) {
-    EXPECT_EQ(r.rpa.per_omega[k].elided, straight.rpa.per_omega[k].elided);
-    EXPECT_EQ(r.rpa.per_omega[k].eigenvalues,
-              straight.rpa.per_omega[k].eigenvalues);
+  EXPECT_EQ(r.e_rpa, straight.e_rpa);
+  ASSERT_EQ(r.per_omega.size(), straight.per_omega.size());
+  for (std::size_t k = 0; k < r.per_omega.size(); ++k) {
+    EXPECT_EQ(r.per_omega[k].elided, straight.per_omega[k].elided);
+    EXPECT_EQ(r.per_omega[k].eigenvalues, straight.per_omega[k].eigenvalues);
   }
-  EXPECT_EQ(strip_timing(obs::to_json(r.rpa.events)).dump(),
-            strip_timing(obs::to_json(straight.rpa.events)).dump());
+  EXPECT_EQ(strip_timing(obs::to_json(r.events)).dump(),
+            strip_timing(obs::to_json(straight.events)).dump());
 }
 
 TEST(Ssa, ParallelElisionTracksTheParallelFullSolve) {
   auto& b = built();
-  par::ParallelRpaOptions full;
-  full.rpa = ell8_options();
+  rpa::RpaOptions full = ell8_options();
   full.n_ranks = 2;
-  const par::ParallelRpaResult plain = par::run_parallel_rpa(b.ks, *b.klap, full);
+  const rpa::RpaResult plain = rpa::compute_rpa_energy(b.ks, *b.klap, full);
 
-  par::ParallelRpaOptions elide = full;
-  elide.rpa.ssa.freeze_after = 5;
-  elide.rpa.ssa.residual_tol = 1.5e-3;
-  const par::ParallelRpaResult r = par::run_parallel_rpa(b.ks, *b.klap, elide);
+  rpa::RpaOptions elide = full;
+  elide.ssa.freeze_after = 5;
+  elide.ssa.residual_tol = 1.5e-3;
+  const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, elide);
 
-  EXPECT_GE(count_elided(r.rpa), 1);
-  EXPECT_TRUE(r.rpa.per_omega[7].elided);
-  EXPECT_NEAR(r.rpa.e_rpa_per_atom, plain.rpa.e_rpa_per_atom, 1e-4);
-  // Pre-freeze points bitwise match the plain parallel run.
+  EXPECT_GE(count_elided(r), 1);
+  EXPECT_TRUE(r.per_omega[7].elided);
+  EXPECT_NEAR(r.e_rpa_per_atom, plain.e_rpa_per_atom, 1e-4);
+  // Pre-freeze points bitwise match the plain ranked run.
   for (std::size_t k = 0; k < 5; ++k)
-    EXPECT_EQ(r.rpa.per_omega[k].eigenvalues,
-              plain.rpa.per_omega[k].eigenvalues);
+    EXPECT_EQ(r.per_omega[k].eigenvalues, plain.per_omega[k].eigenvalues);
 }
 
 }  // namespace
