@@ -86,8 +86,8 @@ int main() {
       tiny_rpa(11, 2, 1, 0),
       tiny_rpa(13, 2, 2, 2),
       tiny_rpa(17, 3, 3, 4),
-      tiny_rpa(19, 2, 4, 0) + "FUSED_APPLY: 0\n",
-      tiny_rpa(23, 3, 2, 2) + "TILE_Y: 4\nTILE_Z: 4\n",
+      tiny_rpa(19, 2, 4, 0) + "SIMD: 0\n",
+      tiny_rpa(23, 3, 2, 2),
   };
   std::vector<std::string> texts;
   texts.push_back(big_low);

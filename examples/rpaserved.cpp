@@ -1,8 +1,8 @@
 // rpaserved — the persistent multi-tenant RPA job daemon.
 //
 // Watches <root>/inbox for .rpa configs (the same key-value format
-// rpacalc reads, plus PRIORITY / THREADS / FUSED_APPLY / TILE_Y / TILE_Z;
-// see docs/REPRODUCING.md, "Running the job service") and runs them on
+// rpacalc reads, plus PRIORITY / THREADS; see docs/REPRODUCING.md,
+// "Running the job service") and runs them on
 // the shared thread pool under per-job quotas. Higher-priority arrivals
 // preempt running jobs at quadrature-point boundaries via the run
 // checkpoint; every job's spool directory carries its status.json,

@@ -1,7 +1,5 @@
 #include "common/timer.hpp"
 
-#include <algorithm>
-
 namespace rsrpa {
 
 void KernelTimers::add(const std::string& name, double seconds) {
@@ -25,11 +23,6 @@ std::vector<std::pair<std::string, double>> KernelTimers::entries() const {
 
 void KernelTimers::merge(const KernelTimers& other) {
   for (const auto& [name, secs] : other.buckets_) buckets_[name] += secs;
-}
-
-void KernelTimers::merge_max(const KernelTimers& other) {
-  for (const auto& [name, secs] : other.buckets_)
-    buckets_[name] = std::max(buckets_[name], secs);
 }
 
 }  // namespace rsrpa

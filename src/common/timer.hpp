@@ -75,8 +75,6 @@ class KernelTimers {
   [[nodiscard]] std::vector<std::pair<std::string, double>> entries() const;
   /// Merge another set of timers into this one (bucket-wise sum).
   void merge(const KernelTimers& other);
-  /// Bucket-wise maximum — used to form the per-rank critical path.
-  void merge_max(const KernelTimers& other);
   void clear() { buckets_.clear(); }
 
  private:

@@ -7,35 +7,6 @@
 
 namespace rsrpa::grid {
 
-namespace {
-
-std::size_t env_tile(const char* name, std::size_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v <= 0) return fallback;
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
-
-// Deliberately NOT latched in function-local statics: these are read per
-// StencilLaplacian construction, so every operator built in the process
-// picks up the current environment as its default and two in-process
-// jobs can still override each other independently through the
-// per-instance setters (set_fused_apply / set_fused_tiles). The old
-// read-once-and-freeze behavior made the first job's environment the
-// whole process's configuration.
-bool default_fused_apply() {
-  const char* s = std::getenv("RSRPA_FUSED_APPLY");
-  return s == nullptr || std::string_view(s) != "0";
-}
-
-std::size_t default_fused_tile_y() { return env_tile("RSRPA_TILE_Y", 32); }
-
-std::size_t default_fused_tile_z() { return env_tile("RSRPA_TILE_Z", 16); }
-
 bool default_simd() {
   const char* s = std::getenv("RSRPA_SIMD");
   return s == nullptr || std::string_view(s) != "0";

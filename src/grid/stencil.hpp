@@ -3,13 +3,11 @@
 // The six-axis (6r+1)-point stencil of the paper, applied with periodic
 // boundary conditions. Following the arithmetic-intensity analysis of
 // paper SS III-C, the block interface applies the stencil to ONE input
-// vector at a time (apply_block); the simultaneous multi-vector variant
-// (apply_block_simultaneous) is retained solely so the A1 ablation bench
-// can measure the difference the paper argues about.
+// vector at a time (apply_block) in a single memory sweep.
 //
-// Two execution paths share the class:
+// Two kernels share the class:
 //
-//  * apply_fused — the default hot path. One memory sweep computes
+//  * apply_fused — the only production path. One memory sweep computes
 //    out = alpha * Lap(in) + (beta * vdiag + shift) . in + eta * extra,
 //    which is the whole shifted-Hamiltonian diagonal part (kinetic scale,
 //    local potential, complex Sternheimer shift) and the Chebyshev
@@ -22,8 +20,8 @@
 //    count, so results are bitwise deterministic (the sched contract).
 //
 //  * apply_reference — the seed per-point wrap-table loop, kept as the
-//    correctness oracle, the A1 ablation baseline, and the
-//    RSRPA_FUSED_APPLY=0 escape hatch.
+//    correctness oracle and the A1 ablation baseline. No option selects
+//    it for a run.
 //
 // Template methods cover both real grid functions (DFT, Poisson checks)
 // and complex ones (Sternheimer solves): the complex-shifted Hamiltonian
@@ -43,17 +41,11 @@
 
 namespace rsrpa::grid {
 
-/// Process-wide DEFAULTS for the fused-apply knobs, read from the
-/// environment at every call (never latched): RSRPA_FUSED_APPLY=0 selects
-/// the reference wrap-table path, RSRPA_TILE_Y / RSRPA_TILE_Z size the
-/// cache blocks, RSRPA_SIMD=0 selects the scalar interior-row kernels.
-/// Each StencilLaplacian samples these at construction and carries its
-/// own copies, so concurrent jobs in one process configure their
-/// operators independently via set_fused_apply / set_fused_tiles /
-/// set_simd.
-[[nodiscard]] bool default_fused_apply();
-[[nodiscard]] std::size_t default_fused_tile_y();
-[[nodiscard]] std::size_t default_fused_tile_z();
+/// Process-wide default for the SIMD interior-row kernels, read from the
+/// environment at every call (never latched): RSRPA_SIMD=0 selects the
+/// scalar rows. Each StencilLaplacian samples it at construction and
+/// carries its own copy, so concurrent jobs in one process configure
+/// their operators independently via set_simd.
 [[nodiscard]] bool default_simd();
 
 /// Diagonal terms fused into a single stencil sweep:
@@ -486,23 +478,10 @@ class StencilLaplacian {
   /// separable symbol. Used for Chebyshev bounds on H's spectrum.
   [[nodiscard]] double min_eigenvalue_bound() const;
 
-  /// Select the fused single-sweep path (default: the RSRPA_FUSED_APPLY
-  /// environment default sampled at construction).
-  void set_fused_apply(bool on) { fused_ = on; }
-  [[nodiscard]] bool fused_apply() const { return fused_; }
-
-  /// Cache-block extents of the fused sweep for THIS operator (defaults:
-  /// RSRPA_TILE_Y / RSRPA_TILE_Z sampled at construction). Tiling only
-  /// reorders the traversal — results are bitwise identical at any tile
-  /// size — so two in-process jobs may tune them independently.
-  void set_fused_tiles(std::size_t tile_y, std::size_t tile_z) {
-    RSRPA_REQUIRE_MSG(tile_y >= 1 && tile_z >= 1,
-                      "fused tile extents must be >= 1");
-    tile_y_ = tile_y;
-    tile_z_ = tile_z;
-  }
-  [[nodiscard]] std::size_t tile_y() const { return tile_y_; }
-  [[nodiscard]] std::size_t tile_z() const { return tile_z_; }
+  /// Cache-block extents (rows) of the fused sweep. Tiling only reorders
+  /// the traversal, so results do not depend on them.
+  static constexpr std::size_t kTileY = 32;
+  static constexpr std::size_t kTileZ = 16;
 
   /// True when this build carries the explicitly vectorized interior-row
   /// kernels (-DRSRPA_SIMD=ON, the default).
@@ -523,17 +502,11 @@ class StencilLaplacian {
   void set_simd(bool on) { simd_ = on && simd_compiled(); }
   [[nodiscard]] bool simd() const { return simd_; }
 
-  /// out = Laplacian(in) for a single grid function. Dispatches to the
-  /// fused interior/boundary sweep unless this instance selected the
-  /// reference path (set_fused_apply(false) or RSRPA_FUSED_APPLY=0 at
-  /// construction).
+  /// out = Laplacian(in) for a single grid function: the fused
+  /// interior/boundary sweep with no diagonal terms.
   template <typename T>
   void apply(std::span<const T> in, std::span<T> out) const {
-    if (fused_) {
-      apply_fused<T>(in, out, FusedTerms<T>{});
-    } else {
-      apply_reference<T>(in, out);
-    }
+    apply_fused<T>(in, out, FusedTerms<T>{});
   }
 
   /// Single-sweep fused kernel:
@@ -595,8 +568,6 @@ class StencilLaplacian {
     }
 #endif
     const bool epilogue = !t.identity();
-    const std::size_t ty = tile_y_;
-    const std::size_t tz = tile_z_;
 
     // One task per z chunk; rows (and therefore writes) are disjoint.
     constexpr std::size_t kElemsPerTask = 1u << 16;
@@ -604,10 +575,10 @@ class StencilLaplacian {
         kElemsPerTask / std::max<std::size_t>(nx * ny, 1) + 1;
     sched::parallel_for_range(0, nz, z_grain, [&](std::size_t zb,
                                                   std::size_t ze) {
-      for (std::size_t z0 = zb; z0 < ze; z0 += tz) {
-        const std::size_t z1 = std::min(z0 + tz, ze);
-        for (std::size_t y0 = 0; y0 < ny; y0 += ty) {
-          const std::size_t y1 = std::min(y0 + ty, ny);
+      for (std::size_t z0 = zb; z0 < ze; z0 += kTileZ) {
+        const std::size_t z1 = std::min(z0 + kTileZ, ze);
+        for (std::size_t y0 = 0; y0 < ny; y0 += kTileY) {
+          const std::size_t y1 = std::min(y0 + kTileY, ny);
           for (std::size_t iz = z0; iz < z1; ++iz) {
             const bool z_in = z_interior && iz >= rsz && iz + rsz < nz;
             for (std::size_t iy = y0; iy < y1; ++iy) {
@@ -642,9 +613,9 @@ class StencilLaplacian {
     });
   }
 
-  /// The seed wrap-table loop — correctness oracle, A1 ablation baseline,
-  /// and RSRPA_FUSED_APPLY=0 path. Threaded over z chunks through the
-  /// sched pool (not OpenMP) so RSRPA_THREADS governs it.
+  /// The seed wrap-table loop — correctness oracle and A1 ablation
+  /// baseline. Threaded over z chunks through the sched pool (not
+  /// OpenMP) so RSRPA_THREADS governs it.
   template <typename T>
   void apply_reference(std::span<const T> in, std::span<T> out) const {
     RSRPA_REQUIRE(in.size() == grid_.size() && out.size() == grid_.size());
@@ -691,53 +662,6 @@ class StencilLaplacian {
     for (std::size_t j = 0; j < in.cols(); ++j) apply<T>(in.col(j), out.col(j));
   }
 
-  /// Simultaneous multi-vector apply: iterates grid points in the outer
-  /// loops and vectors innermost. Kept for the SS III-C ablation; the
-  /// working set grows by a factor s, which is exactly the effect the
-  /// paper's fast-memory model predicts will hurt. Deliberately still
-  /// OpenMP (the ablation measures the seed execution model, not the
-  /// sched pool) — the only omp pragma left on purpose; see the CMake
-  /// compute-path assertion.
-  template <typename T>
-  void apply_block_simultaneous(const la::Matrix<T>& in,
-                                la::Matrix<T>& out) const {
-    RSRPA_REQUIRE(in.rows() == grid_.size() && out.rows() == in.rows() &&
-                  out.cols() == in.cols());
-    const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-    const std::size_t s = in.cols();
-    const std::size_t n = grid_.size();
-    const int r = radius_;
-    const std::size_t* wx = wrap_x_.data() + r;
-    const std::size_t* wy = wrap_y_.data() + r;
-    const std::size_t* wz = wrap_z_.data() + r;
-    const T* pin = in.data();
-    T* pout = out.data();
-#pragma omp parallel for schedule(static)
-    for (std::size_t iz = 0; iz < nz; ++iz) {
-      for (std::size_t iy = 0; iy < ny; ++iy) {
-        for (std::size_t ix = 0; ix < nx; ++ix) {
-          const std::size_t p = ix + nx * (iy + ny * iz);
-          for (std::size_t j = 0; j < s; ++j)
-            pout[p + j * n] = static_cast<T>(diag_) * pin[p + j * n];
-          for (int k = 1; k <= r; ++k) {
-            const std::size_t xp = wx[static_cast<long>(ix) + k] + nx * (iy + ny * iz);
-            const std::size_t xm = wx[static_cast<long>(ix) - k] + nx * (iy + ny * iz);
-            const std::size_t yp = ix + nx * (wy[static_cast<long>(iy) + k] + ny * iz);
-            const std::size_t ym = ix + nx * (wy[static_cast<long>(iy) - k] + ny * iz);
-            const std::size_t zp = ix + nx * (iy + ny * wz[static_cast<long>(iz) + k]);
-            const std::size_t zm = ix + nx * (iy + ny * wz[static_cast<long>(iz) - k]);
-            for (std::size_t j = 0; j < s; ++j) {
-              const std::size_t o = j * n;
-              pout[p + o] += static_cast<T>(cx_[k]) * (pin[xp + o] + pin[xm + o]) +
-                             static_cast<T>(cy_[k]) * (pin[yp + o] + pin[ym + o]) +
-                             static_cast<T>(cz_[k]) * (pin[zp + o] + pin[zm + o]);
-            }
-          }
-        }
-      }
-    }
-  }
-
  private:
   template <typename T>
   static void require_no_alias(const T* a, const T* b, std::size_t n) {
@@ -770,12 +694,8 @@ class StencilLaplacian {
   std::vector<float> cx_f_, cy_f_, cz_f_;
   double diag_ = 0.0;
   float diag_f_ = 0.0f;
-  // Per-instance apply tuning, sampled from the environment at
-  // construction (process defaults) and overridable per operator so
-  // concurrent in-process jobs never share these knobs.
-  bool fused_ = default_fused_apply();
-  std::size_t tile_y_ = default_fused_tile_y();
-  std::size_t tile_z_ = default_fused_tile_z();
+  // SIMD rows, sampled from the environment at construction and
+  // overridable per operator so concurrent in-process jobs never share it.
   bool simd_ = default_simd() && simd_compiled();
 };
 

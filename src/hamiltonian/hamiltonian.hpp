@@ -7,12 +7,12 @@
 // the local potential diagonal, and the nonlocal part a sparse low-rank
 // outer product — the exact structure paper SS III-B describes.
 //
-// Hot-path schedule (the default, paper SS III-C): each column is ONE
+// Hot-path schedule (paper SS III-C): each column is ONE
 // fused memory sweep computing alpha Lap(in) + (V_loc + shift) . in via
 // grid::StencilLaplacian::apply_fused, followed by a single gather-GEMM
-// nonlocal block update over all columns. The seed multi-sweep per-column
-// path is retained as the correctness oracle, selected by
-// set_fused_apply(false) or the RSRPA_FUSED_APPLY=0 environment knob.
+// nonlocal block update over all columns. This is the only schedule a run
+// uses; the seed multi-sweep per-column apply_reference is kept public as
+// the correctness oracle for tests and the A1 ablation.
 #pragma once
 
 #include <complex>
@@ -49,24 +49,6 @@ class Hamiltonian {
   /// Replace the local potential (the SCF loop updates V_eff in place).
   void set_local_potential(std::vector<double> v);
 
-  /// Toggle the fused single-sweep path (default: on, unless
-  /// RSRPA_FUSED_APPLY=0 at construction). The reference path is the seed
-  /// multi-sweep schedule — kept selectable for equivalence tests and
-  /// ablations. Forwarded to the owned Laplacian so plain lap_.apply()
-  /// users of this operator see the same schedule. Per instance, never
-  /// process-global: two jobs in one process may disagree.
-  void set_fused_apply(bool on) {
-    fused_ = on;
-    lap_.set_fused_apply(on);
-  }
-  [[nodiscard]] bool fused_apply() const { return fused_; }
-
-  /// Cache-block extents of the fused sweep for this operator (defaults
-  /// RSRPA_TILE_Y / RSRPA_TILE_Z at construction; bitwise-neutral).
-  void set_fused_tiles(std::size_t tile_y, std::size_t tile_z) {
-    lap_.set_fused_tiles(tile_y, tile_z);
-  }
-
   /// Vectorized interior-row stencil kernels for this operator (default
   /// RSRPA_SIMD at construction; bitwise-identical to the scalar
   /// fallback; no-op when compiled without -DRSRPA_SIMD=ON).
@@ -86,11 +68,6 @@ class Hamiltonian {
   void apply_block(const la::Matrix<T>& in, la::Matrix<T>& out) const {
     RSRPA_REQUIRE(in.rows() == grid().size() && out.rows() == in.rows() &&
                   out.cols() == in.cols());
-    if (!fused_) {
-      for (std::size_t j = 0; j < in.cols(); ++j)
-        apply_reference<T>(in.col(j), out.col(j));
-      return;
-    }
     for (std::size_t j = 0; j < in.cols(); ++j)
       fused_sweep<T>(in.col(j), out.col(j), T{});
     nonlocal_.apply_add_block<T>(in, out);
@@ -122,10 +99,10 @@ class Hamiltonian {
 
   /// Fused Chebyshev three-term step:
   ///   out = c1 * (H in) + c0 * in + c2 * extra      (extra may be null).
-  /// On the fused path the polynomial scalars fold into the per-column
-  /// sweep (alpha = -0.5 c1, local potential scaled by c1, shift c0,
-  /// extra term c2) and the nonlocal gather-GEMM carries the c1 scale —
-  /// still one sweep per column plus the block nonlocal update.
+  /// The polynomial scalars fold into the per-column sweep (alpha =
+  /// -0.5 c1, local potential scaled by c1, shift c0, extra term c2) and
+  /// the nonlocal gather-GEMM carries the c1 scale — still one sweep per
+  /// column plus the block nonlocal update.
   template <typename T>
   void apply_poly_block(const la::Matrix<T>& in, la::Matrix<T>& out, double c1,
                         double c0, const la::Matrix<T>* extra,
@@ -134,26 +111,6 @@ class Hamiltonian {
                   out.cols() == in.cols());
     RSRPA_REQUIRE(extra == nullptr || (extra->rows() == in.rows() &&
                                        extra->cols() == in.cols()));
-    const std::size_t n = in.rows();
-    if (!fused_) {
-      for (std::size_t j = 0; j < in.cols(); ++j) {
-        apply_reference<T>(in.col(j), out.col(j));
-        auto icol = in.col(j);
-        auto ocol = out.col(j);
-        if (extra != nullptr) {
-          auto ecol = extra->col(j);
-          for (std::size_t i = 0; i < n; ++i)
-            ocol[i] = static_cast<T>(c1) * ocol[i] +
-                      static_cast<T>(c0) * icol[i] +
-                      static_cast<T>(c2) * ecol[i];
-        } else {
-          for (std::size_t i = 0; i < n; ++i)
-            ocol[i] =
-                static_cast<T>(c1) * ocol[i] + static_cast<T>(c0) * icol[i];
-        }
-      }
-      return;
-    }
     for (std::size_t j = 0; j < in.cols(); ++j) {
       grid::FusedTerms<T> t;
       t.alpha = static_cast<la::real_t<T>>(-0.5 * c1);
@@ -167,6 +124,21 @@ class Hamiltonian {
       lap_.apply_fused<T>(in.col(j), out.col(j), t);
     }
     nonlocal_.apply_add_block<T>(in, out, c1);
+  }
+
+  /// out = H in by the seed schedule: stencil sweep, then the -1/2 scale
+  /// + V_loc sweep, then the per-column nonlocal scatter/gather — three
+  /// passes over memory per column (four with a caller's shift sweep).
+  /// Correctness oracle for tests and the A1 ablation baseline; no run
+  /// option selects it.
+  template <typename T>
+  void apply_reference(std::span<const T> in, std::span<T> out) const {
+    require_spans(in, out);
+    lap_.apply_reference<T>(in, out);
+    const std::size_t n = in.size();
+    for (std::size_t i = 0; i < n; ++i)
+      out[i] = static_cast<T>(-0.5) * out[i] + static_cast<T>(v_loc_[i]) * in[i];
+    nonlocal_.apply_add<T>(in, out);
   }
 
   /// Rigorous spectral bounds: kinetic term in [0, -0.5*lap_min], local
@@ -209,53 +181,23 @@ class Hamiltonian {
   }
 
   /// Shared shifted block apply over the working scalar C (cplx or
-  /// cplxf): one fused sweep per column + one nonlocal gather-GEMM, or
-  /// the seed multi-sweep reference when fused is off.
+  /// cplxf): one fused sweep per column + one nonlocal gather-GEMM.
   template <typename C>
   void apply_shifted_block_impl(const la::Matrix<C>& in, la::Matrix<C>& out,
                                 C shift) const {
     RSRPA_REQUIRE(in.rows() == grid().size() && out.rows() == in.rows() &&
                   out.cols() == in.cols());
-    if (!fused_) {
-      for (std::size_t j = 0; j < in.cols(); ++j) {
-        apply_reference<C>(in.col(j), out.col(j));
-        auto icol = in.col(j);
-        auto ocol = out.col(j);
-        for (std::size_t i = 0; i < icol.size(); ++i)
-          ocol[i] += shift * icol[i];
-      }
-      return;
-    }
     for (std::size_t j = 0; j < in.cols(); ++j)
       fused_sweep<C>(in.col(j), out.col(j), shift);
     nonlocal_.apply_add_block<C>(in, out);
   }
 
-  /// Shared single-column path: fused sweep + nonlocal, or the seed
-  /// multi-sweep reference. `shift` folds (-lambda + i omega) in.
+  /// Shared single-column path: fused sweep + nonlocal. `shift` folds
+  /// (-lambda + i omega) in.
   template <typename T>
   void apply_unchecked(std::span<const T> in, std::span<T> out,
                        T shift) const {
-    if (fused_) {
-      fused_sweep<T>(in, out, shift);
-      nonlocal_.apply_add<T>(in, out);
-      return;
-    }
-    apply_reference<T>(in, out);
-    if (shift != T{})
-      for (std::size_t i = 0; i < in.size(); ++i) out[i] += shift * in[i];
-  }
-
-  /// The seed schedule: stencil sweep, then the -1/2 scale + V_loc sweep,
-  /// then the nonlocal scatter/gather (and the shift sweep in callers) —
-  /// four passes over memory per column. Correctness oracle and A1
-  /// ablation baseline.
-  template <typename T>
-  void apply_reference(std::span<const T> in, std::span<T> out) const {
-    lap_.apply_reference<T>(in, out);
-    const std::size_t n = in.size();
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = static_cast<T>(-0.5) * out[i] + static_cast<T>(v_loc_[i]) * in[i];
+    fused_sweep<T>(in, out, shift);
     nonlocal_.apply_add<T>(in, out);
   }
 
@@ -269,7 +211,6 @@ class Hamiltonian {
   // rebuilt whenever v_loc_ changes (refresh_bounds).
   std::vector<float> v_loc_f_;
   NonlocalProjectors nonlocal_;
-  bool fused_ = grid::default_fused_apply();
   double upper_bound_ = 0.0;
   double lower_bound_ = 0.0;
 };

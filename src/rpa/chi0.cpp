@@ -94,15 +94,14 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
   // Hand the operator's per-column cost model to the solvers so their
   // reports (and through them SternheimerStats) carry bytes/flops.
   {
-    const solver::ApplyCostModel cost =
-        solver::shifted_apply_cost(h, h.fused_apply());
+    const solver::ApplyCostModel cost = solver::shifted_apply_cost(h);
     dopts.solver.matvec_bytes_per_column = cost.bytes_per_column;
     dopts.solver.matvec_flops_per_column = cost.flops_per_column;
   }
   if (opts_.precision == common::Precision::kMixed) {
     dopts.solver.precision = common::Precision::kMixed;
     const solver::ApplyCostModel cost32 =
-        solver::shifted_apply_cost(h, h.fused_apply(), 4.0);
+        solver::shifted_apply_cost(h, 4.0);
     dopts.solver.matvec_bytes_per_column_f32 = cost32.bytes_per_column;
     dopts.solver.matvec_flops_per_column_f32 = cost32.flops_per_column;
   }

@@ -36,14 +36,9 @@ BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
   out.h = std::make_shared<ham::Hamiltonian>(g, preset.fd_radius,
                                              std::move(crystal),
                                              ham::ModelParams{});
-  // Per-job apply tuning before any orbital is computed: the ground state
-  // and every downstream solve use one consistent schedule.
-  if (preset.fused_apply >= 0) out.h->set_fused_apply(preset.fused_apply != 0);
+  // Per-job kernel choice before any orbital is computed: the ground state
+  // and every downstream solve use one consistent set of stencil rows.
   if (preset.simd >= 0) out.h->set_simd(preset.simd != 0);
-  if (preset.tile_y > 0 || preset.tile_z > 0)
-    out.h->set_fused_tiles(
-        preset.tile_y > 0 ? preset.tile_y : grid::default_fused_tile_y(),
-        preset.tile_z > 0 ? preset.tile_z : grid::default_fused_tile_z());
   out.klap = std::make_shared<poisson::KroneckerLaplacian>(g, preset.fd_radius);
 
   Rng eig_rng(preset.seed + 1);

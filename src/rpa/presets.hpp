@@ -27,19 +27,12 @@ struct SystemPreset {
   double perturbation = 0.01;       ///< fraction of lattice constant
   bool vacancy = false;             ///< remove one atom (SS IV-A energy diff)
   std::uint64_t seed = 7;
-  /// Per-job fused-apply tuning, applied to the built Hamiltonian before
+  /// Per-job stencil row kernels, applied to the built Hamiltonian before
   /// any orbital is computed (so the whole job, ground state included,
-  /// runs one schedule). -1/0 = inherit the process-wide environment
-  /// defaults (RSRPA_FUSED_APPLY, RSRPA_TILE_Y, RSRPA_TILE_Z); see
-  /// grid/stencil.hpp. This is what lets two jobs in one process select
-  /// different apply paths — the env vars are only defaults, never a
-  /// process-wide latch.
-  int fused_apply = -1;             ///< -1 inherit, 0 reference, 1 fused
-  std::size_t tile_y = 0;           ///< 0 = inherit
-  std::size_t tile_z = 0;           ///< 0 = inherit
-  /// Same per-job pattern for the vectorized stencil epilogue: -1 inherits
-  /// RSRPA_SIMD (auto-on when compiled in), 0 forces the scalar rows,
-  /// 1 requests the SIMD rows (no-op in scalar-only builds).
+  /// runs one kernel set): -1 inherits RSRPA_SIMD (auto-on when compiled
+  /// in), 0 forces the scalar rows, 1 requests the SIMD rows (no-op in
+  /// scalar-only builds). The env var is only a default, never a
+  /// process-wide latch, so two jobs in one process may disagree.
   int simd = -1;
   /// Precision policy for the ground-state CheFSI filter workspace. The
   /// Sternheimer precision is carried separately in SternheimerOptions;

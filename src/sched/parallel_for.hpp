@@ -10,8 +10,9 @@
 // chunks run inline in ascending order — because each index performs the
 // exact same floating-point operations regardless of which lane runs its
 // chunk. For reductions, where the combination ORDER is part of the
-// result, use parallel_reduce (fixed-shape tree) instead of accumulating
-// into shared state here.
+// result, write one partial per item to its own slot and combine the
+// slots serially in a fixed order instead of accumulating into shared
+// state here.
 //
 // Grain: the smallest unit worth forking. One task per chunk is created
 // eagerly (no lazy splitting), so choose grain such that the chunk body

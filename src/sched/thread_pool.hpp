@@ -1,6 +1,6 @@
 // Fixed-size thread pool with per-worker work-stealing deques — the
-// execution substrate behind sched::TaskGroup / parallel_for /
-// parallel_reduce and, through them, the concurrent stages of the RPA
+// execution substrate behind sched::TaskGroup / parallel_for and,
+// through them, the concurrent stages of the RPA
 // drivers (rpa/erpa rank slices, rpa/chi0 RHS blocks, la/blas
 // tiled GEMM).
 //
@@ -19,8 +19,8 @@
 //
 // Determinism: the pool itself makes no ordering promises — determinism
 // at any thread count is a property of the algorithms on top (disjoint
-// writes in parallel_for, the fixed-shape combine tree in
-// parallel_reduce), never of scheduling.
+// writes in parallel_for, reductions combined serially in a fixed
+// order), never of scheduling.
 #pragma once
 
 #include <atomic>
@@ -66,9 +66,7 @@ class TaskGroup;
 // parallel_for_range honors the quota by enlarging its grain until at most
 // `quota` chunk tasks are forked. That is bitwise-safe: the contract of
 // parallel_for already requires each index to perform the same FP work
-// regardless of chunking, and parallel_reduce's combine tree depends only
-// on (range, grain) of the REDUCTION, never on how the chunk-index loop
-// underneath is grouped into tasks. The cap is per parallel region, not a
+// regardless of chunking. The cap is per parallel region, not a
 // hard global thread count: independent nested regions of one job can
 // momentarily overlap, but the fan-out of each is bounded.
 

@@ -5,36 +5,28 @@
 
 namespace rsrpa::solver {
 
-ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h, bool fused,
+ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h,
                                   double elem_bytes) {
   // Sweep counting per complex column (paper SS III-C fast-memory model:
   // stencil neighbors are cache hits, every sweep reads its operands
-  // once). n = grid points, nnz = total nonlocal support points.
-  //
-  //   fused:     one sweep — read in (16 B/pt), write out (16), read
-  //              V_loc (8) — plus the nonlocal gather+scatter touching
-  //              in/out on the support (2 x 32 B/pt, index/value streams
-  //              amortized across the block).
-  //   reference: stencil sweep (in+out, 32), scale+V_loc sweep
-  //              (out read/write + in + V_loc, 56), shift sweep (out
-  //              read/write + in, 48), plus the same nonlocal term.
+  // once). n = grid points, nnz = total nonlocal support points. One
+  // fused sweep reads in (16 B/pt), writes out (16) and reads V_loc (8);
+  // the nonlocal gather+scatter touches in/out on the support (2 x 32
+  // B/pt, index/value streams amortized across the block).
   //
   // Flops: each stencil tap is a real x complex multiply-add (4 flops),
-  // 6r+1 taps per point; the diagonal terms add ~14 flops/pt fused
-  // (alpha scale, V_loc + shift multiply-add) and the same work spread
-  // over the extra sweeps on the reference path; nonlocal gather+scatter
-  // are real x complex multiply-adds on the support (8 flops/pt total).
+  // 6r+1 taps per point; the diagonal terms add ~14 flops/pt (alpha
+  // scale, V_loc + shift multiply-add); nonlocal gather+scatter are
+  // real x complex multiply-adds on the support (8 flops/pt total).
   // Byte counts are in real words of `elem_bytes` (8 for the FP64/cplx
-  // pipeline, 4 for the FP32 inner kernel): 5 words/pt fused (in 2,
-  // out 2, V_loc 1) vs 17 on the reference path, plus 8 words per
-  // nonlocal support point (gather+scatter of in/out, 2 x 4). Flops are
-  // precision-independent.
+  // pipeline, 4 for the FP32 inner kernel): 5 words/pt (in 2, out 2,
+  // V_loc 1) plus 8 words per nonlocal support point (gather+scatter of
+  // in/out, 2 x 4). Flops are precision-independent.
   const auto n = static_cast<double>(h.grid().size());
   const auto nnz = static_cast<double>(h.nonlocal().support_size());
   const double r = h.laplacian().radius();
   ApplyCostModel m;
-  m.bytes_per_column = elem_bytes * (fused ? 5.0 : 17.0) * n +
-                       elem_bytes * 8.0 * nnz;
+  m.bytes_per_column = elem_bytes * 5.0 * n + elem_bytes * 8.0 * nnz;
   m.flops_per_column = 4.0 * (6.0 * r + 1.0) * n + 14.0 * n + 8.0 * nnz;
   return m;
 }
@@ -44,8 +36,8 @@ ShiftedHamiltonianOp::ShiftedHamiltonianOp(const ham::Hamiltonian& h,
     : h_(&h),
       lambda_(lambda),
       omega_(omega),
-      cost_(shifted_apply_cost(h, h.fused_apply())),
-      cost_f32_(shifted_apply_cost(h, h.fused_apply(), 4.0)) {}
+      cost_(shifted_apply_cost(h)),
+      cost_f32_(shifted_apply_cost(h, 4.0)) {}
 
 void ShiftedHamiltonianOp::apply(const la::Matrix<cplx>& in,
                                  la::Matrix<cplx>& out) const {

@@ -127,9 +127,8 @@ struct ApplyCounters {
 };
 
 /// Estimated per-column memory traffic and flops of one application of
-/// (H - lambda I + i omega I) to a complex vector, for the fused
-/// single-sweep pipeline or the seed multi-sweep reference schedule.
-/// The sweep counting follows the paper's SS III-C fast-memory model:
+/// (H - lambda I + i omega I) to a complex vector by the fused
+/// single-sweep pipeline. The sweep counting follows the paper's SS III-C fast-memory model:
 /// stencil neighbors hit in cache, so each sweep reads its operands once.
 struct ApplyCostModel {
   double bytes_per_column = 0.0;
@@ -141,7 +140,6 @@ struct ApplyCostModel {
 /// (vectors, V_loc copy, nonlocal values) scales with it, so FP32
 /// workspaces report half the bytes per column at identical flop counts.
 [[nodiscard]] ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h,
-                                                bool fused,
                                                 double elem_bytes = 8.0);
 
 /// The Sternheimer coefficient operator A_{j,k} = H - lambda_j I

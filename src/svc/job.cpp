@@ -26,6 +26,13 @@ JobSpec parse_job(const Config& cfg) {
 
   // Validate method and fault mode before anything else: a typo in the
   // config should fail in milliseconds, not after a system build.
+  // Removed keys fail the same way, so an old config never runs with its
+  // setting silently ignored.
+  for (const char* key : {"FUSED_APPLY", "TILE_Y", "TILE_Z"})
+    if (cfg.has(key))
+      throw Error(std::string(key) +
+                  " was removed: the fused single-sweep stencil apply with "
+                  "fixed 32x16 tiles is the only schedule; delete the key");
   spec.method = method_from_string(
       cfg.has("METHOD") ? cfg.get_string("METHOD") : "sternheimer");
   const solver::FaultMode fault_mode = solver::fault_mode_from_string(
@@ -42,13 +49,9 @@ JobSpec parse_job(const Config& cfg) {
   preset.fd_radius = cfg.get_int_or("FD_RADIUS", 4);
   preset.perturbation = cfg.get_double_or("PERTURBATION", 0.01);
   preset.seed = static_cast<std::uint64_t>(cfg.get_int_or("SEED", 7));
-  // Per-job apply tuning (satellite of the multi-tenant work): resolved
-  // per Hamiltonian instance in build_system, never latched process-wide.
-  preset.fused_apply = cfg.get_int_or("FUSED_APPLY", -1);
-  preset.tile_y = static_cast<std::size_t>(cfg.get_int_or("TILE_Y", 0));
-  preset.tile_z = static_cast<std::size_t>(cfg.get_int_or("TILE_Z", 0));
-  // SIMD stencil rows follow the same inherit/override pattern; the
-  // RSRPA_SIMD env var is only the process default (see grid/stencil.hpp).
+  // SIMD stencil rows, resolved per Hamiltonian instance in build_system;
+  // the RSRPA_SIMD env var is only the process default (see
+  // grid/stencil.hpp).
   preset.simd = cfg.get_int_or("SIMD", -1);
   // PRECISION governs the whole job: the CheFSI filter workspace (via the
   // preset) and the Sternheimer inner iterations (via stern.precision,

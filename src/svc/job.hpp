@@ -39,10 +39,6 @@
 //   THREADS      per-job task quota on the shared pool; 0 = uncapped
 //                (sched::TaskQuotaScope semantics — a cap on in-flight
 //                tasks, never a pool resize; bitwise-safe)
-//   FUSED_APPLY  0 = reference multi-sweep apply, 1 = fused single-sweep;
-//                unset inherits the process default (RSRPA_FUSED_APPLY)
-//   TILE_Y       fused-sweep cache-block extents for this job's operator;
-//   TILE_Z       unset/0 inherits RSRPA_TILE_Y / RSRPA_TILE_Z
 //   DYNAMIC_BLOCK  1 = Algorithm 4 timing-driven block sizing (default);
 //                  0 = fixed BLOCK_SIZE — required for bitwise-reproducible
 //                  runs (the dynamic path keys off wall clock)

@@ -1,8 +1,10 @@
 // Equivalence and determinism tests for the fused shifted-Hamiltonian
 // apply pipeline: the single-sweep stencil kernel vs the seed wrap-table
 // reference, the block nonlocal gather-GEMM vs per-column dots, the
-// Hamiltonian-level fused/reference paths, and the sched determinism
-// contract (bitwise identical output at any thread count).
+// production Hamiltonian applies vs the seed multi-sweep
+// Hamiltonian::apply_reference (shift and Chebyshev terms added here),
+// and the sched determinism contract (bitwise identical output at any
+// thread count).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -124,19 +126,16 @@ TEST(FusedHamiltonian, ApplyMatchesReferenceRealAndShifted) {
     const std::size_t n = h.grid().size();
     const std::vector<double> in = random_field(n, 11u + r);
     std::vector<double> fused(n), ref(n);
-    h.set_fused_apply(true);
     h.apply<double>(in, fused);
-    h.set_fused_apply(false);
-    h.apply<double>(in, ref);
+    h.apply_reference<double>(in, ref);
     double tol = kUlpTol * max_abs(ref);
     for (std::size_t i = 0; i < n; ++i) ASSERT_NEAR(fused[i], ref[i], tol);
 
     const std::vector<cplx> cin = random_cfield(n, 13u + r);
     std::vector<cplx> cfused(n), cref(n);
-    h.set_fused_apply(true);
     h.apply_shifted(cin, cfused, 0.35, 0.8);
-    h.set_fused_apply(false);
-    h.apply_shifted(cin, cref, 0.35, 0.8);
+    h.apply_reference<cplx>(cin, cref);
+    for (std::size_t i = 0; i < n; ++i) cref[i] += cplx{-0.35, 0.8} * cin[i];
     double cscale = 0.0;
     for (const cplx& z : cref) cscale = std::max(cscale, std::abs(z));
     tol = kUlpTol * cscale;
@@ -156,10 +155,12 @@ TEST(FusedHamiltonian, ShiftedBlockMatchesReference) {
     const std::vector<cplx> col = random_cfield(n, 17 + j);
     std::copy(col.begin(), col.end(), in.col(j).begin());
   }
-  h.set_fused_apply(true);
   h.apply_shifted_block(in, fused, 0.2, 1.1);
-  h.set_fused_apply(false);
-  h.apply_shifted_block(in, ref, 0.2, 1.1);
+  for (std::size_t j = 0; j < s; ++j) {
+    h.apply_reference<cplx>(in.col(j), ref.col(j));
+    for (std::size_t i = 0; i < n; ++i)
+      ref.col(j)[i] += cplx{-0.2, 1.1} * in.col(j)[i];
+  }
   double scale = 0.0;
   for (std::size_t j = 0; j < s; ++j)
     for (const cplx& z : ref.col(j)) scale = std::max(scale, std::abs(z));
@@ -183,11 +184,20 @@ TEST(FusedHamiltonian, PolyBlockMatchesReference) {
     std::copy(b.begin(), b.end(), extra.col(j).begin());
   }
   const double c1 = 1.7, c0 = -0.4, c2 = 0.9;
+  // The seed schedule: H in, then the three-term update as its own sweep.
+  auto reference_poly = [&](const Matrix<double>* ex) {
+    for (std::size_t j = 0; j < s; ++j) {
+      h.apply_reference<double>(in.col(j), ref.col(j));
+      for (std::size_t i = 0; i < n; ++i) {
+        double& o = ref.col(j)[i];
+        o = c1 * o + c0 * in.col(j)[i];
+        if (ex != nullptr) o += c2 * ex->col(j)[i];
+      }
+    }
+  };
   // With the extra term.
-  h.set_fused_apply(true);
   h.apply_poly_block<double>(in, fused, c1, c0, &extra, c2);
-  h.set_fused_apply(false);
-  h.apply_poly_block<double>(in, ref, c1, c0, &extra, c2);
+  reference_poly(&extra);
   double scale = 0.0;
   for (std::size_t j = 0; j < s; ++j)
     for (double x : ref.col(j)) scale = std::max(scale, std::abs(x));
@@ -196,10 +206,8 @@ TEST(FusedHamiltonian, PolyBlockMatchesReference) {
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_NEAR(fused.col(j)[i], ref.col(j)[i], tol);
   // Without the extra term (first Chebyshev step).
-  h.set_fused_apply(true);
   h.apply_poly_block<double>(in, fused, c1, c0, nullptr, 0.0);
-  h.set_fused_apply(false);
-  h.apply_poly_block<double>(in, ref, c1, c0, nullptr, 0.0);
+  reference_poly(nullptr);
   for (std::size_t j = 0; j < s; ++j)
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_NEAR(fused.col(j)[i], ref.col(j)[i], tol);
@@ -240,8 +248,7 @@ TEST(FusedDeterminism, BitwiseIdenticalAcrossThreadCounts) {
   // The fused sweep writes disjoint z chunks, so the sched determinism
   // contract applies: results must be bitwise identical at any
   // RSRPA_THREADS setting, not merely within tolerance.
-  ham::Hamiltonian h = make_test_hamiltonian();
-  h.set_fused_apply(true);
+  const ham::Hamiltonian h = make_test_hamiltonian();
   const std::size_t n = h.grid().size();
   const std::vector<cplx> in = random_cfield(n, 61);
   std::vector<cplx> one(n), four(n);

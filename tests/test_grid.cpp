@@ -184,19 +184,6 @@ TEST(StencilLaplacian, ComplexApplyMatchesRealParts) {
   }
 }
 
-TEST(StencilLaplacian, BlockVariantsAgree) {
-  Grid3D g = Grid3D::cubic(7, 3.5);
-  StencilLaplacian lap(g, 3);
-  Rng rng(33);
-  la::Matrix<double> in(g.size(), 4), out1(g.size(), 4), out2(g.size(), 4);
-  for (std::size_t j = 0; j < 4; ++j) rng.fill_uniform(in.col(j));
-  lap.apply_block(in, out1);
-  lap.apply_block_simultaneous(in, out2);
-  for (std::size_t j = 0; j < 4; ++j)
-    for (std::size_t i = 0; i < g.size(); ++i)
-      EXPECT_NEAR(out1(i, j), out2(i, j), 1e-12);
-}
-
 TEST(StencilLaplacian, MinEigenvalueBoundHolds) {
   Grid3D g = Grid3D::cubic(10, 5.0);
   StencilLaplacian lap(g, 4);

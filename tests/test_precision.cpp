@@ -162,20 +162,13 @@ TEST(ApplyCostModel, PinsBothElementSizes) {
   const double nnz = static_cast<double>(h.nonlocal().support_size());
 
   // FP64/cplx sweeps: the legacy 8-byte-word counts, exactly.
-  const solver::ApplyCostModel fused8 = solver::shifted_apply_cost(h, true);
-  const solver::ApplyCostModel ref8 = solver::shifted_apply_cost(h, false);
+  const solver::ApplyCostModel fused8 = solver::shifted_apply_cost(h);
   EXPECT_DOUBLE_EQ(fused8.bytes_per_column, 40.0 * n + 64.0 * nnz);
-  EXPECT_DOUBLE_EQ(ref8.bytes_per_column, 136.0 * n + 64.0 * nnz);
 
   // FP32 sweeps: exactly half the bytes, identical flops.
-  const solver::ApplyCostModel fused4 =
-      solver::shifted_apply_cost(h, true, 4.0);
-  const solver::ApplyCostModel ref4 =
-      solver::shifted_apply_cost(h, false, 4.0);
+  const solver::ApplyCostModel fused4 = solver::shifted_apply_cost(h, 4.0);
   EXPECT_DOUBLE_EQ(fused4.bytes_per_column, 0.5 * fused8.bytes_per_column);
-  EXPECT_DOUBLE_EQ(ref4.bytes_per_column, 0.5 * ref8.bytes_per_column);
   EXPECT_DOUBLE_EQ(fused4.flops_per_column, fused8.flops_per_column);
-  EXPECT_DOUBLE_EQ(ref4.flops_per_column, ref8.flops_per_column);
 
   // The operator object carries both models and routes FP32 columns into
   // the columns_f32 counter with the 4-byte model.

@@ -1,12 +1,10 @@
 // Unit tests for the sched task-parallel runtime: thread-count
 // resolution, inline (serial) mode, fork/join with exception
-// propagation, parallel_for coverage, the bitwise determinism of
-// parallel_reduce across thread counts, and pool statistics.
+// propagation, parallel_for coverage, and pool statistics.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -170,55 +168,6 @@ TEST(ParallelForRange, ChunksAreDisjointAndGrainBounded) {
     for (std::size_t i = b; i < e; ++i) EXPECT_TRUE(seen.insert(i).second);
   }
   EXPECT_EQ(seen.size(), kN);
-}
-
-// The centerpiece guarantee: the same (range, grain) reduces to the SAME
-// BITS at every thread count, because the pairwise combine tree's shape
-// depends only on the chunk count.
-TEST(ParallelReduce, BitwiseIdenticalAcrossThreadCounts) {
-  constexpr std::size_t kN = 1013;
-  std::vector<double> x(kN);
-  double v = 1e-8;
-  for (std::size_t i = 0; i < kN; ++i) {
-    x[i] = (i % 3 == 0 ? v : -0.37 * v);
-    v *= 1.07;  // spread magnitudes so addition order matters
-  }
-  auto reduce_with = [&x](int threads) {
-    ThreadPool pool(threads);
-    return parallel_reduce(
-        std::size_t{0}, x.size(), std::size_t{16}, 0.0,
-        [&x](std::size_t b, std::size_t e) {
-          double s = 0.0;
-          for (std::size_t i = b; i < e; ++i) s += x[i];
-          return s;
-        },
-        [](double a, double b) { return a + b; }, pool);
-  };
-  const double serial = reduce_with(1);
-  for (int threads : {2, 3, 5, 8}) {
-    const double threaded = reduce_with(threads);
-    EXPECT_EQ(std::memcmp(&serial, &threaded, sizeof(double)), 0)
-        << "threads=" << threads << ": " << serial << " vs " << threaded;
-  }
-}
-
-TEST(ParallelReduce, ExactOnIntegersAndEmptyRange) {
-  ThreadPool pool(4);
-  const long sum = parallel_reduce(
-      std::size_t{0}, std::size_t{100}, std::size_t{9}, 0L,
-      [](std::size_t b, std::size_t e) {
-        long s = 0;
-        for (std::size_t i = b; i < e; ++i) s += static_cast<long>(i);
-        return s;
-      },
-      [](long a, long b) { return a + b; }, pool);
-  EXPECT_EQ(sum, 4950);
-
-  const long empty = parallel_reduce(
-      std::size_t{10}, std::size_t{10}, std::size_t{4}, -1L,
-      [](std::size_t, std::size_t) { return 99L; },
-      [](long a, long b) { return a + b; }, pool);
-  EXPECT_EQ(empty, -1);  // identity untouched
 }
 
 TEST(PoolStats, SinceSubtractsBaseline) {

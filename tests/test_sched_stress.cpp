@@ -107,39 +107,6 @@ TEST(SchedStress, NestedGroupsUnderOversubscription) {
   EXPECT_EQ(total.load(), 32L * 8 * 4);
 }
 
-// parallel_reduce hammered concurrently with unrelated parallel_for work
-// on the same pool: determinism must not depend on the pool being quiet.
-TEST(SchedStress, ReduceStaysDeterministicOnABusyPool) {
-  ThreadPool pool(8);
-  std::vector<double> x(4096);
-  double v = 3e-9;
-  for (double& e : x) {
-    e = v;
-    v *= -1.013;
-  }
-  auto reduce_once = [&] {
-    return parallel_reduce(
-        std::size_t{0}, x.size(), std::size_t{32}, 0.0,
-        [&x](std::size_t b, std::size_t e) {
-          double s = 0.0;
-          for (std::size_t i = b; i < e; ++i) s += x[i];
-          return s;
-        },
-        [](double a, double b) { return a + b; }, pool);
-  };
-  const double reference = reduce_once();
-  std::atomic<bool> stop{false};
-  std::thread noise([&pool, &stop] {
-    std::vector<std::atomic<int>> sink(512);
-    while (!stop.load(std::memory_order_acquire))
-      parallel_for(0, sink.size(), 8,
-                   [&sink](std::size_t i) { sink[i].fetch_add(1); }, pool);
-  });
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(reduce_once(), reference);
-  stop.store(true, std::memory_order_release);
-  noise.join();
-}
-
 // Rapid construction/destruction while groups are in flight — the
 // destructor's drain path and worker join under churn.
 TEST(SchedStress, PoolChurn) {

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -22,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "grid/stencil.hpp"
 #include "obs/run_report.hpp"
 #include "rpa/presets.hpp"
 #include "sched/parallel_for.hpp"
@@ -158,18 +156,14 @@ TEST(SvcJob, ParseDefaultsMatchPresetRun) {
   EXPECT_EQ(spec.options.max_filter_iter, ref.max_filter_iter);
   EXPECT_EQ(spec.priority, 0);
   EXPECT_EQ(spec.quota, 0);
-  EXPECT_EQ(spec.preset.fused_apply, -1);
 }
 
 TEST(SvcJob, ParseServiceKeys) {
   const svc::JobSpec spec = svc::parse_job(Config::parse(
-      "PRIORITY: 3\nTHREADS: 2\nFUSED_APPLY: 0\nTILE_Y: 8\nTILE_Z: 4\n"
+      "PRIORITY: 3\nTHREADS: 2\n"
       "DYNAMIC_BLOCK: 0\nBLOCK_SIZE: 4\nN_OMEGA: 2\nSEED: 11\n"));
   EXPECT_EQ(spec.priority, 3);
   EXPECT_EQ(spec.quota, 2);
-  EXPECT_EQ(spec.preset.fused_apply, 0);
-  EXPECT_EQ(spec.preset.tile_y, 8u);
-  EXPECT_EQ(spec.preset.tile_z, 4u);
   EXPECT_FALSE(spec.options.stern.dynamic_block);
   EXPECT_EQ(spec.options.stern.fixed_block, 4);
   EXPECT_EQ(spec.options.ell, 2);
@@ -178,6 +172,21 @@ TEST(SvcJob, ParseServiceKeys) {
 
 TEST(SvcJob, ParseRejectsBadFaultMode) {
   EXPECT_THROW(svc::parse_job(Config::parse("FAULT_MODE: bogus\n")), Error);
+}
+
+TEST(SvcJob, ParseRejectsRemovedStencilKeys) {
+  // The fused sweep with fixed tiles is the only apply schedule: a config
+  // still carrying one of the retired knobs fails naming the key instead
+  // of running with the setting silently ignored.
+  for (const std::string key : {"FUSED_APPLY", "TILE_Y", "TILE_Z"}) {
+    try {
+      (void)svc::parse_job(Config::parse(key + ": 1\n"));
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -248,49 +257,6 @@ TEST(SvcQuota, QuotaDoesNotChangeResults) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite 1: per-instance stencil apply configuration (no env latch)
-
-TEST(SvcStencil, TwoInstancesDisagreeInOneProcess) {
-  const grid::Grid3D g(7, 7, 7, 1.0, 1.0, 1.0);
-  grid::StencilLaplacian fused(g, 3);
-  grid::StencilLaplacian reference(g, 3);
-  fused.set_fused_apply(true);
-  reference.set_fused_apply(false);
-  // The bug this guards against: the first instance's configuration
-  // getting latched process-wide in function-local statics.
-  EXPECT_TRUE(fused.fused_apply());
-  EXPECT_FALSE(reference.fused_apply());
-
-  std::vector<double> x(g.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(0.37 * static_cast<double>(i));
-  std::vector<double> y_fused(g.size()), y_ref(g.size()), y_oracle(g.size());
-  fused.apply<double>(x, y_fused);
-  reference.apply<double>(x, y_ref);
-  reference.apply_reference<double>(x, y_oracle);
-  EXPECT_EQ(y_ref, y_oracle);  // reference instance really runs reference
-  for (std::size_t i = 0; i < g.size(); ++i)
-    EXPECT_NEAR(y_fused[i], y_oracle[i], 1e-12 * (1.0 + std::abs(y_oracle[i])));
-}
-
-TEST(SvcStencil, PerInstanceTilesAreBitwiseNeutral) {
-  const grid::Grid3D g(9, 9, 9, 1.0, 1.0, 1.0);
-  grid::StencilLaplacian a(g, 3);
-  grid::StencilLaplacian b(g, 3);
-  a.set_fused_tiles(32, 16);
-  b.set_fused_tiles(3, 2);
-  EXPECT_EQ(b.tile_y(), 3u);
-  EXPECT_EQ(b.tile_z(), 2u);
-  std::vector<double> x(g.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::cos(0.13 * static_cast<double>(i));
-  std::vector<double> ya(g.size()), yb(g.size());
-  a.apply<double>(x, ya);
-  b.apply<double>(x, yb);
-  EXPECT_EQ(ya, yb);  // tiling is a traversal order change only
-}
-
-// ---------------------------------------------------------------------
 // Satellite 3: cooperative cancellation
 
 TEST(SvcControl, CancelOutranksPreempt) {
@@ -357,9 +323,9 @@ TEST_F(SvcTest, CancelledRunResumesBitwise) {
 
 TEST_F(SvcTest, ConcurrentRunsMatchStandaloneBitwise) {
   const std::string cfg_a = tiny_rpa(7, 3);
-  // A genuinely different tenant: different crystal seed AND the
-  // reference apply path, sharing the pool with A's fused-path run.
-  const std::string cfg_b = tiny_rpa(11, 3) + "FUSED_APPLY: 0\n";
+  // A genuinely different tenant: different crystal seed AND the scalar
+  // stencil rows, sharing the pool with A's SIMD-row run.
+  const std::string cfg_b = tiny_rpa(11, 3) + "SIMD: 0\n";
   const rpa::RpaResult expected_a = run_standalone(cfg_a);
   const rpa::RpaResult expected_b = run_standalone(cfg_b);
 
@@ -600,8 +566,8 @@ TEST_F(SvcTest, SoakMixedTenantsAllBitwise) {
   small.push_back(tiny_rpa(11, 2, 1, 0));
   small.push_back(tiny_rpa(13, 2, 2, 2));
   small.push_back(tiny_rpa(17, 3, 3, 4));
-  small.push_back(tiny_rpa(19, 2, 4, 0) + "FUSED_APPLY: 0\n");
-  small.push_back(tiny_rpa(23, 3, 2, 2) + "TILE_Y: 4\nTILE_Z: 4\n");
+  small.push_back(tiny_rpa(19, 2, 4, 0) + "SIMD: 0\n");
+  small.push_back(tiny_rpa(23, 3, 2, 2));
   const std::string faulty = tiny_rpa(29, 2, 3, 0) + fault_keys();
 
   std::vector<std::string> texts;

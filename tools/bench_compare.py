@@ -26,9 +26,11 @@ import sys
 # Keys whose values are wall-clock dependent: reported, never failed on.
 # block_size/chunks are included because the dynamic block-size ladder
 # adapts to measured throughput, so its histogram varies with load.
+# Leaves under a `modeled` object (the fig4/fig5 per-rank kernel model)
+# are derived from measured seconds, so they are timing-like too.
 TIMING_PAT = re.compile(
     r"seconds|_s$|time|iterations|GFLOP|GB/s|speedup|efficiency|/s$"
-    r"|block_size|chunks|crossover",
+    r"|block_size|chunks|crossover|(^|\.)modeled\.",
     re.IGNORECASE)
 
 # Speedup-ladder rungs: their *values* are machine-dependent (timing-like,
