@@ -12,12 +12,16 @@
 //    which is the whole shifted-Hamiltonian diagonal part (kinetic scale,
 //    local potential, complex Sternheimer shift) and the Chebyshev
 //    three-term update folded into the stencil pass. The traversal is
-//    split into an interior region addressed by direct strided offsets
-//    (no wrap tables, vectorizable) and thin periodic boundary shells
-//    that keep the table lookup, with cache-blocked z/y tiling, threaded
-//    over z chunks via sched::parallel_for_range. Each grid point
-//    performs the exact same floating-point operations at every thread
-//    count, so results are bitwise deterministic (the sched contract).
+//    split into interior rows addressed by direct strided offsets (no
+//    wrap tables) and periodic boundary-shell rows whose y/z neighbors
+//    are wrapped whole rows, with cache-blocked z/y tiling, threaded over
+//    z chunks via sched::parallel_for_range. Both row kinds have a SIMD
+//    kernel: a boundary-shell row copies its periodic x images into a
+//    padded row buffer and then vectorizes over the whole row. At the
+//    product grid sizes (9^3 to 11^3 at radius 4) almost every row is a
+//    boundary-shell row. Each grid point performs the exact same
+//    floating-point operations at every thread count and on either
+//    kernel, so results are bitwise deterministic (the sched contract).
 //
 //  * apply_reference — the seed per-point wrap-table loop, kept as the
 //    correctness oracle and the A1 ablation baseline. No option selects
@@ -41,7 +45,7 @@
 
 namespace rsrpa::grid {
 
-/// Process-wide default for the SIMD interior-row kernels, read from the
+/// Process-wide default for the SIMD stencil-row kernels, read from the
 /// environment at every call (never latched): RSRPA_SIMD=0 selects the
 /// scalar rows. Each StencilLaplacian samples it at construction and
 /// carries its own copy, so concurrent jobs in one process configure
@@ -121,7 +125,7 @@ StencilRowFn<T> pick_interior_row(int r) {
 
 #if defined(RSRPA_SIMD_ENABLED)
 
-// Explicit vectorization of the interior-row stencil sum via GCC/Clang
+// Explicit vectorization of the stencil row sums via GCC/Clang
 // vector extensions (portable across x86 widths without intrinsics).
 // The stencil coefficients are purely real, so a complex row is just an
 // even-length real row: with E = sizeof(T)/sizeof(real) real elements
@@ -265,10 +269,11 @@ inline void stencil_row_xwrap(const T* in, T* out, std::size_t base,
 
 // Boundary-shell row segment [x0, x1): every axis goes through its wrap
 // table (handles any wrap count, including axes shorter than 2r where
-// the shells overlap). Kept out-of-line with FMA contraction pinned off
-// (here and in the vectorized twin below): both kernels then evaluate
-// the exact source expression tree in IEEE order, which is what makes
-// the scalar == SIMD bitwise contract compiler-proof for wrapped rows.
+// the shells overlap). This is the scalar oracle of the wrapped-row SIMD
+// kernel below and its tail. Kept out-of-line with FMA contraction pinned
+// off (here and in the vectorized twin): both kernels then evaluate the
+// exact source expression tree in IEEE order, which is what makes the
+// scalar == SIMD bitwise contract compiler-proof for wrapped rows.
 // Interior rows keep contraction — their scalar/vector kernels share one
 // expression shape the compiler fuses identically (checked by tests).
 template <typename T>
@@ -314,37 +319,38 @@ inline void stencil_row_wrapped(const T* in, T* out, std::size_t nx,
 
 #if defined(RSRPA_SIMD_ENABLED)
 
-// Vectorized boundary-shell row. The y/z wrap offsets are constant along
-// an x row, so each wrapped y/z neighbor is a contiguous row that loads
-// straight into vectors; only the x-interior segment [x_lo, x_hi) (where
-// x neighbors are direct strides, wx[ix +- k] == ix +- k) vectorizes, and
-// the x-boundary segments plus the tail go through the scalar wrap-table
-// kernel. Contraction is pinned off to match stencil_row_wrapped_seg
-// exactly (see its comment) — bitwise-identical to the scalar fallback.
+// Vectorized boundary-shell row over the whole x extent. The centre row
+// and its r periodic x images on each side are first copied into the
+// padded row buffer xbuf (E * (nx + 2r) reals), so every x neighbor is a
+// direct stride into it; the y/z wrap offsets are constant along an x
+// row, so each wrapped y/z neighbor is a contiguous row that loads
+// straight into vectors. Only the tail of nx * E mod W reals goes through
+// the scalar wrap-table kernel. Every lane reads the same values and
+// evaluates the same expression tree as stencil_row_wrapped_seg, and
+// contraction is pinned off in both (see its comment), so the result is
+// bitwise-identical to the scalar fallback.
 template <typename T, int R>
 __attribute__((noinline, optimize("fp-contract=off"))) void
 stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
                                      std::size_t ny, std::size_t iy,
-                                     std::size_t iz, std::size_t base,
-                                     std::size_t x_lo, std::size_t x_hi, int r,
+                                     std::size_t iz, std::size_t base, int r,
                                      const std::size_t* wx,
                                      const std::size_t* wy,
                                      const std::size_t* wz,
                                      const la::real_t<T>* cx,
                                      const la::real_t<T>* cy,
                                      const la::real_t<T>* cz,
-                                     la::real_t<T> diag) {
+                                     la::real_t<T> diag, T* xbuf) {
   using Real = la::real_t<T>;
   using V = simd::Vec<Real>;
   constexpr std::size_t E = sizeof(T) / sizeof(Real);
   constexpr std::size_t W = simd::lanes<Real>::value;
   const int rr = R > 0 ? R : r;
-  if (x_lo > 0)
-    stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base, 0, x_lo, r, wx,
-                               wy, wz, cx, cy, cz, diag);
+  const long sr = static_cast<long>(rr);
+  for (long q = -sr; q < static_cast<long>(nx) + sr; ++q)
+    xbuf[q + sr] = in[base + wx[q]];
   // Row base pointers of the wrapped y/z neighbors, in the real view.
   const Real* rin = reinterpret_cast<const Real*>(in);
-  Real* rout = reinterpret_cast<Real*>(out);
   const Real* ybp[7];
   const Real* ybm[7];
   const Real* zbp[7];
@@ -355,13 +361,12 @@ stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
     zbp[k] = rin + E * (nx * (iy + ny * wz[static_cast<long>(iz) + k]));
     zbm[k] = rin + E * (nx * (iy + ny * wz[static_cast<long>(iz) - k]));
   }
-  const Real* rx = rin + base * E;
-  Real* ro = rout + base * E;
-  const std::size_t rlo = x_lo * E;
-  const std::size_t rlen = (x_hi - x_lo) * E;
+  const Real* rx = reinterpret_cast<const Real*>(xbuf) + E * rr;
+  Real* ro = reinterpret_cast<Real*>(out) + base * E;
+  const std::size_t rlen = nx * E;
   const std::size_t rvec = rlen - rlen % W;
   const long ux = static_cast<long>(E);
-  for (std::size_t i = rlo; i < rlo + rvec; i += W) {
+  for (std::size_t i = 0; i < rvec; i += W) {
     const Real* q = rx + i;
     V sum = diag * simd::vload<Real>(q);
     for (int k = 1; k <= rr; ++k) {
@@ -374,20 +379,19 @@ stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
     }
     simd::vstore<Real>(ro + i, sum);
   }
-  if (x_lo + rvec / E < nx)
-    stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base,
-                               x_lo + rvec / E, nx, r, wx, wy, wz, cx, cy, cz,
-                               diag);
+  // rvec is a multiple of E because W is, so the tail is whole points.
+  if (rvec < rlen)
+    stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base, rvec / E, nx, r,
+                               wx, wy, wz, cx, cy, cz, diag);
 }
 
 template <typename T>
 using WrappedRowFn = void (*)(const T*, T*, std::size_t, std::size_t,
-                              std::size_t, std::size_t, std::size_t,
-                              std::size_t, std::size_t, int,
+                              std::size_t, std::size_t, std::size_t, int,
                               const std::size_t*, const std::size_t*,
                               const std::size_t*, const la::real_t<T>*,
                               const la::real_t<T>*, const la::real_t<T>*,
-                              la::real_t<T>);
+                              la::real_t<T>, T*);
 
 template <typename T>
 WrappedRowFn<T> pick_wrapped_row_simd(int r) {
@@ -483,7 +487,7 @@ class StencilLaplacian {
   static constexpr std::size_t kTileY = 32;
   static constexpr std::size_t kTileZ = 16;
 
-  /// True when this build carries the explicitly vectorized interior-row
+  /// True when this build carries the explicitly vectorized stencil-row
   /// kernels (-DRSRPA_SIMD=ON, the default).
   [[nodiscard]] static constexpr bool simd_compiled() {
 #if defined(RSRPA_SIMD_ENABLED)
@@ -493,7 +497,7 @@ class StencilLaplacian {
 #endif
   }
 
-  /// Select the vectorized interior-row kernels for THIS operator
+  /// Select the vectorized stencil-row kernels for THIS operator
   /// (default: the RSRPA_SIMD environment default sampled at
   /// construction). The scalar kernels remain the mandatory runtime
   /// fallback — set_simd(false) or RSRPA_SIMD=0 — and are
@@ -515,7 +519,8 @@ class StencilLaplacian {
   /// One pass over memory: the raw stencil sum of each x row is written
   /// to out and immediately combined with the diagonal terms while the
   /// row is in cache. Interior rows use direct strided offsets; boundary
-  /// shells (and axes shorter than 2r) keep the wrap tables. Threaded
+  /// shells (and axes shorter than 2r) resolve their neighbors through the
+  /// wrap tables, and with SIMD on through a padded x row. Threaded
   /// over z chunks with disjoint writes — bitwise deterministic at every
   /// RSRPA_THREADS setting.
   template <typename T>
@@ -561,10 +566,7 @@ class StencilLaplacian {
     detail::WrappedRowFn<T> wrapped_row_simd = nullptr;
     if (simd_) {
       interior_row = detail::pick_interior_row_simd<T>(r);
-      // Boundary-shell rows vectorize their x-interior segment too (the
-      // wrapped y/z neighbors are contiguous rows); needs a nonempty x
-      // interior.
-      if (x_hi > x_lo) wrapped_row_simd = detail::pick_wrapped_row_simd<T>(r);
+      wrapped_row_simd = detail::pick_wrapped_row_simd<T>(r);
     }
 #endif
     const bool epilogue = !t.identity();
@@ -575,6 +577,11 @@ class StencilLaplacian {
         kElemsPerTask / std::max<std::size_t>(nx * ny, 1) + 1;
     sched::parallel_for_range(0, nz, z_grain, [&](std::size_t zb,
                                                   std::size_t ze) {
+#if defined(RSRPA_SIMD_ENABLED)
+      // Padded x row of the wrapped-row SIMD kernel, owned by this task.
+      std::vector<T> xbuf;
+      if (wrapped_row_simd != nullptr) xbuf.resize(nx + 2 * rsz);
+#endif
       for (std::size_t z0 = zb; z0 < ze; z0 += kTileZ) {
         const std::size_t z1 = std::min(z0 + kTileZ, ze);
         for (std::size_t y0 = 0; y0 < ny; y0 += kTileY) {
@@ -596,8 +603,8 @@ class StencilLaplacian {
               } else {
 #if defined(RSRPA_SIMD_ENABLED)
                 if (wrapped_row_simd != nullptr)
-                  wrapped_row_simd(pin, pout, nx, ny, iy, iz, base, x_lo, x_hi,
-                                   r, wx, wy, wz, cx, cy, cz, diag);
+                  wrapped_row_simd(pin, pout, nx, ny, iy, iz, base, r, wx, wy,
+                                   wz, cx, cy, cz, diag, xbuf.data());
                 else
 #endif
                   detail::stencil_row_wrapped<T>(pin, pout, nx, ny, iy, iz,

@@ -49,7 +49,7 @@ class Hamiltonian {
   /// Replace the local potential (the SCF loop updates V_eff in place).
   void set_local_potential(std::vector<double> v);
 
-  /// Vectorized interior-row stencil kernels for this operator (default
+  /// Vectorized stencil-row kernels for this operator (default
   /// RSRPA_SIMD at construction; bitwise-identical to the scalar
   /// fallback; no-op when compiled without -DRSRPA_SIMD=ON).
   void set_simd(bool on) { lap_.set_simd(on); }

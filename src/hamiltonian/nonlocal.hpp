@@ -34,19 +34,22 @@ class NonlocalProjectors {
 
   /// out += scale * sum_a gamma_a p_a (p_a . in) — real orbitals make
   /// X X^H a plain transpose product, so one template covers real and
-  /// complex. Per-column reference path (scalar dot + scatter).
+  /// complex. Per-column path (scalar dot + scatter), also the s = 1 case
+  /// of apply_add_block. Projector values and the gamma dv scale stay
+  /// real_t<T>, as in the block path.
   template <typename T>
   void apply_add(std::span<const T> in, std::span<T> out,
                  double scale = 1.0) const {
+    using R = la::real_t<T>;
     const std::size_t np = gamma_.size();
     for (std::size_t a = 0; a < np; ++a) {
       const std::size_t kb = offsets_[a], ke = offsets_[a + 1];
       T overlap{};
       for (std::size_t k = kb; k < ke; ++k)
-        overlap += static_cast<T>(val_[k]) * in[idx_[k]];
-      overlap *= static_cast<T>(gamma_[a] * dv_ * scale);
+        overlap += static_cast<R>(val_[k]) * in[idx_[k]];
+      overlap *= static_cast<R>(gamma_[a] * dv_ * scale);
       for (std::size_t k = kb; k < ke; ++k)
-        out[idx_[k]] += static_cast<T>(val_[k]) * overlap;
+        out[idx_[k]] += static_cast<R>(val_[k]) * overlap;
     }
   }
 

@@ -1,6 +1,7 @@
 #include "la/blas.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "sched/parallel_for.hpp"
 
@@ -23,6 +24,31 @@ std::size_t column_grain(std::size_t flops_per_col) {
   const double per_col = std::max<double>(static_cast<double>(flops_per_col), 1.0);
   const double cols = kMinFlopsPerTask / per_col;
   return cols <= 1.0 ? 1 : static_cast<std::size_t>(cols);
+}
+
+template <typename T>
+constexpr bool kIsComplex = !std::is_same_v<T, real_t<T>>;
+
+// ccol[0, m) += acol[0, m) * b. Complex columns run in the interleaved
+// real view with the product spelled as explicit fma: std::complex's
+// operator* carries a NaN-recovery branch that blocks vectorization, and
+// explicit fma pins one rounding sequence per element, so the vector body
+// and the scalar tail give the same bits in any inlining context.
+template <typename T>
+inline void column_axpy(const T* acol, T b, T* ccol, std::size_t m) {
+  if constexpr (kIsComplex<T>) {
+    using R = real_t<T>;
+    const R br = b.real(), bi = b.imag(), nbi = -b.imag();
+    const R* ra = reinterpret_cast<const R*>(acol);
+    R* rc = reinterpret_cast<R*>(ccol);
+    for (std::size_t i = 0; i < 2 * m; i += 2) {
+      const R ar = ra[i], ai = ra[i + 1];
+      rc[i] = std::fma(ai, nbi, std::fma(ar, br, rc[i]));
+      rc[i + 1] = std::fma(ai, br, std::fma(ar, bi, rc[i + 1]));
+    }
+  } else {
+    for (std::size_t i = 0; i < m; ++i) ccol[i] += acol[i] * b;
+  }
 }
 
 template <typename T>
@@ -51,9 +77,7 @@ void gemm_nn_impl(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
           for (std::size_t p = kk; p < kend; ++p) {
             const T bpj = alpha * b(p, j);
             if (bpj == T{0}) continue;
-            const T* acol = &a(0, p);
-            T* ccol = &c(0, j);
-            for (std::size_t i = 0; i < m; ++i) ccol[i] += acol[i] * bpj;
+            column_axpy(&a(0, p), bpj, &c(0, j), m);
           }
         }
       }
@@ -66,25 +90,36 @@ enum class Conj { No, Yes };
 // Dot product of two contiguous runs with eight independent accumulator
 // chains. A single-accumulator loop is FMA-latency bound (~1 flop per
 // 4-cycle dependency step); eight chains keep the pipeline full and map
-// onto two SIMD accumulators under auto-vectorization. The reduction
-// order is fixed in code, so the result is deterministic.
+// onto SIMD accumulators. The reduction order is fixed in code, so the
+// result is deterministic. Complex runs use the interleaved real view and
+// explicit fma (see column_axpy): s[2c], s[2c + 1] are the real and
+// imaginary parts of chain c.
 template <typename T, Conj kConj>
 T chunk_dot(const T* x, const T* y, std::size_t len) {
-  T s0{}, s1{}, s2{}, s3{}, s4{}, s5{}, s6{}, s7{};
-  std::size_t p = 0;
-  if constexpr (kConj == Conj::Yes) {
-    for (; p + 8 <= len; p += 8) {
-      s0 += std::conj(x[p]) * y[p];
-      s1 += std::conj(x[p + 1]) * y[p + 1];
-      s2 += std::conj(x[p + 2]) * y[p + 2];
-      s3 += std::conj(x[p + 3]) * y[p + 3];
-      s4 += std::conj(x[p + 4]) * y[p + 4];
-      s5 += std::conj(x[p + 5]) * y[p + 5];
-      s6 += std::conj(x[p + 6]) * y[p + 6];
-      s7 += std::conj(x[p + 7]) * y[p + 7];
-    }
-    for (; p < len; ++p) s0 += std::conj(x[p]) * y[p];
+  if constexpr (kIsComplex<T>) {
+    using R = real_t<T>;
+    const R* rx = reinterpret_cast<const R*>(x);
+    const R* ry = reinterpret_cast<const R*>(y);
+    R s[16] = {};
+    // One complex multiply-add into chain c: s_c += op(x_p) * y_p.
+    auto madd = [&](std::size_t c, std::size_t p) {
+      const R xr = rx[2 * p], yr = ry[2 * p], yi = ry[2 * p + 1];
+      const R xi = kConj == Conj::Yes ? -rx[2 * p + 1] : rx[2 * p + 1];
+      s[2 * c] = std::fma(-xi, yi, std::fma(xr, yr, s[2 * c]));
+      s[2 * c + 1] = std::fma(xi, yr, std::fma(xr, yi, s[2 * c + 1]));
+    };
+    std::size_t p = 0;
+    for (; p + 8 <= len; p += 8)
+      for (std::size_t c = 0; c < 8; ++c) madd(c, p + c);
+    for (; p < len; ++p) madd(0, p);
+    auto reduce = [&](std::size_t o) {
+      return ((s[o] + s[o + 2]) + (s[o + 4] + s[o + 6])) +
+             ((s[o + 8] + s[o + 10]) + (s[o + 12] + s[o + 14]));
+    };
+    return T(reduce(0), reduce(1));
   } else {
+    T s0{}, s1{}, s2{}, s3{}, s4{}, s5{}, s6{}, s7{};
+    std::size_t p = 0;
     for (; p + 8 <= len; p += 8) {
       s0 += x[p] * y[p];
       s1 += x[p + 1] * y[p + 1];
@@ -96,8 +131,8 @@ T chunk_dot(const T* x, const T* y, std::size_t len) {
       s7 += x[p + 7] * y[p + 7];
     }
     for (; p < len; ++p) s0 += x[p] * y[p];
+    return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
   }
-  return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
 }
 
 template <typename T, Conj kConj>

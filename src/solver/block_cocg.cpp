@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "la/blas.hpp"
 #include "la/lu.hpp"
@@ -80,8 +81,10 @@ SolveReport block_cocg_core(
   la::Matrix<C> rho(s, s);
   la::gemm_tn(C{1}, w, w, C{0}, rho);  // rho_0 = W^T W
 
-  la::Matrix<C> p(n, s), u(n, s), mu(s, s), alpha(s, s), beta(s, s),
-      rho_new(s, s);
+  // p_next is the second buffer of P: each update writes it and swaps,
+  // so the P update allocates nothing.
+  la::Matrix<C> p(n, s), p_next(n, s), u(n, s), mu(s, s), alpha(s, s),
+      beta(s, s), rho_new(s, s);
   bool have_p = false;  // P_{-1} = 0, beta_{-1} = 0
 
   rep.relative_residual = la::norm_fro(w) / bnorm;
@@ -107,9 +110,9 @@ SolveReport block_cocg_core(
   for (int it = 0; it < opts.max_iter; ++it) {
     // P_j = W_j + P_{j-1} beta_{j-1}.
     if (have_p) {
-      la::Matrix<C> pnew = w;
-      la::gemm_nn(C{1}, p, beta, C{1}, pnew);
-      p = std::move(pnew);
+      p_next = w;
+      la::gemm_nn(C{1}, p, beta, C{1}, p_next);
+      std::swap(p, p_next);
     } else {
       p = w;
       have_p = true;

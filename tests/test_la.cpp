@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <complex>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "la/blas.hpp"
@@ -22,11 +24,13 @@ Matrix<double> random_matrix(std::size_t m, std::size_t n, Rng& rng) {
   return a;
 }
 
-Matrix<cplx> random_cmatrix(std::size_t m, std::size_t n, Rng& rng) {
-  Matrix<cplx> a(m, n);
+template <typename T = cplx>
+Matrix<T> random_cmatrix(std::size_t m, std::size_t n, Rng& rng) {
+  Matrix<T> a(m, n);
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < m; ++i)
-      a(i, j) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      a(i, j) = T{static_cast<real_t<T>>(rng.uniform(-1, 1)),
+                  static_cast<real_t<T>>(rng.uniform(-1, 1))};
   return a;
 }
 
@@ -156,6 +160,131 @@ TEST(Gemm, ComplexUnconjugatedVsConjugated) {
       EXPECT_NEAR(std::abs(t(i, j) - rt), 0.0, 1e-12);
       EXPECT_NEAR(std::abs(h(i, j) - rh), 0.0, 1e-12);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Complex GEMMs in the interleaved real view: bitwise across thread
+// counts, and within rounding of a plain std::complex reference loop.
+
+enum class Op { NN, TN, HN };
+
+// C = alpha op(A) B + beta C0, accumulated in std::complex<double>, and
+// the magnitude of its summands |alpha| |op(A)| |B| + |beta| |C0| (in the
+// l1 modulus): the scale rounding error in any summation order is
+// relative to.
+struct Reference {
+  Matrix<cplx> c;
+  Matrix<double> scale;
+};
+
+// |re| + |im|: within sqrt(2) of |z| and much cheaper than hypot.
+double l1(cplx z) { return std::abs(z.real()) + std::abs(z.imag()); }
+
+template <typename T>
+Reference reference_gemm(Op op, T alpha, const Matrix<T>& a,
+                         const Matrix<T>& b, T beta, const Matrix<T>& c0) {
+  const bool nn = op == Op::NN;
+  const std::size_t m = nn ? a.rows() : a.cols();
+  const std::size_t k = nn ? a.cols() : a.rows();
+  Reference ref{Matrix<cplx>(m, b.cols()), Matrix<double>(m, b.cols())};
+  for (std::size_t j = 0; j < b.cols(); ++j)
+    for (std::size_t i = 0; i < m; ++i) {
+      cplx sum{};
+      double mag = 0.0;
+      for (std::size_t p = 0; p < k; ++p) {
+        cplx aip = static_cast<cplx>(nn ? a(i, p) : a(p, i));
+        if (op == Op::HN) aip = std::conj(aip);
+        const cplx bpj = static_cast<cplx>(b(p, j));
+        sum += aip * bpj;
+        mag += l1(aip) * l1(bpj);
+      }
+      const cplx c0ij = static_cast<cplx>(c0(i, j));
+      ref.c(i, j) = static_cast<cplx>(alpha) * sum +
+                    static_cast<cplx>(beta) * c0ij;
+      ref.scale(i, j) = l1(static_cast<cplx>(alpha)) * mag +
+                        l1(static_cast<cplx>(beta)) * l1(c0ij);
+    }
+  return ref;
+}
+
+template <typename T>
+void run_gemm(Op op, T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
+              Matrix<T>& c) {
+  if (op == Op::NN) {
+    gemm_nn(alpha, a, b, beta, c);
+  } else if (op == Op::TN) {
+    gemm_tn(alpha, a, b, beta, c);
+  } else {
+    if constexpr (std::is_same_v<T, cplx>) gemm_hn(alpha, a, b, beta, c);
+  }
+}
+
+// Shape (m, k, n): C is m x n and the shared dimension is k.
+template <typename T>
+void expect_real_view_gemm(Op op, std::size_t m, std::size_t k, std::size_t n,
+                           double rel_tol) {
+  Rng rng(1000 * m + 10 * k + n);
+  const bool nn = op == Op::NN;
+  const Matrix<T> a = nn ? random_cmatrix<T>(m, k, rng)
+                         : random_cmatrix<T>(k, m, rng);
+  const Matrix<T> b = random_cmatrix<T>(k, n, rng);
+  const Matrix<T> c0 = random_cmatrix<T>(m, n, rng);
+  const T alpha(0.75f, -0.5f);
+  for (const T beta : {T(0), T(1), T(-0.25f, 0.5f)}) {
+    Matrix<T> serial = c0, threaded = c0;
+    sched::set_global_threads(1);
+    run_gemm(op, alpha, a, b, beta, serial);
+    sched::set_global_threads(4);
+    run_gemm(op, alpha, a, b, beta, threaded);
+    sched::set_global_threads(0);
+
+    const Reference ref = reference_gemm(op, alpha, a, b, beta, c0);
+    double rel = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_EQ(serial(i, j), threaded(i, j))
+            << "op=" << static_cast<int>(op) << " shape=(" << m << ", " << k
+            << ", " << n << ") i=" << i << " j=" << j;
+        const double err =
+            std::abs(static_cast<cplx>(serial(i, j)) - ref.c(i, j));
+        rel = std::max(rel, err / ref.scale(i, j));
+      }
+    EXPECT_LE(rel, rel_tol)
+        << "op=" << static_cast<int>(op) << " shape=(" << m << ", " << k
+        << ", " << n << ") beta=" << beta;
+  }
+}
+
+// The block COCG shapes at n_d = 729: P beta (729, s, s) and the
+// conjugacy products W^T W (s, 729, s); then short columns against a long
+// shared dimension, odd lengths that leave vector tails, and shapes wide
+// enough to split into several column tasks at 4 threads.
+template <typename T>
+void expect_real_view_gemms(double rel_tol) {
+  std::vector<Op> ops = {Op::NN, Op::TN};
+  if constexpr (std::is_same_v<T, cplx>) ops.push_back(Op::HN);
+  for (const Op op : ops) {
+    for (std::size_t s : {1u, 2u, 3u, 4u, 8u}) {
+      if (op == Op::NN)
+        expect_real_view_gemm<T>(op, 729, s, s, rel_tol);
+      else
+        expect_real_view_gemm<T>(op, s, 729, s, rel_tol);
+    }
+    expect_real_view_gemm<T>(op, 5, 729, 3, rel_tol);
+    expect_real_view_gemm<T>(op, 7, 13, 5, rel_tol);
+    expect_real_view_gemm<T>(op, 731, 3, 1, rel_tol);
+    expect_real_view_gemm<T>(op, 3, 731, 9, rel_tol);
+  }
+  expect_real_view_gemm<T>(Op::NN, 731, 101, 200, rel_tol);
+  expect_real_view_gemm<T>(Op::TN, 33, 731, 400, rel_tol);
+}
+
+TEST(Gemm, RealViewComplexMatchesReferenceAndIsThreadInvariant) {
+  expect_real_view_gemms<cplx>(1e-14);
+}
+
+TEST(Gemm, RealViewComplexFloatMatchesReferenceAndIsThreadInvariant) {
+  expect_real_view_gemms<cplxf>(1e-6);
 }
 
 TEST(Lu, SolvesRandomRealSystem) {

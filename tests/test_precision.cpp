@@ -85,10 +85,12 @@ std::vector<cplxf> random_input<cplxf>(std::size_t n, std::uint64_t seed) {
 }
 
 // SIMD and scalar rows are BITWISE identical — exact equality, no ulp
-// budget. Runs the full fused term combination so the epilogue (not just
-// the raw Laplacian sum) is covered.
+// budget. By default runs the full fused term combination so the epilogue
+// (not just the raw Laplacian sum) is covered; fused = false runs the
+// plain Laplacian.
 template <typename T>
-void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed) {
+void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed,
+                         bool fused = true) {
   StencilLaplacian lap(g, radius);
   const std::size_t n = g.size();
   const std::vector<T> in = random_input<T>(n, seed);
@@ -107,13 +109,17 @@ void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed) {
   t.extra = extra.data();
   t.eta = T(la::real_t<T>(0.25));
 
+  if (!fused) t = FusedTerms<T>{};
+
   std::vector<T> scalar(n), simd(n);
   lap.set_simd(false);
   lap.apply_fused<T>(in, scalar, t);
   lap.set_simd(true);
   lap.apply_fused<T>(in, simd, t);
   for (std::size_t i = 0; i < n; ++i)
-    ASSERT_EQ(scalar[i], simd[i]) << "r=" << radius << " i=" << i;
+    ASSERT_EQ(scalar[i], simd[i])
+        << "n=" << g.nx() << " r=" << radius << " fused=" << fused
+        << " i=" << i;
 }
 
 TEST(SimdStencil, BitwiseMatchesScalarOnNonCubicGrids) {
@@ -127,14 +133,49 @@ TEST(SimdStencil, BitwiseMatchesScalarOnNonCubicGrids) {
 
 TEST(SimdStencil, BitwiseMatchesScalarWhenAxisShorterThanTwoRadii) {
   // nx = 5 < 2r: every x row is a wrapped boundary row, so this pins the
-  // wrapped-row SIMD kernel (and its scalar x-boundary segments), not
-  // just the interior fast path.
+  // wrapped-row SIMD kernel (and its scalar tail), not just the interior
+  // fast path.
   for (int r : {2, 4, 6}) {
     const Grid3D g(5, 12, 9, 2.0, 5.0, 4.0);
     expect_simd_bitwise<double>(g, r, 400u + r);
     expect_simd_bitwise<cplx>(g, r, 500u + r);
     expect_simd_bitwise<cplxf>(g, r, 600u + r);
   }
+}
+
+TEST(SimdStencil, BitwiseMatchesScalarOnProductGeometry) {
+  // The cubic grids of the Si8 runs (9^3 bench scale, 11^3 shipped) and
+  // their neighbours, at every radius the SIMD rows cover. Here almost
+  // every x row is a wrapped boundary row, vectorized over its whole
+  // length; the lengths exercise both the vector body and the scalar tail
+  // at every lane width.
+  for (std::size_t n : {7u, 8u, 9u, 11u}) {
+    const Grid3D g = Grid3D::cubic(n, ham::kSiLatticeConstant);
+    for (int r = 1; r <= 6; ++r)
+      for (bool fused : {true, false}) {
+        const std::uint64_t seed = 1000u * n + 10u * r + (fused ? 1u : 0u);
+        expect_simd_bitwise<double>(g, r, seed, fused);
+        expect_simd_bitwise<cplx>(g, r, seed + 3, fused);
+        expect_simd_bitwise<cplxf>(g, r, seed + 5, fused);
+      }
+  }
+}
+
+TEST(SimdStencil, RadiusBeyondSixKeepsScalarWrappedRows) {
+  // The wrapped-row SIMD kernel covers r <= 6; beyond that the boundary
+  // rows stay on the scalar wrap-table kernel and still agree bitwise.
+#if defined(RSRPA_SIMD_ENABLED)
+  EXPECT_EQ(grid::detail::pick_wrapped_row_simd<double>(8), nullptr);
+  EXPECT_EQ(grid::detail::pick_wrapped_row_simd<cplx>(8), nullptr);
+  EXPECT_EQ(grid::detail::pick_wrapped_row_simd<cplxf>(8), nullptr);
+#endif
+  for (std::size_t n : {7u, 9u, 11u, 17u})
+    for (bool fused : {true, false}) {
+      const Grid3D g = Grid3D::cubic(n, ham::kSiLatticeConstant);
+      expect_simd_bitwise<double>(g, 8, 700u + n, fused);
+      expect_simd_bitwise<cplx>(g, 8, 800u + n, fused);
+      expect_simd_bitwise<cplxf>(g, 8, 900u + n, fused);
+    }
 }
 
 TEST(SimdStencil, RuntimeFallbackIsAlwaysAvailable) {
