@@ -54,9 +54,8 @@ int main() {
 
     // All three backends keep the same n_eig most negative eigenvalues
     // per omega, so the energies are directly comparable.
-    direct::DirectRpaResult dres = direct::compute_direct_rpa(
-        *sys.h, sys.ks.n_occ(), *sys.klap, 8, /*keep_spectra=*/false,
-        preset.n_eig());
+    rpa::RpaResult dres = direct::compute_direct_rpa(
+        *sys.h, sys.ks.n_occ(), *sys.klap, 8, preset.n_eig());
 
     rpa::RpaOptions sopts = sys.default_rpa_options();
     rpa::RpaResult sres = rpa::compute_rpa_energy(sys.ks, *sys.klap, sopts);
@@ -64,13 +63,14 @@ int main() {
     isdf::IsdfRpaOptions iopts;
     iopts.ell = 8;
     iopts.n_eig = preset.n_eig();
-    isdf::IsdfRpaResult ires =
-        isdf::compute_rpa_energy_isdf(sys.ks, *sys.klap, iopts);
+    isdf::Compression comp;
+    rpa::RpaResult ires =
+        isdf::compute_rpa_energy_isdf(sys.ks, *sys.klap, iopts, &comp);
 
     const double gap = std::abs(ires.e_rpa_per_atom - sres.e_rpa_per_atom);
     std::printf(
         "%-6zu %-6zu %-5zu %-10.2f %-10.2f %-10.2f %-13.5f %-13.5f %-9.1e\n",
-        cells, preset.n_grid(), ires.nip, dres.total_seconds,
+        cells, preset.n_grid(), comp.nip, dres.total_seconds,
         sres.total_seconds, ires.total_seconds, sres.e_rpa_per_atom,
         ires.e_rpa_per_atom, gap);
 
@@ -85,14 +85,14 @@ int main() {
     direct_last = dres.total_seconds;
     isdf_last = ires.total_seconds;
 
-    // Compact scalars only — the full IsdfRpaResult JSON (points,
-    // per-omega spectra) belongs in run reports, not a diffed baseline.
+    // Compact scalars only — the interpolation points and per-omega
+    // spectra belong in run reports, not a diffed baseline.
     obs::Json row = obs::Json::object();
     row["cells"] = obs::Json(cells);
     row["n_d"] = obs::Json(preset.n_grid());
     row["n_occ"] = obs::Json(sys.ks.n_occ());
-    row["nip"] = obs::Json(ires.nip);
-    row["n_eig"] = obs::Json(ires.n_eig);
+    row["nip"] = obs::Json(comp.nip);
+    row["n_eig"] = obs::Json(comp.n_eig);
     row["direct_seconds"] = obs::Json(dres.total_seconds);
     row["direct_e_rpa_per_atom"] = obs::Json(dres.e_rpa_per_atom);
     row["sternheimer_seconds"] = obs::Json(sres.total_seconds);
@@ -100,9 +100,9 @@ int main() {
     row["isdf_seconds"] = obs::Json(ires.total_seconds);
     row["isdf_e_rpa_per_atom"] = obs::Json(ires.e_rpa_per_atom);
     row["energy_gap_ha_per_atom"] = obs::Json(gap);
-    row["fit_ridge"] = obs::Json(ires.fit_ridge);
+    row["fit_ridge"] = obs::Json(comp.fit_ridge);
     row["r_decay"] = obs::Json(
-        ires.r_diag.empty() ? 0.0 : ires.r_diag.back() / ires.r_diag.front());
+        comp.r_diag.empty() ? 0.0 : comp.r_diag.back() / comp.r_diag.front());
     row["gemm_seconds"] = obs::Json(t_gemm);
     row["eigensolve_seconds"] = obs::Json(t_eig);
     if (!ires.per_omega.empty()) {

@@ -38,7 +38,7 @@ int main() {
     preset.n_eig_per_atom = 10;
     rpa::BuiltSystem sys = rpa::build_system(preset);
 
-    direct::DirectRpaResult dres =
+    rpa::RpaResult dres =
         direct::compute_direct_rpa(*sys.h, sys.ks.n_occ(), *sys.klap, 8);
 
     rpa::RpaOptions iopts = sys.default_rpa_options();

@@ -225,39 +225,37 @@ int main(int argc, char** argv) {
     out << key << ": " << cfg.get_string(key) << "\n";
   out << "\n";
   char line[256];
-  if (run.has_rpa) {
-    // The original artifact-style per-omega rows, byte-for-byte — the
-    // quickstart reference output depends on this format.
-    for (std::size_t k = 0; k < run.rpa.per_omega.size(); ++k) {
-      const rpa::OmegaRecord& r = run.rpa.per_omega[k];
+  const rpa::RpaResult& res = run.rpa;
+  const bool sternheimer = run.method == svc::Method::kSternheimer;
+  // The other backends have no filter/residual columns: they print the
+  // backend-agnostic row (the extras live in <name>.report.json).
+  if (!sternheimer)
+    out << "method: " << svc::method_name(run.method) << "\n";
+  for (std::size_t k = 0; k < res.per_omega.size(); ++k) {
+    const rpa::OmegaRecord& r = res.per_omega[k];
+    if (sternheimer)
+      // The original artifact-style per-omega rows, byte-for-byte — the
+      // quickstart reference output depends on this format.
       std::snprintf(line, sizeof line,
                     "omega %zu (value %.3f, weight %.3f)\n"
                     "ncheb %d | ErpaTerm %.5E Ha | eig error %.3E | %.2f s\n",
                     k + 1, r.omega, r.weight, r.filter_iterations, r.e_term,
                     r.error, r.seconds);
-      out << line;
-    }
-  } else {
-    // The other backends have no filter/residual columns; print the
-    // backend-agnostic row (the extras live in <name>.report.json).
-    out << "method: " << svc::method_name(run.method) << "\n";
-    for (std::size_t k = 0; k < run.per_omega.size(); ++k) {
-      const svc::DriverOmegaRow& r = run.per_omega[k];
+    else
       std::snprintf(line, sizeof line,
                     "omega %zu (value %.3f, weight %.3f)\n"
                     "ErpaTerm %.5E Ha | %.2f s\n",
                     k + 1, r.omega, r.weight, r.e_term, r.seconds);
-      out << line;
-    }
+    out << line;
   }
   std::snprintf(line, sizeof line,
                 "\nTotal RPA correlation energy: %.5E (Ha), %.5E (Ha/atom)\n"
                 "Total walltime: %.3f sec\n",
-                run.e_rpa, run.e_rpa_per_atom, run.total_seconds);
+                res.e_rpa, res.e_rpa_per_atom, res.total_seconds);
   out << line;
-  if (run.has_rpa && run.degraded) {
+  if (res.degraded) {
     long quarantined = 0;
-    for (const rpa::OmegaRecord& r : run.rpa.per_omega)
+    for (const rpa::OmegaRecord& r : res.per_omega)
       quarantined += r.quarantined_columns;
     std::snprintf(line, sizeof line,
                   "WARNING: degraded run — %ld Sternheimer column(s) "
@@ -271,8 +269,10 @@ int main(int argc, char** argv) {
   std::fputs(out.str().c_str(), stdout);
   std::printf("rpacalc: wrote %s.out\n", name.c_str());
 
-  // The machine-readable counterpart: the backend's full run report under
-  // its method-name key, same layout the job service persists.
+  // The machine-readable counterpart: the backend's run report under its
+  // method-name key. The job service writes the same payload, but keeps
+  // the historical "rpa" key for the Sternheimer method (rpacalc writes
+  // it under "sternheimer"); docs/REPRODUCING.md "Run reports".
   try {
     obs::RunReport report(name);
     report.set("method", obs::Json(svc::method_name(run.method)));
@@ -283,5 +283,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rpacalc: failed to write %s.report.json: %s\n",
                  name.c_str(), e.what());
   }
-  return run.converged ? 0 : 1;
+  return res.converged ? 0 : 1;
 }

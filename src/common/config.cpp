@@ -1,10 +1,10 @@
 #include "common/config.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace rsrpa {
 
@@ -54,25 +54,6 @@ const std::string& Config::raw(const std::string& key) const {
   RSRPA_REQUIRE_MSG(it != values_.end(), "missing config key " + key);
   return it->second;
 }
-
-namespace {
-
-// Strict numeric token parsers. The std::stoi/stod family silently
-// accepts trailing garbage ("8 atoms" parses as 8), which turns typos in
-// input files into wrong simulations. std::from_chars must consume the
-// ENTIRE token or the value is rejected. A single leading '+' is allowed
-// (from_chars does not take it, config authors reasonably might).
-template <typename T>
-bool parse_full_token(const std::string& token, T& out) {
-  const char* first = token.data();
-  const char* last = token.data() + token.size();
-  if (first != last && *first == '+') ++first;
-  if (first == last) return false;
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc() && ptr == last;
-}
-
-}  // namespace
 
 int Config::get_int(const std::string& key) const {
   int v = 0;

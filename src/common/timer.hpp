@@ -69,6 +69,10 @@ class KernelTimers {
   void add(const std::string& name, double seconds);
   /// Accumulated seconds in bucket `name` (0 if absent).
   [[nodiscard]] double get(const std::string& name) const;
+  /// True when bucket `name` exists.
+  [[nodiscard]] bool contains(const std::string& name) const {
+    return buckets_.count(name) > 0;
+  }
   /// Sum of all buckets.
   [[nodiscard]] double total() const;
   /// All buckets in insertion-independent (sorted) order.

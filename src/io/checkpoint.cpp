@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "io/snapshot.hpp"
 #include "obs/run_report.hpp"
 
@@ -49,6 +50,7 @@ obs::Json payload_json(const RunCheckpoint& ck) {
   // As a decimal string: obs::Json integers are signed 64-bit and a
   // fingerprint's top bit is fair game.
   j["fingerprint"] = std::to_string(ck.fingerprint);
+  j["method"] = ck.method;
   j["completed_points"] = ck.completed_points;
   j["ell"] = ck.ell;
   j["e_rpa_partial"] = ck.e_rpa_partial;
@@ -62,13 +64,6 @@ obs::Json payload_json(const RunCheckpoint& ck) {
   j["sternheimer"] = obs::to_json(ck.stern);
   j["timers"] = obs::to_json(ck.timers);
   j["events"] = obs::to_json(ck.events);
-  if (ck.slq) {
-    j["slq"] = true;
-    obs::Json slq_per_omega = obs::Json::array();
-    for (const rpa::SlqOmegaRecord& rec : ck.slq_per_omega)
-      slq_per_omega.push_back(obs::to_json(rec));
-    j["slq_per_omega"] = std::move(slq_per_omega);
-  }
   if (!ck.rank_apply_seconds.empty()) {
     obs::Json ra = obs::Json::array(), re = obs::Json::array();
     for (double s : ck.rank_apply_seconds) ra.push_back(s);
@@ -85,7 +80,10 @@ RunCheckpoint payload_from_json(const obs::Json& j) {
       version == static_cast<std::int64_t>(kRunCheckpointVersion),
       "checkpoint: unsupported format version " + std::to_string(version));
   RunCheckpoint ck;
-  ck.fingerprint = std::stoull(j.at("fingerprint").as_string());
+  RSRPA_REQUIRE_MSG(parse_full_token(j.at("fingerprint").as_string(),
+                                     ck.fingerprint),
+                    "checkpoint: fingerprint is not an unsigned integer");
+  ck.method = j.at("method").as_string();
   ck.completed_points = static_cast<int>(j.at("completed_points").as_int());
   ck.ell = static_cast<int>(j.at("ell").as_int());
   ck.e_rpa_partial = j.at("e_rpa_partial").as_double();
@@ -103,18 +101,10 @@ RunCheckpoint payload_from_json(const obs::Json& j) {
     for (const obs::Json& s : j.at("rank_error_seconds").as_array())
       ck.rank_error_seconds.push_back(s.as_double());
   }
-  if (const obs::Json* s = j.find("slq")) {
-    ck.slq = s->as_bool();
-    for (const obs::Json& rec : j.at("slq_per_omega").as_array())
-      ck.slq_per_omega.push_back(obs::slq_omega_record_from_json(rec));
-  }
-  // The record stream the driver resumes from must match the completed
-  // count: slq_per_omega for the stochastic driver, per_omega otherwise.
-  const std::size_t records =
-      ck.slq ? ck.slq_per_omega.size() : ck.per_omega.size();
   RSRPA_REQUIRE_MSG(
       ck.completed_points >= 1 && ck.completed_points <= ck.ell &&
-          records == static_cast<std::size_t>(ck.completed_points),
+          ck.per_omega.size() ==
+              static_cast<std::size_t>(ck.completed_points),
       "checkpoint: inconsistent completed-point count");
   return ck;
 }
@@ -137,6 +127,16 @@ void hash_system(Fnv1a& f, const dft::KsSystem& sys) {
   f.u64(sys.orbitals.rows());
   f.u64(sys.orbitals.cols());
   f.f64s(sys.orbitals.data(), sys.orbitals.size());
+}
+
+// The one fingerprint domain: format tag, then the driver's method, then
+// the system. Each driver's options follow.
+Fnv1a run_hash(const char* method, const dft::KsSystem& sys) {
+  Fnv1a f;
+  f.str("rsrpa.run_checkpoint/2");
+  f.str(method);
+  hash_system(f, sys);
+  return f;
 }
 
 void hash_sternheimer_options(Fnv1a& f, const rpa::SternheimerOptions& st) {
@@ -169,9 +169,7 @@ void hash_sternheimer_options(Fnv1a& f, const rpa::SternheimerOptions& st) {
 
 std::uint64_t run_fingerprint(const dft::KsSystem& sys,
                               const rpa::RpaOptions& opts) {
-  Fnv1a f;
-  f.str("rsrpa.run_checkpoint/1");
-  hash_system(f, sys);
+  Fnv1a f = run_hash(rpa::methods::kSternheimer, sys);
   // RpaOptions, minus the checkpoint policy and event-sink pointers.
   f.u64(opts.n_eig);
   f.i64(opts.ell);
@@ -188,17 +186,13 @@ std::uint64_t run_fingerprint(const dft::KsSystem& sys,
   f.f64(opts.ssa.residual_tol);
   f.b(opts.ssa.refresh);
   hash_sternheimer_options(f, opts.stern);
-  f.u64(opts.n_ranks > 1 ? opts.n_ranks : 0);
+  f.u64(opts.n_ranks);
   return f.h;
 }
 
-std::uint64_t slq_run_fingerprint(const dft::KsSystem& sys,
-                                  const rpa::SlqRpaOptions& opts) {
-  Fnv1a f;
-  // A distinct domain tag: an SLQ checkpoint must never be accepted by a
-  // Sternheimer resume for the same system, or vice versa.
-  f.str("rsrpa.slq_checkpoint/1");
-  hash_system(f, sys);
+std::uint64_t run_fingerprint(const dft::KsSystem& sys,
+                              const rpa::SlqRpaOptions& opts) {
+  Fnv1a f = run_hash(rpa::methods::kSlq, sys);
   // SlqRpaOptions, minus the checkpoint policy and control pointer.
   f.i64(opts.ell);
   f.i64(opts.n_probes);
@@ -242,12 +236,18 @@ RunCheckpoint load_run_checkpoint(const std::string& path,
   in.read(trailer, 8);
   RSRPA_REQUIRE_MSG(in.good() && std::memcmp(trailer, kCkptTrailer, 8) == 0,
                     "checkpoint: missing trailer (torn write?) in " + path);
-  RSRPA_REQUIRE_MSG(
-      expected_fingerprint == 0 || ck.fingerprint == expected_fingerprint,
-      "checkpoint: fingerprint mismatch — " + path +
-          " was written for a different system or RpaOptions; refusing "
-          "to resume");
+  if (expected_fingerprint != 0)
+    check_fingerprint(ck, expected_fingerprint, path);
   return ck;
+}
+
+void check_fingerprint(const RunCheckpoint& ck,
+                       std::uint64_t expected_fingerprint,
+                       const std::string& path) {
+  RSRPA_REQUIRE_MSG(ck.fingerprint == expected_fingerprint,
+                    "checkpoint: fingerprint mismatch — " + path +
+                        " was written for a different system or options; "
+                        "refusing to resume");
 }
 
 }  // namespace rsrpa::io

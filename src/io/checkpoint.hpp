@@ -38,13 +38,18 @@ namespace rsrpa::io {
 
 /// Bump when a field changes meaning; never reuse a name for a different
 /// quantity (same contract as the run-report schema).
-inline constexpr std::uint32_t kRunCheckpointVersion = 1;
+/// Version 2: one record shape and one fingerprint domain for every
+/// checkpointing driver, tagged by `method`.
+inline constexpr std::uint32_t kRunCheckpointVersion = 2;
 
 /// Everything the drivers need to continue a quadrature sweep after the
 /// last completed point, plus the accumulators that keep the final run
 /// report seamless across the restart.
 struct RunCheckpoint {
   std::uint64_t fingerprint = 0;  ///< run_fingerprint() of system + options
+  /// The driver that wrote it (rpa::methods): a driver resumes only its
+  /// own method's checkpoints.
+  std::string method = rpa::methods::kSternheimer;
   int completed_points = 0;       ///< quadrature points fully accumulated
   int ell = 0;                    ///< total points of the sweep
   double e_rpa_partial = 0.0;     ///< sum over the completed points
@@ -55,41 +60,30 @@ struct RunCheckpoint {
   rpa::SternheimerStats stern;
   KernelTimers timers;
   obs::EventLog events;           ///< RpaResult::events so far
-  la::Matrix<double> v;           ///< warm-start subspace after the point
+  /// Warm-start subspace after the point; a 1x1 zero for SLQ, which has
+  /// none (the matrix stream format rejects empty shapes).
+  la::Matrix<double> v;
 
   /// RpaResult::ranks of a column-partitioned run (n_ranks > 1); empty
   /// for a serial one. Informational wall clock, not part of the bitwise
   /// contract.
   std::vector<double> rank_apply_seconds;
   std::vector<double> rank_error_seconds;
-
-  /// SLQ-driver checkpoints (compute_rpa_energy_slq). The stochastic
-  /// driver has no warm-start subspace, so `v` holds a 1x1 zero
-  /// placeholder (the matrix stream format rejects empty shapes);
-  /// `slq_per_omega` replaces `per_omega`, and e_rpa_partial /
-  /// completed_points / rng_state / events carry the same meaning as in
-  /// the Sternheimer driver.
-  bool slq = false;
-  std::vector<rpa::SlqOmegaRecord> slq_per_omega;
 };
 
 /// Fingerprint of everything a checkpoint must agree with before resume:
-/// the grid, the orbitals and eigenvalues (bitwise), and every
-/// computation-relevant RpaOptions field (tolerances, seeds, resilience
+/// the driver's method, the grid, the orbitals and eigenvalues (bitwise),
+/// and every computation-relevant option (tolerances, seeds, resilience
 /// and fault-injection policy — but NOT the checkpoint policy itself).
-/// The rank count enters as 0 for n_ranks = 1, so serial fingerprints
-/// are unchanged from before the rank count became an RpaOptions field.
+/// One hash domain for both checkpointing drivers; the method enters the
+/// hash, so an SLQ fingerprint never equals the Sternheimer fingerprint
+/// of the same system.
 std::uint64_t run_fingerprint(const dft::KsSystem& sys,
                               const rpa::RpaOptions& opts);
-
-/// SLQ flavor of run_fingerprint: the same bitwise system hash plus every
-/// computation-relevant SlqRpaOptions field (probe counts, Lanczos depth,
-/// seed, the adaptive-CI policy, and the Sternheimer solver options — but
-/// NOT the checkpoint policy itself). The hash domain is tagged so an SLQ
-/// fingerprint can never collide with a Sternheimer one for the same
-/// system.
-std::uint64_t slq_run_fingerprint(const dft::KsSystem& sys,
-                                  const rpa::SlqRpaOptions& opts);
+/// SLQ options: probe counts, Lanczos depth, seed, the adaptive-CI
+/// policy and the Sternheimer solver options.
+std::uint64_t run_fingerprint(const dft::KsSystem& sys,
+                              const rpa::SlqRpaOptions& opts);
 
 /// Atomically persist `ck` (tmp + fsync + rename). Throws Error on I/O
 /// failure; on failure the previous checkpoint at `path` is untouched.
@@ -101,5 +95,11 @@ void save_run_checkpoint(const std::string& path, const RunCheckpoint& ck);
 /// Error on any mismatch or torn/corrupt file.
 RunCheckpoint load_run_checkpoint(const std::string& path,
                                   std::uint64_t expected_fingerprint = 0);
+
+/// Throw Error unless `ck` was written for `expected_fingerprint`; `path`
+/// names the file in the message.
+void check_fingerprint(const RunCheckpoint& ck,
+                       std::uint64_t expected_fingerprint,
+                       const std::string& path);
 
 }  // namespace rsrpa::io

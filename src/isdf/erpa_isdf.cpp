@@ -7,13 +7,15 @@
 #include "isdf/compressed.hpp"
 #include "isdf/fit.hpp"
 #include "isdf/points.hpp"
+#include "rpa/nu_chi0.hpp"
 #include "rpa/quadrature.hpp"
 
 namespace rsrpa::isdf {
 
-IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
-                                      const poisson::KroneckerLaplacian& klap,
-                                      const IsdfRpaOptions& opts) {
+rpa::RpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
+                                       const poisson::KroneckerLaplacian& klap,
+                                       const IsdfRpaOptions& opts,
+                                       Compression* compression) {
   RSRPA_REQUIRE(opts.ell >= 1);
   RSRPA_REQUIRE(opts.c_nip > 0.0);
   const std::size_t n_d = sys.n_grid();
@@ -22,14 +24,15 @@ IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
                     "ISDF needs at least one occupied and one virtual state");
 
   WallTimer total;
-  IsdfRpaResult result;
+  rpa::RpaResult result;
+  result.method = rpa::methods::kIsdf;
+  Compression info;
 
   // The compressed coefficients sample exact eigenvector rows, so the
   // backend shares the direct route's one-time full diagonalization.
   WallTimer t_diag;
   const la::EigResult eig = direct::full_diagonalization(*sys.h);
-  result.diagonalization_seconds = t_diag.seconds();
-  result.timers.add(kernels::kDiagonalize, result.diagonalization_seconds);
+  result.timers.add(rpa::kernels::kDiagonalize, t_diag.seconds());
 
   std::size_t nip = opts.nip != 0
                         ? opts.nip
@@ -61,9 +64,9 @@ IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
          {"nip_selected", static_cast<double>(sel.points.size())}});
     nip = sel.points.size();
   }
-  result.nip = nip;
-  result.points = sel.points;
-  result.r_diag = sel.r_diag;
+  info.nip = nip;
+  info.points = sel.points;
+  info.r_diag = sel.r_diag;
   result.events.emit(
       obs::events::kIsdfPointsSelected, "interpolation points selected",
       {{"nip", static_cast<double>(nip)},
@@ -74,7 +77,7 @@ IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
   WallTimer t_fit;
   FitResult fit =
       fit_interpolation_vectors(eig, n_occ, weights, sel.points, opts.ridge);
-  result.fit_ridge = fit.ridge;
+  info.fit_ridge = fit.ridge;
   if (fit.regularized)
     result.events.emit(obs::events::kIsdfFitRegularized,
                        "fit Gram matrix needed an escalated ridge",
@@ -86,7 +89,7 @@ IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
   // the most negative eigenvalues exactly like the Sternheimer driver.
   const std::size_t keep =
       opts.n_eig == 0 ? nip : std::min<std::size_t>(opts.n_eig, nip);
-  result.n_eig = keep;
+  info.n_eig = keep;
 
   for (int k = 0; k < opts.ell; ++k) {
     rpa::check_run_control(opts.control);
@@ -100,19 +103,17 @@ IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
     rec.omega = q.omega;
     rec.weight = q.weight;
     rec.converged = true;
-    rec.eigenvalues = spec;
-    rpa::accumulate_trace_terms(spec, k, rec, &result.events);
+    rec.eigenvalues = std::move(spec);
     rec.matvec_flops = comp.flops_per_freq();
     rec.matvec_bytes = comp.bytes_per_freq();
     rec.seconds = omega_timer.seconds();
-    result.e_rpa += q.weight * rec.e_term / (2.0 * M_PI);
-    result.converged = result.converged && rec.converged;
-    result.per_omega.push_back(std::move(rec));
+    rpa::close_point(result, std::move(rec), k);
   }
 
   const std::size_t n_atoms = sys.h->crystal().n_atoms();
   result.e_rpa_per_atom = result.e_rpa / static_cast<double>(n_atoms);
   result.total_seconds = total.seconds();
+  if (compression != nullptr) *compression = std::move(info);
   return result;
 }
 

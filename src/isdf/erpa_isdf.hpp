@@ -23,9 +23,9 @@
 
 namespace rsrpa::isdf {
 
-/// Kernel-timer bucket names (beyond compressed.hpp's assemble/eigensolve).
+/// Kernel-timer bucket names (beyond compressed.hpp's assemble/eigensolve
+/// and the shared rpa::kernels::kDiagonalize).
 namespace kernels {
-inline constexpr const char* kDiagonalize = "diagonalization";
 inline constexpr const char* kSelect = "isdf_select";
 inline constexpr const char* kFit = "isdf_fit";
 }  // namespace kernels
@@ -52,10 +52,9 @@ struct IsdfRpaOptions {
   rpa::RunControl* control = nullptr;
 };
 
-struct IsdfRpaResult {
-  double e_rpa = 0.0;
-  double e_rpa_per_atom = 0.0;
-  bool converged = true;  ///< no trace-term domain violations
+/// The compression diagnostics of one ISDF run, returned beside its
+/// rpa::RpaResult (obs::to_json takes both).
+struct Compression {
   std::size_t nip = 0;    ///< points actually used (after rank stop)
   std::size_t n_eig = 0;  ///< eigenvalues kept per point (resolved)
   /// Selected grid-point indices in pivot order, and the |R_kk| decay of
@@ -63,20 +62,17 @@ struct IsdfRpaResult {
   std::vector<std::size_t> points;
   std::vector<double> r_diag;
   double fit_ridge = 0.0;
-  /// One record per quadrature point; matvec_bytes/flops carry the
-  /// modeled GEMM traffic of the compressed evaluation, so the standard
-  /// arithmetic-intensity telemetry applies unchanged.
-  std::vector<rpa::OmegaRecord> per_omega;
-  KernelTimers timers;
-  obs::EventLog events;
-  double diagonalization_seconds = 0.0;
-  double total_seconds = 0.0;
 };
 
 /// Compute E_RPA via the compressed ISDF representation. `klap` must
-/// discretize the same grid/radius as the system Hamiltonian.
-IsdfRpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
-                                      const poisson::KroneckerLaplacian& klap,
-                                      const IsdfRpaOptions& opts);
+/// discretize the same grid/radius as the system Hamiltonian. Each
+/// point's record carries the kept compressed eigenvalues, and its
+/// matvec_bytes/flops the modeled GEMM traffic of the compressed
+/// evaluation, so the standard arithmetic-intensity telemetry applies
+/// unchanged. `compression`, when given, receives the diagnostics.
+rpa::RpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
+                                       const poisson::KroneckerLaplacian& klap,
+                                       const IsdfRpaOptions& opts,
+                                       Compression* compression = nullptr);
 
 }  // namespace rsrpa::isdf

@@ -1,5 +1,8 @@
 #include "obs/run_report.hpp"
 
+#include "common/parse.hpp"
+#include "rpa/erpa_slq.hpp"
+
 namespace rsrpa::obs {
 
 Json to_json(const KernelTimers& timers) {
@@ -159,107 +162,57 @@ Json to_json(const rpa::OmegaRecord& rec) {
     j["fallback"] = rec.fallback;
     j["projection_residual"] = rec.projection_residual;
   }
+  if (rec.probes) {
+    const rpa::ProbeStats& p = *rec.probes;
+    j["n_probes"] = p.n_probes;
+    j["lanczos_steps"] = p.lanczos_steps;
+    j["probe_stddev"] = p.probe_stddev;
+    j["ci_halfwidth"] = p.ci_halfwidth;
+    j["rel_ci"] = p.rel_ci;
+    j["matvec_columns"] = p.matvec_columns;
+  }
   Json eig = Json::array();
   for (double mu : rec.eigenvalues) eig.push_back(mu);
   j["eigenvalues"] = std::move(eig);
   return j;
 }
 
-Json to_json(const rpa::RpaResult& res) {
+Json to_json(const rpa::RpaResult& res, const isdf::Compression* isdf) {
   Json j = Json::object();
   j["e_rpa"] = res.e_rpa;
   j["e_rpa_per_atom"] = res.e_rpa_per_atom;
   j["converged"] = res.converged;
   j["degraded"] = res.degraded;
   j["total_seconds"] = res.total_seconds;
+  // Backend extras, each present only where its data is: the dense
+  // backends' diagonalization, direct's bare trace terms, ISDF's
+  // compression diagnostics, SLQ's total operator applies.
+  if (res.timers.contains(rpa::kernels::kDiagonalize))
+    j["diagonalization_seconds"] = res.timers.get(rpa::kernels::kDiagonalize);
+  if (res.method == rpa::methods::kDirect) {
+    Json terms = Json::array();
+    for (const rpa::OmegaRecord& rec : res.per_omega)
+      terms.push_back(rec.e_term);
+    j["e_terms"] = std::move(terms);
+  }
+  if (isdf != nullptr) {
+    j["nip"] = isdf->nip;
+    j["n_eig"] = isdf->n_eig;
+    j["fit_ridge"] = isdf->fit_ridge;
+    if (!isdf->r_diag.empty())
+      j["r_decay"] = isdf->r_diag.back() / isdf->r_diag.front();
+    Json points = Json::array();
+    for (std::size_t p : isdf->points) points.push_back(static_cast<long>(p));
+    j["points"] = std::move(points);
+  }
+  if (res.method == rpa::methods::kSlq)
+    j["matvec_columns"] = rpa::slq_matvec_columns(res);
   Json per_omega = Json::array();
   for (const rpa::OmegaRecord& rec : res.per_omega)
     per_omega.push_back(to_json(rec));
   j["per_omega"] = std::move(per_omega);
-  j["sternheimer"] = to_json(res.stern);
-  j["timers"] = to_json(res.timers);
-  j["events"] = to_json(res.events);
-  return j;
-}
-
-Json to_json(const direct::DirectRpaResult& res) {
-  Json j = Json::object();
-  j["e_rpa"] = res.e_rpa;
-  j["e_rpa_per_atom"] = res.e_rpa_per_atom;
-  j["converged"] = true;  // the dense route has no iterative tolerance
-  j["total_seconds"] = res.total_seconds;
-  j["diagonalization_seconds"] = res.diagonalization_seconds;
-  Json terms = Json::array();
-  for (double e : res.e_terms) terms.push_back(e);
-  j["e_terms"] = std::move(terms);
-  return j;
-}
-
-Json to_json(const rpa::SlqOmegaRecord& rec) {
-  Json j = Json::object();
-  j["omega"] = rec.omega;
-  j["weight"] = rec.weight;
-  j["e_term"] = rec.e_term;
-  j["n_probes"] = rec.n_probes;
-  j["lanczos_steps"] = rec.lanczos_steps;
-  j["probe_stddev"] = rec.probe_stddev;
-  j["ci_halfwidth"] = rec.ci_halfwidth;
-  j["rel_ci"] = rec.rel_ci;
-  j["matvec_columns"] = rec.matvec_columns;
-  j["seconds"] = rec.seconds;
-  return j;
-}
-
-rpa::SlqOmegaRecord slq_omega_record_from_json(const Json& j) {
-  rpa::SlqOmegaRecord rec;
-  rec.omega = j.at("omega").as_double();
-  rec.weight = j.at("weight").as_double();
-  rec.e_term = j.at("e_term").as_double();
-  rec.n_probes = static_cast<int>(j.at("n_probes").as_int());
-  rec.lanczos_steps = static_cast<int>(j.at("lanczos_steps").as_int());
-  rec.probe_stddev = j.at("probe_stddev").as_double();
-  // Pre-CI reports lack these two; leave the zero defaults.
-  if (const Json* c = j.find("ci_halfwidth")) rec.ci_halfwidth = c->as_double();
-  if (const Json* r = j.find("rel_ci")) rec.rel_ci = r->as_double();
-  rec.matvec_columns = j.at("matvec_columns").as_int();
-  rec.seconds = j.at("seconds").as_double();
-  return rec;
-}
-
-Json to_json(const rpa::SlqRpaResult& res) {
-  Json j = Json::object();
-  j["e_rpa"] = res.e_rpa;
-  j["e_rpa_per_atom"] = res.e_rpa_per_atom;
-  j["converged"] = true;  // stochastic: accuracy lives in probe_stddev
-  j["total_seconds"] = res.total_seconds;
-  j["matvec_columns"] = res.matvec_columns;
-  Json per_omega = Json::array();
-  for (const rpa::SlqOmegaRecord& rec : res.per_omega)
-    per_omega.push_back(to_json(rec));
-  j["per_omega"] = std::move(per_omega);
-  j["events"] = to_json(res.events);
-  return j;
-}
-
-Json to_json(const isdf::IsdfRpaResult& res) {
-  Json j = Json::object();
-  j["e_rpa"] = res.e_rpa;
-  j["e_rpa_per_atom"] = res.e_rpa_per_atom;
-  j["converged"] = res.converged;
-  j["total_seconds"] = res.total_seconds;
-  j["diagonalization_seconds"] = res.diagonalization_seconds;
-  j["nip"] = res.nip;
-  j["n_eig"] = res.n_eig;
-  j["fit_ridge"] = res.fit_ridge;
-  if (!res.r_diag.empty())
-    j["r_decay"] = res.r_diag.back() / res.r_diag.front();
-  Json points = Json::array();
-  for (std::size_t p : res.points) points.push_back(static_cast<long>(p));
-  j["points"] = std::move(points);
-  Json per_omega = Json::array();
-  for (const rpa::OmegaRecord& rec : res.per_omega)
-    per_omega.push_back(to_json(rec));
-  j["per_omega"] = std::move(per_omega);
+  if (res.method == rpa::methods::kSternheimer)
+    j["sternheimer"] = to_json(res.stern);
   j["timers"] = to_json(res.timers);
   j["events"] = to_json(res.events);
   return j;
@@ -274,9 +227,12 @@ KernelTimers kernel_timers_from_json(const Json& j) {
 
 rpa::SternheimerStats sternheimer_stats_from_json(const Json& j) {
   rpa::SternheimerStats stats;
-  for (const auto& [size, count] : j.at("block_size_chunks").as_object())
-    stats.block_size_chunks[std::stoi(size)] =
-        static_cast<int>(count.as_int());
+  for (const auto& [size, count] : j.at("block_size_chunks").as_object()) {
+    int block = 0;
+    RSRPA_REQUIRE_MSG(parse_full_token(size, block) && block >= 1,
+                      "block_size_chunks: bad block size '" + size + "'");
+    stats.block_size_chunks[block] = static_cast<int>(count.as_int());
+  }
   stats.total_chunks = j.at("total_chunks").as_int();
   stats.matvec_columns = j.at("matvec_columns").as_int();
   if (const Json* c32 = j.find("matvec_columns_f32"))
@@ -319,6 +275,15 @@ rpa::OmegaRecord omega_record_from_json(const Json& j) {
     rec.elided = e->as_bool();
     rec.fallback = j.at("fallback").as_bool();
     rec.projection_residual = j.at("projection_residual").as_double();
+  }
+  if (const Json* n = j.find("n_probes")) {
+    rpa::ProbeStats& p = rec.probes.emplace();
+    p.n_probes = static_cast<int>(n->as_int());
+    p.lanczos_steps = static_cast<int>(j.at("lanczos_steps").as_int());
+    p.probe_stddev = j.at("probe_stddev").as_double();
+    p.ci_halfwidth = j.at("ci_halfwidth").as_double();
+    p.rel_ci = j.at("rel_ci").as_double();
+    p.matvec_columns = j.at("matvec_columns").as_int();
   }
   for (const Json& mu : j.at("eigenvalues").as_array())
     rec.eigenvalues.push_back(mu.as_double());

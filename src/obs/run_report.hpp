@@ -9,12 +9,10 @@
 // files across revisions, so keep fields append-only.
 #pragma once
 
-#include "direct/direct_rpa.hpp"
 #include "isdf/erpa_isdf.hpp"
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
 #include "rpa/erpa.hpp"
-#include "rpa/erpa_slq.hpp"
 #include "sched/pool_stats.hpp"
 #include "solver/dynamic_block.hpp"
 
@@ -34,10 +32,17 @@ Json to_json(const solver::ChunkRecord& rec);
 Json to_json(const solver::DynamicBlockReport& rep);
 
 Json to_json(const rpa::SternheimerStats& stats);
+/// One quadrature point; SLQ probe statistics, when present, as flat
+/// keys (n_probes, lanczos_steps, probe_stddev, ci_halfwidth, rel_ci,
+/// matvec_columns).
 Json to_json(const rpa::OmegaRecord& rec);
-/// The full per-run record: energy, per-omega rows, Sternheimer stats,
-/// kernel timers, and the event log.
-Json to_json(const rpa::RpaResult& res);
+/// The run record of every backend: energy, per-omega rows, kernel
+/// timers and the event log, plus the backend's extras — Sternheimer
+/// stats, the dense backends' diagonalization_seconds, direct's e_terms,
+/// SLQ's total matvec_columns and, when `isdf` is given, the ISDF
+/// compression diagnostics (nip, n_eig, fit_ridge, r_decay, points).
+Json to_json(const rpa::RpaResult& res,
+             const isdf::Compression* isdf = nullptr);
 
 /// Lossless inverses of the serializers above, used by the run-checkpoint
 /// layer (io/checkpoint.hpp) to rebuild driver state. Doubles survive the
@@ -47,16 +52,6 @@ Json to_json(const rpa::RpaResult& res);
 KernelTimers kernel_timers_from_json(const Json& j);
 rpa::SternheimerStats sternheimer_stats_from_json(const Json& j);
 rpa::OmegaRecord omega_record_from_json(const Json& j);
-rpa::SlqOmegaRecord slq_omega_record_from_json(const Json& j);
-
-// The other three backends' run records share the RpaResult field names
-// (e_rpa, e_rpa_per_atom, converged, total_seconds, per_omega, timers,
-// events) so obs tooling written against the Sternheimer report reads
-// them unchanged; backend-specific extras are additive.
-Json to_json(const direct::DirectRpaResult& res);
-Json to_json(const rpa::SlqOmegaRecord& rec);
-Json to_json(const rpa::SlqRpaResult& res);
-Json to_json(const isdf::IsdfRpaResult& res);
 
 class RunReport {
  public:

@@ -39,15 +39,15 @@ void reseed_quarantined_columns(la::Matrix<double>& v,
 }
 
 io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
-                                  int completed_points,
-                                  const RpaOptions& opts,
+                                  int completed_points, int ell,
                                   const RpaResult& result,
                                   const la::Matrix<double>& v,
                                   const Rng& rng) {
   io::RunCheckpoint ck;
   ck.fingerprint = fingerprint;
+  ck.method = result.method;
   ck.completed_points = completed_points;
-  ck.ell = opts.ell;
+  ck.ell = ell;
   ck.e_rpa_partial = result.e_rpa;
   ck.degraded = result.degraded;
   ck.converged = result.converged;
@@ -64,14 +64,23 @@ io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
   return ck;
 }
 
-int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
-                       RpaResult& result, la::Matrix<double>& v, Rng& rng) {
-  // Belt and braces: the fingerprint already covers these, but a stale
-  // file loaded with expected_fingerprint == 0 must still fail loudly.
-  RSRPA_REQUIRE_MSG(ck.ell == opts.ell, "checkpoint ell mismatch");
+int restore_checkpoint(const CheckpointOptions& copts,
+                       std::uint64_t fingerprint, int ell, RpaResult& result,
+                       la::Matrix<double>& v, Rng& rng) {
+  // The fingerprint is checked after the method, so resuming another
+  // method's file names both methods instead of a bare hash mismatch.
+  io::RunCheckpoint ck = io::load_run_checkpoint(copts.path);
+  RSRPA_REQUIRE_MSG(ck.method == result.method,
+                    "checkpoint " + copts.path + " was written by the " +
+                        ck.method + " driver; refusing to resume the " +
+                        result.method + " driver from it");
+  io::check_fingerprint(ck, fingerprint, copts.path);
+  // Belt and braces: the fingerprint already covers these.
+  RSRPA_REQUIRE_MSG(ck.ell == ell, "checkpoint ell mismatch");
   RSRPA_REQUIRE_MSG(ck.v.rows() == v.rows() && ck.v.cols() == v.cols(),
                     "checkpoint subspace shape mismatch");
-  const std::size_t rank_rows = result.ranks ? opts.n_ranks : 0;
+  const std::size_t rank_rows =
+      result.ranks ? result.ranks->apply_seconds.size() : 0;
   RSRPA_REQUIRE_MSG(ck.rank_apply_seconds.size() == rank_rows &&
                         ck.rank_error_seconds.size() == rank_rows,
                     "checkpoint rank count mismatch");
@@ -92,59 +101,9 @@ int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
   }
   v = std::move(ck.v);
   rng = Rng::load_state(ck.rng_state);
-  if (opts.checkpoint.events != nullptr)
-    opts.checkpoint.events->emit(
-        obs::events::kRunResumed, "resumed from " + opts.checkpoint.path,
-        {{"completed_points", static_cast<double>(completed)},
-         {"ell", static_cast<double>(ck.ell)}});
-  return completed;
-}
-
-io::RunCheckpoint make_slq_checkpoint(std::uint64_t fingerprint,
-                                      int completed_points,
-                                      const SlqRpaOptions& opts,
-                                      const SlqRpaResult& result,
-                                      const Rng& rng) {
-  io::RunCheckpoint ck;
-  ck.slq = true;
-  ck.fingerprint = fingerprint;
-  ck.completed_points = completed_points;
-  ck.ell = opts.ell;
-  ck.e_rpa_partial = result.e_rpa;
-  ck.rng_state = rng.save_state();
-  ck.slq_per_omega = result.per_omega;
-  ck.events = result.events;
-  // The matrix stream rejects empty shapes; the SLQ driver has no
-  // subspace to persist, so park a 1x1 zero in the V slot.
-  ck.v = la::Matrix<double>(1, 1);
-  return ck;
-}
-
-int restore_slq_checkpoint(io::RunCheckpoint&& ck, const SlqRpaOptions& opts,
-                           SlqRpaResult& result, long& applies, Rng& rng) {
-  RSRPA_REQUIRE_MSG(ck.slq,
-                    "checkpoint was written by a Sternheimer driver; "
-                    "refusing to resume the SLQ driver from it");
-  // Belt and braces: the fingerprint already covers this, but a stale
-  // file loaded with expected_fingerprint == 0 must still fail loudly.
-  RSRPA_REQUIRE_MSG(ck.ell == opts.ell, "checkpoint ell mismatch");
-  const int completed = ck.completed_points;
-  result.e_rpa = ck.e_rpa_partial;
-  result.per_omega = std::move(ck.slq_per_omega);
-  result.events = std::move(ck.events);
-  // e_terms and the matvec counter are derived views of the records;
-  // rebuild them rather than persisting them twice.
-  result.e_terms.clear();
-  applies = 0;
-  for (const SlqOmegaRecord& rec : result.per_omega) {
-    result.e_terms.push_back(rec.e_term);
-    applies += rec.matvec_columns;
-  }
-  result.matvec_columns = applies;
-  rng = Rng::load_state(ck.rng_state);
-  if (opts.checkpoint.events != nullptr)
-    opts.checkpoint.events->emit(
-        obs::events::kRunResumed, "resumed from " + opts.checkpoint.path,
+  if (copts.events != nullptr)
+    copts.events->emit(
+        obs::events::kRunResumed, "resumed from " + copts.path,
         {{"completed_points", static_cast<double>(completed)},
          {"ell", static_cast<double>(ck.ell)}});
   return completed;

@@ -10,7 +10,6 @@
 
 #include "io/checkpoint.hpp"
 #include "rpa/erpa.hpp"
-#include "rpa/erpa_slq.hpp"
 
 namespace rsrpa::rpa::detail {
 
@@ -31,41 +30,30 @@ void reseed_quarantined_columns(la::Matrix<double>& v,
                                 const Rng& rng, int omega_index,
                                 obs::EventLog& events);
 
-/// Snapshot the driver state after `completed_points` quadrature points
-/// into a RunCheckpoint, including the per-rank seconds when the result
-/// carries them.
+/// Snapshot the driver state after `completed_points` of the `ell`
+/// quadrature points into a RunCheckpoint tagged with result.method,
+/// including the per-rank seconds when the result carries them. A driver
+/// without a warm-start subspace (SLQ) passes a 1x1 zero `v`: the
+/// container's matrix stream rejects empty shapes.
 io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
-                                  int completed_points,
-                                  const RpaOptions& opts,
+                                  int completed_points, int ell,
                                   const RpaResult& result,
                                   const la::Matrix<double>& v,
                                   const Rng& rng);
 
-/// Restore a loaded checkpoint into the driver state; validates the sweep
-/// shape and that the checkpoint carries per-rank seconds exactly when
-/// `result` has a rank section (of opts.n_ranks rows), emits run_resumed
-/// into the lifecycle sink, and returns the index of the first quadrature
-/// point still to run.
-int restore_checkpoint(io::RunCheckpoint&& ck, const RpaOptions& opts,
-                       RpaResult& result, la::Matrix<double>& v, Rng& rng);
+/// Load copts.path and restore it into the driver state. Refuses, with an
+/// Error, a checkpoint written by another method (checked first and named
+/// both ways, so a cross-method resume says why), one whose fingerprint
+/// differs, and one whose sweep length, subspace shape or per-rank rows
+/// (present exactly when `result` has a rank section) do not match. Emits
+/// run_resumed into the lifecycle sink and returns the index of the first
+/// quadrature point still to run.
+int restore_checkpoint(const CheckpointOptions& copts,
+                       std::uint64_t fingerprint, int ell, RpaResult& result,
+                       la::Matrix<double>& v, Rng& rng);
 
 /// Post-write lifecycle: emit checkpoint_written into the sink and fire
 /// the simulated-crash test hook (throws RunHalted) when armed for `k`.
 void after_checkpoint_write(const CheckpointOptions& copts, int k);
-
-/// SLQ flavor of make_checkpoint: snapshot compute_rpa_energy_slq's state
-/// after `completed_points` quadrature points. The stochastic driver has
-/// no subspace, so the container's V slot gets a 1x1 zero placeholder.
-io::RunCheckpoint make_slq_checkpoint(std::uint64_t fingerprint,
-                                      int completed_points,
-                                      const SlqRpaOptions& opts,
-                                      const SlqRpaResult& result,
-                                      const Rng& rng);
-
-/// SLQ flavor of restore_checkpoint: rebuilds the partial sums, per-point
-/// records, matvec counter, and driver RNG; emits run_resumed into the
-/// lifecycle sink; returns the index of the first point still to run.
-int restore_slq_checkpoint(io::RunCheckpoint&& ck, const SlqRpaOptions& opts,
-                           SlqRpaResult& result, long& applies, Rng& rng);
 
 }  // namespace rsrpa::rpa::detail

@@ -84,6 +84,14 @@ double accumulate_trace_terms(const std::vector<double>& eigenvalues,
   return sum;
 }
 
+void close_point(RpaResult& result, OmegaRecord rec, int k) {
+  if (!rec.probes)
+    accumulate_trace_terms(rec.eigenvalues, k, rec, &result.events);
+  result.e_rpa += rec.weight * rec.e_term / (2.0 * M_PI);
+  result.converged = result.converged && rec.converged;
+  result.per_omega.push_back(std::move(rec));
+}
+
 double tol_for_point(const RpaOptions& opts, int k, obs::EventLog* events,
                      bool* warned) {
   RSRPA_REQUIRE(k >= 0 && k < opts.ell);
@@ -151,8 +159,8 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
   int k0 = 0;
   bool tol_warned = false;
   if (checkpointing && copts.resume && std::filesystem::exists(copts.path)) {
-    io::RunCheckpoint ck = io::load_run_checkpoint(copts.path, fingerprint);
-    k0 = detail::restore_checkpoint(std::move(ck), opts, result, v, rng);
+    k0 = detail::restore_checkpoint(copts, fingerprint, opts.ell, result, v,
+                                    rng);
     // The restored event log already carries point 0's one-time TOL_EIG
     // warning (if any); don't emit it twice.
     tol_warned = true;
@@ -293,7 +301,6 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       rec.converged = sub.converged;
       rec.eigenvalues = sub.eigenvalues;
     }
-    accumulate_trace_terms(rec.eigenvalues, k, rec, &result.events);
     rec.quarantined_columns =
         result.stern.quarantined_columns - quarantined_before;
     rec.quarantined_column_indices =
@@ -315,23 +322,23 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
             static_cast<double>(rec.quarantined_columns)}});
     }
     rec.seconds = omega_timer.seconds();
-    result.e_rpa += q.weight * rec.e_term / (2.0 * M_PI);
-    result.converged = result.converged && rec.converged;
+    close_point(result, std::move(rec), k);
 
     // Warm-start hygiene: a quarantined column's content is whatever the
     // recovery ladder froze it at — re-randomize before it seeds the next
     // point. Done before the checkpoint write so the persisted V already
     // includes the refill (resume needs no replay).
-    if (opts.warm_start && k + 1 < opts.ell &&
-        !rec.quarantined_column_indices.empty())
-      detail::reseed_quarantined_columns(v, rec.quarantined_column_indices,
-                                         rng, k, result.events);
-    result.per_omega.push_back(std::move(rec));
+    const std::vector<long>& quarantined =
+        result.per_omega.back().quarantined_column_indices;
+    if (opts.warm_start && k + 1 < opts.ell && !quarantined.empty())
+      detail::reseed_quarantined_columns(v, quarantined, rng, k,
+                                         result.events);
 
     if (checkpointing) {
-      io::save_run_checkpoint(
-          copts.path,
-          detail::make_checkpoint(fingerprint, k + 1, opts, result, v, rng));
+      io::save_run_checkpoint(copts.path,
+                              detail::make_checkpoint(fingerprint, k + 1,
+                                                      opts.ell, result, v,
+                                                      rng));
       detail::after_checkpoint_write(copts, k);
     }
   }

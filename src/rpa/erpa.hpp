@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "common/rng.hpp"
 #include "obs/event_log.hpp"
@@ -184,6 +185,35 @@ struct RpaOptions {
   RunControl* control = nullptr;
 };
 
+/// Names of the four E_RPA drivers: the `method` of an RpaResult, of a
+/// run report and of a run checkpoint.
+namespace methods {
+inline constexpr const char* kSternheimer = "sternheimer";
+inline constexpr const char* kDirect = "direct";
+inline constexpr const char* kIsdf = "isdf";
+inline constexpr const char* kSlq = "slq";
+}  // namespace methods
+
+/// Probe statistics of a stochastic (SLQ) trace estimate at one quadrature
+/// point: the estimate's error bar is the probe-sample spread.
+struct ProbeStats {
+  int n_probes = 0;
+  int lanczos_steps = 0;
+  /// Unbiased standard deviation of the per-probe estimates; the standard
+  /// error of e_term is probe_stddev / sqrt(n_probes). 0 when n_probes=1.
+  double probe_stddev = 0.0;
+  /// 95% confidence half-width of e_term: 1.96 * probe_stddev /
+  /// sqrt(n_probes). 0 when n_probes=1.
+  double ci_halfwidth = 0.0;
+  /// ci_halfwidth / |e_term| — what SLQ_TARGET_REL_CI is compared
+  /// against. 0 when e_term is exactly zero.
+  double rel_ci = 0.0;
+  long matvec_columns = 0;  ///< single-vector operator applies spent
+};
+
+/// One quadrature point of any of the four drivers. The subspace fields
+/// (filter_iterations, error, the elision and quarantine telemetry) stay
+/// at their defaults for the dense backends; `probes` is set only by SLQ.
 struct OmegaRecord {
   double omega = 0.0;
   double weight = 0.0;
@@ -221,7 +251,12 @@ struct OmegaRecord {
   bool elided = false;
   double projection_residual = 0.0;
   bool fallback = false;
-  std::vector<double> eigenvalues;  ///< converged Ritz values (ascending)
+  /// The eigenvalues of nu chi0 entering the trace (ascending): converged
+  /// Ritz values, or the dense spectrum (truncated to the kept count).
+  /// Empty for SLQ, which never forms them.
+  std::vector<double> eigenvalues;
+  /// SLQ only: e_term is the probe mean, and these are its statistics.
+  std::optional<ProbeStats> probes;
 };
 
 /// Measured per-rank seconds of a column-partitioned run (n_ranks > 1):
@@ -235,7 +270,11 @@ struct RankSeconds {
   std::vector<double> error_seconds;
 };
 
+/// The run record of every E_RPA driver (compute_rpa_energy,
+/// compute_rpa_energy_slq, direct::compute_direct_rpa,
+/// isdf::compute_rpa_energy_isdf); obs::to_json serializes it.
 struct RpaResult {
+  std::string method = methods::kSternheimer;  ///< the driver that ran
   double e_rpa = 0.0;           ///< total correlation energy (Ha)
   double e_rpa_per_atom = 0.0;  ///< e_rpa / n_atoms, filled by the driver
                                 ///< (all four backends populate it)
@@ -244,8 +283,10 @@ struct RpaResult {
   /// finite but carries the degraded points' approximation error.
   bool degraded = false;
   std::vector<OmegaRecord> per_omega;
-  KernelTimers timers;          ///< Fig. 5 kernel breakdown
-  SternheimerStats stern;       ///< Table IV statistics
+  /// Fig. 5 kernel breakdown; the dense backends also charge their
+  /// one-time diagonalization here (kernels::kDiagonalize).
+  KernelTimers timers;
+  SternheimerStats stern;       ///< Table IV statistics (Sternheimer only)
   obs::EventLog events;         ///< fallbacks, collapses, domain violations
   double total_seconds = 0.0;
   /// Present only when the run used n_ranks > 1.
@@ -274,6 +315,14 @@ double rpa_trace_term(double mu);
 double accumulate_trace_terms(const std::vector<double>& eigenvalues,
                               int omega_index, OmegaRecord& rec,
                               obs::EventLog* events);
+
+/// Close quadrature point `k`, the one step every driver ends a point
+/// with: unless `rec` carries probe statistics (an SLQ estimate, whose
+/// e_term is already the probe mean), sum the trace terms of
+/// rec.eigenvalues into rec.e_term (accumulate_trace_terms, events into
+/// result.events); then add w_k / (2 pi) * e_term to result.e_rpa, fold
+/// rec.converged into result.converged and append `rec` to per_omega.
+void close_point(RpaResult& result, OmegaRecord rec, int k);
 
 /// Resolve TOL_EIG for quadrature point `k`: an empty vector falls back
 /// to 5e-4, a vector shorter than ell is padded with its last entry, and

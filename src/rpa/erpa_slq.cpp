@@ -12,14 +12,15 @@
 
 namespace rsrpa::rpa {
 
-SlqRpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
-                                    const poisson::KroneckerLaplacian& klap,
-                                    const SlqRpaOptions& opts) {
+RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
+                                 const poisson::KroneckerLaplacian& klap,
+                                 const SlqRpaOptions& opts) {
   RSRPA_REQUIRE(opts.ell >= 1 && opts.n_probes >= 1 && opts.lanczos_steps >= 1);
   RSRPA_REQUIRE(opts.target_rel_ci >= 0.0 && opts.max_probes >= 0);
 
   WallTimer total;
-  SlqRpaResult out;
+  RpaResult out;
+  out.method = methods::kSlq;
   NuChi0Operator op(sys, klap, opts.stern);
   const auto quad = rpa_frequency_quadrature(opts.ell);
   Rng rng(opts.seed);
@@ -34,15 +35,14 @@ SlqRpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
   const CheckpointOptions& copts = opts.checkpoint;
   const bool checkpointing = !copts.path.empty();
   const std::uint64_t fingerprint =
-      checkpointing ? io::slq_run_fingerprint(sys, opts) : 0;
+      checkpointing ? io::run_fingerprint(sys, opts) : 0;
+  // No warm-start subspace: the checkpoint's V slot holds a 1x1 zero.
+  la::Matrix<double> no_subspace(1, 1);
 
-  long applies = 0;
   int k0 = 0;
-  if (checkpointing && copts.resume && std::filesystem::exists(copts.path)) {
-    io::RunCheckpoint ck = io::load_run_checkpoint(copts.path, fingerprint);
-    k0 = detail::restore_slq_checkpoint(std::move(ck), opts, out, applies,
-                                        rng);
-  }
+  if (checkpointing && copts.resume && std::filesystem::exists(copts.path))
+    k0 = detail::restore_checkpoint(copts, fingerprint, opts.ell, out,
+                                    no_subspace, rng);
 
   // Same one-time notice as compute_rpa_energy: a Sternheimer tolerance
   // below single-precision reach is clamped in the FP32 inner solves and
@@ -60,7 +60,7 @@ SlqRpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
     check_run_control(opts.control);
     const QuadPoint& q = quad[static_cast<std::size_t>(k)];
     WallTimer omega_timer;
-    const long applies_before = applies;
+    long applies = 0;
     solver::BlockOpR mop = [&op, &q, &applies](const la::Matrix<double>& in,
                                                la::Matrix<double>& o) {
       op.apply(in, o, q.omega, nullptr, nullptr);
@@ -106,41 +106,40 @@ SlqRpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
         break;
     }
 
-    SlqOmegaRecord rec;
+    OmegaRecord rec;
     rec.omega = q.omega;
     rec.weight = q.weight;
     rec.e_term = e_term;
-    rec.n_probes = static_cast<int>(samples.size());
-    rec.lanczos_steps = opts.lanczos_steps;
-    rec.probe_stddev = stddev;
-    rec.ci_halfwidth = ci_halfwidth;
-    rec.rel_ci = e_term != 0.0 ? ci_halfwidth / std::abs(e_term) : 0.0;
-    rec.matvec_columns = applies - applies_before;
+    rec.converged = true;
+    ProbeStats& p = rec.probes.emplace();
+    p.n_probes = static_cast<int>(samples.size());
+    p.lanczos_steps = opts.lanczos_steps;
+    p.probe_stddev = stddev;
+    p.ci_halfwidth = ci_halfwidth;
+    p.rel_ci = e_term != 0.0 ? ci_halfwidth / std::abs(e_term) : 0.0;
+    p.matvec_columns = applies;
     rec.seconds = omega_timer.seconds();
     out.events.emit(obs::events::kSlqOmegaEstimate,
                     "stochastic trace estimate",
                     {{"omega_index", static_cast<double>(k)},
                      {"omega", q.omega},
                      {"e_term", e_term},
-                     {"probe_stddev", rec.probe_stddev},
-                     {"n_probes", static_cast<double>(rec.n_probes)},
-                     {"ci_halfwidth", rec.ci_halfwidth},
-                     {"rel_ci", rec.rel_ci},
-                     {"matvec_columns", static_cast<double>(rec.matvec_columns)}});
-    out.e_terms.push_back(e_term);
-    out.e_rpa += q.weight * e_term / (2.0 * M_PI);
-    out.per_omega.push_back(rec);
-    out.matvec_columns = applies;
+                     {"probe_stddev", p.probe_stddev},
+                     {"n_probes", static_cast<double>(p.n_probes)},
+                     {"ci_halfwidth", p.ci_halfwidth},
+                     {"rel_ci", p.rel_ci},
+                     {"matvec_columns", static_cast<double>(applies)}});
+    close_point(out, std::move(rec), k);
 
     if (checkpointing) {
-      io::save_run_checkpoint(
-          copts.path,
-          detail::make_slq_checkpoint(fingerprint, k + 1, opts, out, rng));
+      io::save_run_checkpoint(copts.path,
+                              detail::make_checkpoint(fingerprint, k + 1,
+                                                      opts.ell, out,
+                                                      no_subspace, rng));
       detail::after_checkpoint_write(copts, k);
     }
   }
 
-  out.matvec_columns = applies;
   out.e_rpa_per_atom = out.e_rpa / static_cast<double>(sys.h->crystal().n_atoms());
   out.total_seconds = total.seconds();
   return out;

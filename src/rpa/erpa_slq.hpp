@@ -41,40 +41,20 @@ struct SlqRpaOptions {
   RunControl* control = nullptr;
 };
 
-/// Per-quadrature-point SLQ telemetry — the stochastic driver's analogue
-/// of rpa::OmegaRecord (no subspace, so no filter/eigenvalue fields; the
-/// error bar is the probe-sample spread instead).
-struct SlqOmegaRecord {
-  double omega = 0.0;
-  double weight = 0.0;
-  double e_term = 0.0;        ///< probe-mean trace estimate
-  int n_probes = 0;
-  int lanczos_steps = 0;
-  /// Unbiased standard deviation of the per-probe estimates; the standard
-  /// error of e_term is probe_stddev / sqrt(n_probes). 0 when n_probes=1.
-  double probe_stddev = 0.0;
-  /// 95% confidence half-width of e_term: 1.96 * probe_stddev /
-  /// sqrt(n_probes). 0 when n_probes=1.
-  double ci_halfwidth = 0.0;
-  /// ci_halfwidth / |e_term| — what target_rel_ci is compared against.
-  /// 0 when e_term is exactly zero.
-  double rel_ci = 0.0;
-  long matvec_columns = 0;    ///< operator applies spent on this point
-  double seconds = 0.0;
-};
+/// Each point's record carries its probe statistics (OmegaRecord::probes)
+/// and no eigenvalues; the point counts as converged, since the
+/// estimate's accuracy lives in its confidence interval.
+RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
+                                 const poisson::KroneckerLaplacian& klap,
+                                 const SlqRpaOptions& opts);
 
-struct SlqRpaResult {
-  double e_rpa = 0.0;
-  double e_rpa_per_atom = 0.0;
-  std::vector<double> e_terms;  ///< per-omega trace estimates (kept: a6 API)
-  std::vector<SlqOmegaRecord> per_omega;
-  obs::EventLog events;         ///< one slq_omega_estimate per point
-  double total_seconds = 0.0;
-  long matvec_columns = 0;      ///< total single-vector operator applies
-};
-
-SlqRpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
-                                    const poisson::KroneckerLaplacian& klap,
-                                    const SlqRpaOptions& opts);
+/// Total single-vector operator applies of an SLQ run: the sum of its
+/// points' probe matvec_columns.
+inline long slq_matvec_columns(const RpaResult& result) {
+  long applies = 0;
+  for (const OmegaRecord& rec : result.per_omega)
+    if (rec.probes) applies += rec.probes->matvec_columns;
+  return applies;
+}
 
 }  // namespace rsrpa::rpa

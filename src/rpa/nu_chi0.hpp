@@ -20,6 +20,8 @@ inline constexpr const char* kNuChi0 = "nu_chi0_apply";
 inline constexpr const char* kMatmult = "matmult";
 inline constexpr const char* kEigensolve = "eigensolve";
 inline constexpr const char* kEvalError = "eval_error";
+/// The dense backends' one-time full diagonalization of H.
+inline constexpr const char* kDiagonalize = "diagonalization";
 }  // namespace kernels
 
 class NuChi0Operator {

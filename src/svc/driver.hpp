@@ -1,12 +1,11 @@
 // One entry point, four backends.
 //
-// run_driver maps a JobSpec's METHOD onto the matching E_RPA driver and
-// normalizes the four result shapes into a DriverRun: the shared scalars
-// every caller needs (energy, convergence, timing), uniform per-omega
-// rows for printing, and the backend's full structured run-report payload
-// (obs::to_json of the native result). rpacalc and the job service both
-// dispatch through here, so a config means the same thing standalone or
-// submitted to a server — the PR-6 contract, extended to all methods.
+// run_driver maps a JobSpec's METHOD onto the matching E_RPA driver. All
+// four return the same run record (rpa::RpaResult, tagged with its
+// method), which DriverRun carries together with its run-report payload
+// (obs::to_json of the record, plus ISDF's compression diagnostics).
+// rpacalc and the job service both dispatch through here, so a config
+// means the same thing standalone or submitted to a server.
 //
 // Checkpoint/resume is a Sternheimer + SLQ capability (stern_opts's
 // checkpoint policy is forwarded into the SLQ options here): direct and
@@ -22,29 +21,18 @@
 
 namespace rsrpa::svc {
 
-/// One quadrature point, backend-agnostic.
-struct DriverOmegaRow {
-  double omega = 0.0;
-  double weight = 0.0;
-  double e_term = 0.0;
-  bool converged = true;
-  double seconds = 0.0;
-};
-
 struct DriverRun {
   Method method = Method::kSternheimer;
-  double e_rpa = 0.0;
+  /// The run record, whichever backend produced it.
+  rpa::RpaResult rpa;
+  /// The backend's run-report payload (obs::to_json of `rpa`). Written
+  /// under the method-name key of the report file.
+  obs::Json report;
+  // Copies of rpa's fields, and a flag set only for the Sternheimer
+  // method: kept because the perfbench/ harness (rpabench) reads them.
   double e_rpa_per_atom = 0.0;
   bool converged = true;
-  bool degraded = false;  ///< Sternheimer quarantine; false elsewhere
-  double total_seconds = 0.0;
-  std::vector<DriverOmegaRow> per_omega;
-  /// The backend's native run-report payload (obs::to_json of its result
-  /// struct). Written under the method-name key of the report file.
-  obs::Json report;
-  /// The full Sternheimer result (method == kSternheimer only; the other
-  /// backends' extras live in `report`).
-  rpa::RpaResult rpa;
+  bool degraded = false;
   bool has_rpa = false;
 };
 

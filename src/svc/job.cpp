@@ -3,22 +3,21 @@
 namespace rsrpa::svc {
 
 Method method_from_string(const std::string& s) {
-  if (s == "sternheimer") return Method::kSternheimer;
-  if (s == "direct") return Method::kDirect;
-  if (s == "isdf") return Method::kIsdf;
-  if (s == "slq") return Method::kSlq;
+  for (Method m : {Method::kSternheimer, Method::kDirect, Method::kIsdf,
+                   Method::kSlq})
+    if (s == method_name(m)) return m;
   throw Error("unknown METHOD '" + s +
               "' (expected sternheimer|direct|isdf|slq)");
 }
 
 const char* method_name(Method m) {
   switch (m) {
-    case Method::kSternheimer: return "sternheimer";
-    case Method::kDirect: return "direct";
-    case Method::kIsdf: return "isdf";
-    case Method::kSlq: return "slq";
+    case Method::kSternheimer: return rpa::methods::kSternheimer;
+    case Method::kDirect: return rpa::methods::kDirect;
+    case Method::kIsdf: return rpa::methods::kIsdf;
+    case Method::kSlq: return rpa::methods::kSlq;
   }
-  return "sternheimer";
+  return rpa::methods::kSternheimer;
 }
 
 JobSpec parse_job(const Config& cfg) {

@@ -344,9 +344,9 @@ void JobService::run_job(Job& job) {
         });
     pending_.insert(it, &job);
   } else if (final_state == JobState::kDone) {
-    job.status.e_rpa = res.e_rpa;
-    job.status.converged = res.converged;
-    job.status.degraded = res.degraded;
+    job.status.e_rpa = res.rpa.e_rpa;
+    job.status.converged = res.rpa.converged;
+    job.status.degraded = res.rpa.degraded;
   } else if (final_state == JobState::kFailed) {
     job.status.error = error;
   }

@@ -15,8 +15,11 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -57,6 +60,36 @@ obs::Json strip_timing(const obs::Json& j) {
     return out;
   }
   return j;
+}
+
+// Copy checkpoint `src` to `dst` with its JSON payload changed by `edit`
+// (the container: magic, u64 payload length, payload, V, trailer).
+void rewrite_payload(const std::string& src, const std::string& dst,
+                     const std::function<void(obs::Json&)>& edit) {
+  std::ifstream in(src, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + 8, sizeof len);
+  obs::Json payload = obs::Json::parse(bytes.substr(16, len));
+  edit(payload);
+  const std::string text = payload.dump();
+  const std::uint64_t new_len = text.size();
+  std::ofstream out(dst, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), 8);
+  out.write(reinterpret_cast<const char*>(&new_len), sizeof new_len);
+  out << text << bytes.substr(16 + len);
+}
+
+// The message of the Error `run` throws ("" and a test failure if none).
+std::string error_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected an Error";
+  return "";
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -247,6 +280,29 @@ TEST_F(CheckpointTest, TruncatedAndCorruptFilesAreRefused) {
 
   // Fingerprint mismatch.
   EXPECT_THROW(io::load_run_checkpoint(path("c.ckpt"), 999), Error);
+
+  // Untrusted numbers in the payload must parse in full or be refused
+  // with Error: a negative, a trailing-garbage and a non-numeric
+  // fingerprint, and the same strings as block-size histogram keys.
+  for (const char* bad_number : {"-5", "12x", "abc"}) {
+    SCOPED_TRACE(bad_number);
+    rewrite_payload(path("c.ckpt"), path("num.ckpt"), [&](obs::Json& j) {
+      j["fingerprint"] = bad_number;
+    });
+    EXPECT_THROW(io::load_run_checkpoint(path("num.ckpt")), Error);
+    rewrite_payload(path("c.ckpt"), path("num.ckpt"), [&](obs::Json& j) {
+      j["sternheimer"]["block_size_chunks"][bad_number] = 1;
+    });
+    EXPECT_THROW(io::load_run_checkpoint(path("num.ckpt")), Error);
+  }
+
+  // A file of another format version is refused by version, not misread.
+  rewrite_payload(path("c.ckpt"), path("v1.ckpt"),
+                  [](obs::Json& j) { j["version"] = 1; });
+  const std::string v1_error =
+      error_of([&] { io::load_run_checkpoint(path("v1.ckpt")); });
+  EXPECT_NE(v1_error.find("unsupported format version"), std::string::npos)
+      << v1_error;
 }
 
 // ---------------------------------------------------------------------------
@@ -427,22 +483,25 @@ rpa::SlqRpaOptions slq_base_options() {
   return opts;
 }
 
-void expect_slq_bitwise_equal(const rpa::SlqRpaResult& a,
-                              const rpa::SlqRpaResult& b) {
+void expect_slq_bitwise_equal(const rpa::RpaResult& a,
+                              const rpa::RpaResult& b) {
   EXPECT_EQ(a.e_rpa, b.e_rpa);
   EXPECT_EQ(a.e_rpa_per_atom, b.e_rpa_per_atom);
-  EXPECT_EQ(a.e_terms, b.e_terms);
-  EXPECT_EQ(a.matvec_columns, b.matvec_columns);
+  EXPECT_EQ(rpa::slq_matvec_columns(a), rpa::slq_matvec_columns(b));
   ASSERT_EQ(a.per_omega.size(), b.per_omega.size());
   for (std::size_t k = 0; k < a.per_omega.size(); ++k) {
-    const rpa::SlqOmegaRecord& ra = a.per_omega[k];
-    const rpa::SlqOmegaRecord& rb = b.per_omega[k];
+    const rpa::OmegaRecord& ra = a.per_omega[k];
+    const rpa::OmegaRecord& rb = b.per_omega[k];
     EXPECT_EQ(ra.e_term, rb.e_term) << "omega " << k;
-    EXPECT_EQ(ra.n_probes, rb.n_probes) << "omega " << k;
-    EXPECT_EQ(ra.probe_stddev, rb.probe_stddev) << "omega " << k;
-    EXPECT_EQ(ra.ci_halfwidth, rb.ci_halfwidth) << "omega " << k;
-    EXPECT_EQ(ra.rel_ci, rb.rel_ci) << "omega " << k;
-    EXPECT_EQ(ra.matvec_columns, rb.matvec_columns) << "omega " << k;
+    ASSERT_TRUE(ra.probes && rb.probes) << "omega " << k;
+    EXPECT_EQ(ra.probes->n_probes, rb.probes->n_probes) << "omega " << k;
+    EXPECT_EQ(ra.probes->probe_stddev, rb.probes->probe_stddev)
+        << "omega " << k;
+    EXPECT_EQ(ra.probes->ci_halfwidth, rb.probes->ci_halfwidth)
+        << "omega " << k;
+    EXPECT_EQ(ra.probes->rel_ci, rb.probes->rel_ci) << "omega " << k;
+    EXPECT_EQ(ra.probes->matvec_columns, rb.probes->matvec_columns)
+        << "omega " << k;
   }
   EXPECT_EQ(strip_timing(obs::to_json(a)).dump(),
             strip_timing(obs::to_json(b)).dump());
@@ -451,22 +510,23 @@ void expect_slq_bitwise_equal(const rpa::SlqRpaResult& a,
 TEST_F(CheckpointTest, SlqCheckpointFieldsRoundTrip) {
   io::RunCheckpoint ck;
   ck.fingerprint = 0xabcdef0123456789ull;
-  ck.slq = true;
+  ck.method = rpa::methods::kSlq;
   ck.completed_points = 1;
   ck.ell = 3;
   ck.e_rpa_partial = -0.5;
   ck.rng_state = Rng(9).save_state();
-  rpa::SlqOmegaRecord rec;
+  rpa::OmegaRecord rec;
   rec.omega = 2.5;
   rec.weight = 0.75;
   rec.e_term = -0.25;
-  rec.n_probes = 8;
-  rec.lanczos_steps = 6;
-  rec.probe_stddev = 0.03125;
-  rec.ci_halfwidth = 0.02166;
-  rec.rel_ci = 0.08664;
-  rec.matvec_columns = 48;
-  ck.slq_per_omega.push_back(rec);
+  rpa::ProbeStats& p = rec.probes.emplace();
+  p.n_probes = 8;
+  p.lanczos_steps = 6;
+  p.probe_stddev = 0.03125;
+  p.ci_halfwidth = 0.02166;
+  p.rel_ci = 0.08664;
+  p.matvec_columns = 48;
+  ck.per_omega.push_back(rec);
   // The V slot holds the 1x1 placeholder (the container requires a
   // non-empty matrix body; SLQ has no subspace to park there).
   ck.v = la::Matrix<double>(1, 1);
@@ -475,55 +535,57 @@ TEST_F(CheckpointTest, SlqCheckpointFieldsRoundTrip) {
   io::RunCheckpoint r =
       io::load_run_checkpoint(path("slq_rt.ckpt"), ck.fingerprint);
 
-  EXPECT_TRUE(r.slq);
+  EXPECT_EQ(r.method, rpa::methods::kSlq);
   EXPECT_EQ(r.completed_points, 1);
-  ASSERT_EQ(r.slq_per_omega.size(), 1u);
-  EXPECT_EQ(r.slq_per_omega[0].omega, rec.omega);
-  EXPECT_EQ(r.slq_per_omega[0].e_term, rec.e_term);
-  EXPECT_EQ(r.slq_per_omega[0].n_probes, rec.n_probes);
-  EXPECT_EQ(r.slq_per_omega[0].lanczos_steps, rec.lanczos_steps);
-  EXPECT_EQ(r.slq_per_omega[0].probe_stddev, rec.probe_stddev);
-  EXPECT_EQ(r.slq_per_omega[0].ci_halfwidth, rec.ci_halfwidth);
-  EXPECT_EQ(r.slq_per_omega[0].rel_ci, rec.rel_ci);
-  EXPECT_EQ(r.slq_per_omega[0].matvec_columns, rec.matvec_columns);
-  EXPECT_TRUE(r.per_omega.empty());
+  ASSERT_EQ(r.per_omega.size(), 1u);
+  EXPECT_EQ(r.per_omega[0].omega, rec.omega);
+  EXPECT_EQ(r.per_omega[0].e_term, rec.e_term);
+  ASSERT_TRUE(r.per_omega[0].probes.has_value());
+  const rpa::ProbeStats& rp = *r.per_omega[0].probes;
+  EXPECT_EQ(rp.n_probes, p.n_probes);
+  EXPECT_EQ(rp.lanczos_steps, p.lanczos_steps);
+  EXPECT_EQ(rp.probe_stddev, p.probe_stddev);
+  EXPECT_EQ(rp.ci_halfwidth, p.ci_halfwidth);
+  EXPECT_EQ(rp.rel_ci, p.rel_ci);
+  EXPECT_EQ(rp.matvec_columns, p.matvec_columns);
+  EXPECT_TRUE(r.per_omega[0].eigenvalues.empty());
 }
 
 TEST_F(CheckpointTest, SlqFingerprintSeparatesRunsThatMustNotResume) {
   auto& b = built();
   const rpa::SlqRpaOptions opts = slq_base_options();
-  const std::uint64_t base = io::slq_run_fingerprint(b.ks, opts);
-  EXPECT_EQ(io::slq_run_fingerprint(b.ks, opts), base);  // deterministic
+  const std::uint64_t base = io::run_fingerprint(b.ks, opts);
+  EXPECT_EQ(io::run_fingerprint(b.ks, opts), base);  // deterministic
 
   rpa::SlqRpaOptions o2 = opts;
   o2.seed += 1;
-  EXPECT_NE(io::slq_run_fingerprint(b.ks, o2), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o2), base);
   rpa::SlqRpaOptions o3 = opts;
   o3.n_probes += 1;
-  EXPECT_NE(io::slq_run_fingerprint(b.ks, o3), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o3), base);
   rpa::SlqRpaOptions o4 = opts;
   o4.lanczos_steps += 1;
-  EXPECT_NE(io::slq_run_fingerprint(b.ks, o4), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o4), base);
   rpa::SlqRpaOptions o5 = opts;
   o5.target_rel_ci = 0.05;
-  EXPECT_NE(io::slq_run_fingerprint(b.ks, o5), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o5), base);
   rpa::SlqRpaOptions o6 = opts;
   o6.max_probes = 64;
-  EXPECT_NE(io::slq_run_fingerprint(b.ks, o6), base);
+  EXPECT_NE(io::run_fingerprint(b.ks, o6), base);
   // The checkpoint policy itself must NOT move the fingerprint.
   rpa::SlqRpaOptions o7 = opts;
   o7.checkpoint.path = "elsewhere.ckpt";
   o7.checkpoint.resume = true;
-  EXPECT_EQ(io::slq_run_fingerprint(b.ks, o7), base);
-  // Distinct domain tag: an SLQ fingerprint can never collide with the
-  // Sternheimer fingerprint of the same physical system.
+  EXPECT_EQ(io::run_fingerprint(b.ks, o7), base);
+  // The method enters the one fingerprint domain: an SLQ fingerprint
+  // differs from the Sternheimer fingerprint of the same physical system.
   EXPECT_NE(base, io::run_fingerprint(b.ks, base_options()));
 }
 
 TEST_F(CheckpointTest, SlqKillAndResumeIsBitwiseIdentical) {
   auto& b = built();
   const rpa::SlqRpaOptions base = slq_base_options();
-  const rpa::SlqRpaResult straight =
+  const rpa::RpaResult straight =
       rpa::compute_rpa_energy_slq(b.ks, *b.klap, base);
   ASSERT_TRUE(std::isfinite(straight.e_rpa));
 
@@ -543,7 +605,7 @@ TEST_F(CheckpointTest, SlqKillAndResumeIsBitwiseIdentical) {
     resumed.checkpoint.path = ckpt;
     resumed.checkpoint.resume = true;
     resumed.checkpoint.events = &lifecycle;
-    const rpa::SlqRpaResult r =
+    const rpa::RpaResult r =
         rpa::compute_rpa_energy_slq(b.ks, *b.klap, resumed);
 
     EXPECT_EQ(lifecycle.count(obs::events::kRunResumed), 1u);
@@ -562,7 +624,7 @@ TEST_F(CheckpointTest, SlqAdaptiveKillAndResumeIsBitwiseIdentical) {
   rpa::SlqRpaOptions base = slq_base_options();
   base.target_rel_ci = 0.10;
   base.max_probes = 12;
-  const rpa::SlqRpaResult straight =
+  const rpa::RpaResult straight =
       rpa::compute_rpa_energy_slq(b.ks, *b.klap, base);
   ASSERT_TRUE(std::isfinite(straight.e_rpa));
 
@@ -576,7 +638,7 @@ TEST_F(CheckpointTest, SlqAdaptiveKillAndResumeIsBitwiseIdentical) {
   rpa::SlqRpaOptions resumed = base;
   resumed.checkpoint.path = ckpt;
   resumed.checkpoint.resume = true;
-  const rpa::SlqRpaResult r =
+  const rpa::RpaResult r =
       rpa::compute_rpa_energy_slq(b.ks, *b.klap, resumed);
   expect_slq_bitwise_equal(straight, r);
 }
@@ -592,7 +654,13 @@ TEST_F(CheckpointTest, SlqAndSternheimerCheckpointsDoNotCrossResume) {
   rpa::SlqRpaOptions slq = slq_base_options();
   slq.checkpoint.path = path("stern_x.ckpt");
   slq.checkpoint.resume = true;
-  EXPECT_THROW(rpa::compute_rpa_energy_slq(b.ks, *b.klap, slq), Error);
+  const std::string slq_error = error_of(
+      [&] { rpa::compute_rpa_energy_slq(b.ks, *b.klap, slq); });
+  EXPECT_NE(slq_error.find("written by the sternheimer driver"),
+            std::string::npos)
+      << slq_error;
+  EXPECT_NE(slq_error.find("resume the slq driver"), std::string::npos)
+      << slq_error;
 
   // And the reverse: an SLQ checkpoint must not seed a Sternheimer resume.
   rpa::SlqRpaOptions slq2 = slq_base_options();
@@ -603,7 +671,13 @@ TEST_F(CheckpointTest, SlqAndSternheimerCheckpointsDoNotCrossResume) {
   rpa::RpaOptions stern2 = base_options();
   stern2.checkpoint.path = path("slq_x.ckpt");
   stern2.checkpoint.resume = true;
-  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, stern2), Error);
+  const std::string stern_error = error_of(
+      [&] { rpa::compute_rpa_energy(b.ks, *b.klap, stern2); });
+  EXPECT_NE(stern_error.find("written by the slq driver"), std::string::npos)
+      << stern_error;
+  EXPECT_NE(stern_error.find("resume the sternheimer driver"),
+            std::string::npos)
+      << stern_error;
 }
 
 }  // namespace

@@ -133,17 +133,20 @@ TEST(NuChi0Spectrum, WholeSpectrumShrinksAtLargeOmega) {
 
 TEST(DirectRpa, ProducesNegativeEnergyWithTimings) {
   auto& b = tiny_system();
-  DirectRpaResult res =
-      compute_direct_rpa(*b.h, b.ks.n_occ(), *b.klap, 8, /*keep_spectra=*/true);
+  rpa::RpaResult res = compute_direct_rpa(*b.h, b.ks.n_occ(), *b.klap, 8);
+  EXPECT_EQ(res.method, rpa::methods::kDirect);
   EXPECT_LT(res.e_rpa, 0.0);
   EXPECT_LT(res.e_rpa_per_atom, 0.0);
   EXPECT_GT(res.e_rpa_per_atom, -1.0);  // sane magnitude (Ha/atom)
-  EXPECT_EQ(res.e_terms.size(), 8u);
-  EXPECT_EQ(res.spectra.size(), 8u);
-  EXPECT_GT(res.diagonalization_seconds, 0.0);
+  ASSERT_EQ(res.per_omega.size(), 8u);
+  // Each record keeps the full spectrum (the Fig. 1 data).
+  for (const rpa::OmegaRecord& rec : res.per_omega)
+    EXPECT_EQ(rec.eigenvalues.size(), b.h->grid().size());
+  EXPECT_GT(res.timers.get(rpa::kernels::kDiagonalize), 0.0);
   // Every term is negative; magnitudes are small at the largest omega.
-  for (double e : res.e_terms) EXPECT_LT(e, 0.0);
-  EXPECT_LT(std::abs(res.e_terms.front()), std::abs(res.e_terms[4]));
+  for (const rpa::OmegaRecord& rec : res.per_omega) EXPECT_LT(rec.e_term, 0.0);
+  EXPECT_LT(std::abs(res.per_omega.front().e_term),
+            std::abs(res.per_omega[4].e_term));
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST(Integration, ErpaIsVariationalInNeig) {
     EXPECT_LT(res.e_rpa, prev + 1e-6) << n_eig;  // more negative each time
     prev = res.e_rpa;
   }
-  direct::DirectRpaResult dir =
+  rpa::RpaResult dir =
       direct::compute_direct_rpa(*b.h, b.ks.n_occ(), *b.klap, 3);
   EXPECT_GT(prev, dir.e_rpa * 1.001);  // still above (less negative than) full
 }

@@ -143,7 +143,7 @@ TEST(SlqDriver, MatchesDirectFullTraceOnTinySystem) {
   // SLQ estimates the FULL trace, so the correct oracle is the dense
   // direct result over all eigenvalues (the subspace driver truncates at
   // n_eig and differs by the tail).
-  direct::DirectRpaResult dir =
+  rpa::RpaResult dir =
       direct::compute_direct_rpa(*sys.h, sys.ks.n_occ(), *sys.klap, 4);
 
   rpa::SlqRpaOptions sopts;
@@ -151,13 +151,14 @@ TEST(SlqDriver, MatchesDirectFullTraceOnTinySystem) {
   sopts.n_probes = 24;
   sopts.lanczos_steps = 16;
   sopts.stern.tol = 1e-4;
-  rpa::SlqRpaResult slq = rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, sopts);
+  rpa::RpaResult slq = rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, sopts);
 
+  EXPECT_EQ(slq.method, rpa::methods::kSlq);
   EXPECT_LT(slq.e_rpa, 0.0);
   EXPECT_NEAR(slq.e_rpa, dir.e_rpa, 0.08 * std::abs(dir.e_rpa));
-  EXPECT_GT(slq.matvec_columns, 0);
-  ASSERT_EQ(slq.e_terms.size(), 4u);
-  for (double e : slq.e_terms) EXPECT_LT(e, 0.0);
+  EXPECT_GT(rpa::slq_matvec_columns(slq), 0);
+  ASSERT_EQ(slq.per_omega.size(), 4u);
+  for (const rpa::OmegaRecord& rec : slq.per_omega) EXPECT_LT(rec.e_term, 0.0);
 }
 
 TEST(SlqDriver, MoreProbesReduceSpread) {
@@ -202,20 +203,21 @@ TEST(SlqDriver, FixedModeRecordsCarryConfidenceIntervals) {
   sopts.n_probes = 8;
   sopts.lanczos_steps = 8;
   sopts.stern.tol = 1e-3;
-  const rpa::SlqRpaResult r =
+  const rpa::RpaResult r =
       rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, sopts);
 
   ASSERT_EQ(r.per_omega.size(), 2u);
-  for (const rpa::SlqOmegaRecord& rec : r.per_omega) {
-    EXPECT_EQ(rec.n_probes, 8);
-    EXPECT_GT(rec.probe_stddev, 0.0);
+  for (const rpa::OmegaRecord& rec : r.per_omega) {
+    ASSERT_TRUE(rec.probes.has_value());
+    const rpa::ProbeStats& p = *rec.probes;
+    EXPECT_EQ(p.n_probes, 8);
+    EXPECT_GT(p.probe_stddev, 0.0);
     // ci = 1.96 * stddev / sqrt(n), rel_ci = ci / |e_term|: internal
     // consistency of the published error bar.
-    EXPECT_NEAR(rec.ci_halfwidth,
-                1.96 * rec.probe_stddev / std::sqrt(8.0),
-                1e-15 + 1e-12 * rec.ci_halfwidth);
-    EXPECT_NEAR(rec.rel_ci, rec.ci_halfwidth / std::abs(rec.e_term),
-                1e-15 + 1e-12 * rec.rel_ci);
+    EXPECT_NEAR(p.ci_halfwidth, 1.96 * p.probe_stddev / std::sqrt(8.0),
+                1e-15 + 1e-12 * p.ci_halfwidth);
+    EXPECT_NEAR(p.rel_ci, p.ci_halfwidth / std::abs(rec.e_term),
+                1e-15 + 1e-12 * p.rel_ci);
   }
 }
 
@@ -235,42 +237,43 @@ TEST(SlqDriver, AdaptiveStopAddsProbesUntilTargetOrCap) {
   // adaptive run must spend exactly the fixed-mode probe count.
   rpa::SlqRpaOptions easy = base;
   easy.target_rel_ci = 10.0;
-  const rpa::SlqRpaResult re =
+  const rpa::RpaResult re =
       rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, easy);
-  for (const rpa::SlqOmegaRecord& rec : re.per_omega)
-    EXPECT_EQ(rec.n_probes, base.n_probes);
+  for (const rpa::OmegaRecord& rec : re.per_omega)
+    EXPECT_EQ(rec.probes->n_probes, base.n_probes);
 
   // An impossible target: every point must run to the probe cap, in
   // whole batches.
   rpa::SlqRpaOptions hard = base;
   hard.target_rel_ci = 1e-9;
   hard.max_probes = 12;
-  const rpa::SlqRpaResult rh =
+  const rpa::RpaResult rh =
       rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, hard);
-  for (const rpa::SlqOmegaRecord& rec : rh.per_omega) {
-    EXPECT_EQ(rec.n_probes, 12);
-    EXPECT_LT(rec.rel_ci, re.per_omega[0].rel_ci * 10);  // tighter than easy
+  for (const rpa::OmegaRecord& rec : rh.per_omega) {
+    EXPECT_EQ(rec.probes->n_probes, 12);
+    // tighter than easy
+    EXPECT_LT(rec.probes->rel_ci, re.per_omega[0].probes->rel_ci * 10);
   }
-  EXPECT_GT(rh.matvec_columns, re.matvec_columns);
+  EXPECT_GT(rpa::slq_matvec_columns(rh), rpa::slq_matvec_columns(re));
 
   // Unset cap defaults to 8 * n_probes.
   rpa::SlqRpaOptions uncapped = base;
   uncapped.ell = 1;
   uncapped.target_rel_ci = 1e-9;
-  const rpa::SlqRpaResult ru =
+  const rpa::RpaResult ru =
       rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, uncapped);
   ASSERT_EQ(ru.per_omega.size(), 1u);
-  EXPECT_EQ(ru.per_omega[0].n_probes, 8 * base.n_probes);
+  EXPECT_EQ(ru.per_omega[0].probes->n_probes, 8 * base.n_probes);
 
   // The adaptive run's tighter estimate stays consistent with the fixed
   // run (same physics, more probes).
-  const rpa::SlqRpaResult rf =
+  const rpa::RpaResult rf =
       rpa::compute_rpa_energy_slq(sys.ks, *sys.klap, base);
   EXPECT_NEAR(rh.e_rpa, rf.e_rpa,
-              3.0 * (rf.per_omega[0].ci_halfwidth +
-                     rf.per_omega[1].ci_halfwidth +
-                     rh.per_omega[0].ci_halfwidth +
-                     rh.per_omega[1].ci_halfwidth));
+              3.0 * (rf.per_omega[0].probes->ci_halfwidth +
+                     rf.per_omega[1].probes->ci_halfwidth +
+                     rh.per_omega[0].probes->ci_halfwidth +
+                     rh.per_omega[1].probes->ci_halfwidth));
 }
 
 }  // namespace

@@ -360,43 +360,49 @@ TEST(RunReport, ElidedOmegaRecordRoundTrips) {
   EXPECT_EQ(pback.projection_residual, 0.0);
 }
 
-TEST(RunReport, SlqOmegaRecordRoundTrips) {
-  rpa::SlqOmegaRecord rec;
+TEST(RunReport, ProbeStatsOmegaRecordRoundTrips) {
+  // An SLQ point: an OmegaRecord with probe statistics and no eigenvalues.
+  rpa::OmegaRecord rec;
   rec.omega = 2.03022;
   rec.weight = 0.375;
   rec.e_term = -0.0625;
-  rec.n_probes = 12;
-  rec.lanczos_steps = 6;
-  rec.probe_stddev = 0.015625;
-  rec.ci_halfwidth = 0.00884;
-  rec.rel_ci = 0.14144;
-  rec.matvec_columns = 72;
+  rec.converged = true;
   rec.seconds = 1.5;
+  rpa::ProbeStats& p = rec.probes.emplace();
+  p.n_probes = 12;
+  p.lanczos_steps = 6;
+  p.probe_stddev = 0.015625;
+  p.ci_halfwidth = 0.00884;
+  p.rel_ci = 0.14144;
+  p.matvec_columns = 72;
   const Json j = Json::parse(to_json(rec).dump());
-  EXPECT_EQ(j.at("ci_halfwidth").as_double(), rec.ci_halfwidth);
-  EXPECT_EQ(j.at("rel_ci").as_double(), rec.rel_ci);
+  EXPECT_EQ(j.at("ci_halfwidth").as_double(), p.ci_halfwidth);
+  EXPECT_EQ(j.at("rel_ci").as_double(), p.rel_ci);
 
-  const rpa::SlqOmegaRecord back = slq_omega_record_from_json(j);
+  const rpa::OmegaRecord back = omega_record_from_json(j);
+  ASSERT_TRUE(back.probes.has_value());
   EXPECT_EQ(back.omega, rec.omega);
   EXPECT_EQ(back.weight, rec.weight);
   EXPECT_EQ(back.e_term, rec.e_term);
-  EXPECT_EQ(back.n_probes, rec.n_probes);
-  EXPECT_EQ(back.lanczos_steps, rec.lanczos_steps);
-  EXPECT_EQ(back.probe_stddev, rec.probe_stddev);
-  EXPECT_EQ(back.ci_halfwidth, rec.ci_halfwidth);
-  EXPECT_EQ(back.rel_ci, rec.rel_ci);
-  EXPECT_EQ(back.matvec_columns, rec.matvec_columns);
+  EXPECT_EQ(back.probes->n_probes, p.n_probes);
+  EXPECT_EQ(back.probes->lanczos_steps, p.lanczos_steps);
+  EXPECT_EQ(back.probes->probe_stddev, p.probe_stddev);
+  EXPECT_EQ(back.probes->ci_halfwidth, p.ci_halfwidth);
+  EXPECT_EQ(back.probes->rel_ci, p.rel_ci);
+  EXPECT_EQ(back.probes->matvec_columns, p.matvec_columns);
   EXPECT_EQ(back.seconds, rec.seconds);
 
-  // Pre-CI reports (written before the adaptive stop rule existed) lack
-  // the two CI keys; the parser must default them to zero.
+  // The probe group is all or nothing: a row missing the two CI keys is
+  // refused rather than defaulted.
   Json old = Json::object();
   for (const auto& [key, value] : j.as_object())
     if (key != "ci_halfwidth" && key != "rel_ci") old[key] = value;
-  const rpa::SlqOmegaRecord compat = slq_omega_record_from_json(old);
-  EXPECT_EQ(compat.ci_halfwidth, 0.0);
-  EXPECT_EQ(compat.rel_ci, 0.0);
-  EXPECT_EQ(compat.e_term, rec.e_term);
+  EXPECT_THROW(omega_record_from_json(old), Error);
+
+  // A subspace record carries no probe group.
+  EXPECT_EQ(to_json(rpa::OmegaRecord{}).find("n_probes"), nullptr);
+  EXPECT_FALSE(omega_record_from_json(to_json(rpa::OmegaRecord{}))
+                   .probes.has_value());
 }
 
 TEST(RunReport, RpaResultSerializesAllSections) {

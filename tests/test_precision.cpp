@@ -597,7 +597,7 @@ TEST_F(PrecisionCheckpointTest, FingerprintSeparatesPrecisionPolicies) {
   s64.ell = 2;
   rpa::SlqRpaOptions sm = s64;
   sm.stern.precision = Precision::kMixed;
-  EXPECT_NE(io::slq_run_fingerprint(b.ks, s64), io::slq_run_fingerprint(b.ks, sm));
+  EXPECT_NE(io::run_fingerprint(b.ks, s64), io::run_fingerprint(b.ks, sm));
 }
 
 // ---------------------------------------------------------------------------
