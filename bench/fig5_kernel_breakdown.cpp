@@ -3,8 +3,11 @@
 // modeled p-rank wall clock of par/kernel_breakdown.hpp.
 //
 // Expected shape (paper Fig. 5): the nu^{1/2} chi0 nu^{1/2} kernel
-// dominates and scales well; eval error tracks it plus an allreduce;
-// matmult and eigensolve scale poorly and grow in relative share with p.
+// dominates and scales well; matmult and eigensolve scale poorly and grow
+// in relative share with p. The paper's eval error applies the operator
+// afresh and tracks the apply kernel; here the Eq. (7) residual rotates
+// the projection's A V, so the row is a norm reduction plus an allreduce
+// (docs/THEORY.md section 7).
 #include <cstdio>
 
 #include "bench_util.hpp"

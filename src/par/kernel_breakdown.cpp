@@ -13,7 +13,7 @@ rpa::RankSeconds measured_ranks(const rpa::RpaResult& res) {
   if (res.ranks) return *res.ranks;
   rpa::RankSeconds one;
   one.apply_seconds = {res.timers.get(rpa::kernels::kNuChi0)};
-  one.error_seconds = {res.timers.get(rpa::kernels::kEvalError)};
+  one.error_seconds = {0.0};
   return one;
 }
 
@@ -37,6 +37,7 @@ KernelBreakdown modeled_breakdown(const rpa::RpaResult& res, std::size_t p,
                                 ranks.apply_seconds.end());
   k.eval_error = *std::max_element(ranks.error_seconds.begin(),
                                    ranks.error_seconds.end()) +
+                 res.timers.get(rpa::kernels::kEvalError) +
                  static_cast<double>(checks) * net.allreduce(8 * (m + 1), p);
   k.matmult = net.matmult_time(res.timers.get(rpa::kernels::kMatmult), n, m, p);
   k.eigensolve =

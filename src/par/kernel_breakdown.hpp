@@ -11,15 +11,19 @@
 // modeled_breakdown then assembles the parallel wall time per kernel:
 //
 //   nu_chi0     = max over ranks of measured apply time
-//   eval error  = max over ranks of measured check time + modeled allreduce
+//   eval error  = max over ranks of measured check time
+//                 + measured norm reduction + modeled allreduce
 //   matmult     = measured sequential time / p + modeled redistribution
 //   eigensolve  = measured / min(p, saturation) + modeled latency
 //
 // This is the substitution documented in DESIGN.md: both efficiency-loss
 // mechanisms the paper reports (imbalance, collectives) are represented,
-// the first by direct measurement. A serial run has no rank section; it
-// counts as one rank whose apply and check seconds are its measured
-// nu_chi0_apply and eval_error timers.
+// the first by direct measurement. The Eq. (7) check reuses the
+// projection's image A V, so unlike the paper's eval error kernel it
+// applies nothing: every run records 0 per-rank check seconds
+// (RankSeconds::error_seconds), and the kernel is the serial eval_error
+// timer plus the allreduce at every p. A serial run has no rank section;
+// it counts as one rank whose apply seconds are its nu_chi0_apply timer.
 #pragma once
 
 #include "obs/json.hpp"

@@ -194,23 +194,18 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
     if (fault_scope.requested() != solver::FaultMode::kNone)
       fault_scope.select_for_point(k, opts.fault_omega);
 
-    // nu^{1/2} chi0 nu^{1/2} at this omega. The eval_error applications
-    // are timed by subspace_iteration; every other one is charged to
-    // nu_chi0_apply here.
+    // nu^{1/2} chi0 nu^{1/2} at this omega; every application is charged
+    // to nu_chi0_apply here.
     const SubspaceApply apply = [&](const la::Matrix<double>& in,
-                                    la::Matrix<double>& out,
-                                    bool eval_error) {
+                                    la::Matrix<double>& out) {
       if (p == 1) {
-        op.apply(in, out, q.omega, &result.stern,
-                 eval_error ? nullptr : &result.timers);
+        op.apply(in, out, q.omega, &result.stern, &result.timers);
         return;
       }
       WallTimer t;
-      ranked_apply(op, part, q.omega, in, out,
-                   eval_error ? result.ranks->error_seconds
-                              : result.ranks->apply_seconds,
+      ranked_apply(op, part, q.omega, in, out, result.ranks->apply_seconds,
                    result.stern, result.events);
-      if (!eval_error) result.timers.add(kernels::kNuChi0, t.seconds());
+      result.timers.add(kernels::kNuChi0, t.seconds());
     };
 
     const bool frozen = ssa_frozen(opts.ssa, k);
@@ -249,11 +244,9 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       // frozen basis, small dense eigensolves, a-posteriori residual. The
       // augmentation target sits a factor under the guard so accepted
       // elisions clear it with margin.
-      const SsaProjection proj = ssa_project(
-          [&](const la::Matrix<double>& in, la::Matrix<double>& out) {
-            apply(in, out, false);
-          },
-          v, q.omega, &result.events, 0.25 * opts.ssa.residual_tol);
+      const SsaProjection proj =
+          ssa_project(apply, v, q.omega, &result.events,
+                      0.25 * opts.ssa.residual_tol);
       result.timers.add(kernels::kMatmult, proj.matmult_seconds);
       result.timers.add(kernels::kEigensolve, proj.eigensolve_seconds);
       result.timers.add(kernels::kEvalError, proj.residual_seconds);

@@ -260,13 +260,16 @@ struct OmegaRecord {
 };
 
 /// Measured per-rank seconds of a column-partitioned run (n_ranks > 1):
-/// rank r's share of the filter, Rayleigh-Ritz and SSA applications, and
-/// of the Eq. (7) convergence-check applications. The panel shape feeds
-/// the collective model (par/kernel_breakdown.hpp).
+/// rank r's share of the filter, Rayleigh-Ritz and SSA applications. The
+/// panel shape feeds the collective model (par/kernel_breakdown.hpp).
 struct RankSeconds {
   std::size_t panel_rows = 0;  ///< n_d
   std::size_t panel_cols = 0;  ///< n_eig
   std::vector<double> apply_seconds;
+  /// Always 0: the Eq. (7) check reuses the projection's image, so no
+  /// rank-sliced apply is charged to it. Kept so the report key
+  /// ranks.error_seconds and the checkpoint key rank_error_seconds stay
+  /// append-only.
   std::vector<double> error_seconds;
 };
 

@@ -5,52 +5,9 @@
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "obs/event_log.hpp"
-#include "sched/parallel_for.hpp"
+#include "rpa/ritz.hpp"
 
 namespace rsrpa::rpa {
-
-namespace {
-
-// Eq. (7)-normalized residual of the first `m` Ritz pairs (x_j, mu_j)
-// given their operator images ax: sum_j ||A x_j - mu_j x_j|| over
-// (m * max(||mu||_2, eps)). Per-column norms fan out over the sched pool
-// into disjoint slots; the final sum stays serial in ascending j — same
-// determinism discipline as the full driver's convergence check.
-double ritz_residual(const la::Matrix<double>& x, const la::Matrix<double>& ax,
-                     const std::vector<double>& values, std::size_t m,
-                     std::vector<double>* col_res) {
-  const std::size_t n = x.rows();
-  col_res->assign(m, 0.0);
-  sched::parallel_for(0, m, 4, [&](std::size_t j) {
-    double r2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double r = ax(i, j) - values[j] * x(i, j);
-      r2 += r * r;
-    }
-    (*col_res)[j] = std::sqrt(r2);
-  });
-  double sum_res = 0.0, sum_d2 = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    sum_res += (*col_res)[j];
-    sum_d2 += values[j] * values[j];
-  }
-  return sum_res /
-         (static_cast<double>(m) * std::max(std::sqrt(sum_d2), 1e-300));
-}
-
-// Symmetrize the projected operator in place. Inexact Sternheimer solves
-// leave it slightly asymmetric, exactly as in the full driver's
-// Rayleigh-Ritz step.
-void symmetrize(la::Matrix<double>& h) {
-  for (std::size_t j = 0; j < h.cols(); ++j)
-    for (std::size_t i = 0; i < j; ++i) {
-      const double avg = 0.5 * (h(i, j) + h(j, i));
-      h(i, j) = avg;
-      h(j, i) = avg;
-    }
-}
-
-}  // namespace
 
 SsaProjection ssa_project(const solver::BlockOpR& apply,
                           const la::Matrix<double>& basis, double omega,
@@ -69,7 +26,7 @@ SsaProjection ssa_project(const solver::BlockOpR& apply,
     la::gemm_tn(1.0, basis, basis, 0.0, ms);
     out.matmult_seconds += t.seconds();
   }
-  symmetrize(hs);
+  detail::symmetrize(hs);
 
   la::EigResult sub;
   {
@@ -105,7 +62,7 @@ SsaProjection ssa_project(const solver::BlockOpR& apply,
   std::vector<double> col_res;
   {
     WallTimer t;
-    out.residual = ritz_residual(x, ax, sub.values, m, &col_res);
+    out.residual = detail::ritz_residual(x, ax, sub.values, m, col_res);
     out.residual_seconds += t.seconds();
   }
   out.eigenvalues = sub.values;
@@ -175,7 +132,7 @@ SsaProjection ssa_project(const solver::BlockOpR& apply,
       la::gemm_tn(1.0, wmat, wmat, 0.0, mw);
       out.matmult_seconds += t.seconds();
     }
-    symmetrize(hw);
+    detail::symmetrize(hw);
 
     la::EigResult aug;
     {
@@ -208,7 +165,8 @@ SsaProjection ssa_project(const solver::BlockOpR& apply,
     out.eigenvalues.assign(aug.values.begin(), aug.values.begin() + m);
     {
       WallTimer tr;
-      out.residual = ritz_residual(x, ax, out.eigenvalues, m, &col_res);
+      out.residual =
+          detail::ritz_residual(x, ax, out.eigenvalues, m, col_res);
       out.residual_seconds += tr.seconds();
     }
   }

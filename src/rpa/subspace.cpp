@@ -6,16 +6,17 @@
 #include "la/eig.hpp"
 #include "la/qr.hpp"
 #include "obs/event_log.hpp"
-#include "sched/parallel_for.hpp"
-#include "solver/chebyshev.hpp"
+#include "rpa/ritz.hpp"
 
 namespace rsrpa::rpa {
 
 namespace {
 
 // One Rayleigh-Ritz pass: project, solve the generalized symmetric
-// eigenproblem, rotate V, then evaluate the Eq. (7) error with a fresh
-// operator application (the paper's "eval error" kernel).
+// eigenproblem, rotate V, then evaluate the Eq. (7) error. A is linear, so
+// the rotated block's image A (V Q) is the projection's A V rotated by the
+// same Q: the check needs no further operator application. (The paper's
+// "eval error" kernel applies A afresh; here it is the norm reduction.)
 struct RrOutcome {
   std::vector<double> values;
   double error = 0.0;
@@ -27,7 +28,7 @@ RrOutcome rayleigh_ritz_and_error(const SubspaceApply& apply, double omega,
                                   obs::EventLog* events) {
   const std::size_t n = v.rows(), m = v.cols();
   la::Matrix<double> av(n, m);
-  apply(v, av, false);
+  apply(v, av);
 
   la::Matrix<double> hs(m, m), ms(m, m);
   {
@@ -36,15 +37,7 @@ RrOutcome rayleigh_ritz_and_error(const SubspaceApply& apply, double omega,
     la::gemm_tn(1.0, v, v, 0.0, ms);
     if (timers != nullptr) timers->add(kernels::kMatmult, t.seconds());
   }
-  // Inexact Sternheimer solves leave H_s slightly asymmetric; symmetrize
-  // before the generalized eigensolve (the subspace-iteration-under-
-  // perturbation regime of paper SS IV-B).
-  for (std::size_t j = 0; j < m; ++j)
-    for (std::size_t i = 0; i < j; ++i) {
-      const double avg = 0.5 * (hs(i, j) + hs(j, i));
-      hs(i, j) = avg;
-      hs(j, i) = avg;
-    }
+  detail::symmetrize(hs);
 
   la::EigResult sub;
   bool collapsed = false;
@@ -54,14 +47,14 @@ RrOutcome rayleigh_ritz_and_error(const SubspaceApply& apply, double omega,
       sub = la::sym_eig_gen(hs, ms);
     } catch (const NumericalBreakdown& breakdown) {
       // Filtering collapsed the block numerically: orthonormalize and
-      // re-project with M_s = I.
+      // re-project with M_s = I; av is then the orthonormal block's image.
       collapsed = true;
       if (events != nullptr)
         events->emit(obs::events::kEigensolveCollapse, breakdown.what(),
                      {{"omega", omega},
                       {"subspace_dim", static_cast<double>(m)}});
       la::orthonormalize(v);
-      apply(v, av, false);
+      apply(v, av);
       la::gemm_tn(1.0, v, av, 0.0, hs);
       sub = la::sym_eig(hs);
     }
@@ -70,41 +63,21 @@ RrOutcome rayleigh_ritz_and_error(const SubspaceApply& apply, double omega,
 
   {
     WallTimer t;
-    la::Matrix<double> rotated(n, m);
+    la::Matrix<double> rotated(n, m), arotated(n, m);
     la::gemm_nn(1.0, v, sub.vectors, 0.0, rotated);
+    la::gemm_nn(1.0, av, sub.vectors, 0.0, arotated);
     v = std::move(rotated);
+    av = std::move(arotated);
     if (timers != nullptr) timers->add(kernels::kMatmult, t.seconds());
   }
 
-  // Convergence check, Eq. (7): a fresh apply A V_rot plus the norm
-  // reductions (the MPI_Allreduce in the distributed setting).
   RrOutcome out;
-  out.values = sub.values;
+  out.values = std::move(sub.values);
   out.collapsed = collapsed;
   {
     WallTimer t;
-    apply(v, av, true);  // timed here, under eval_error
-    // Per-column residual norms fan out (disjoint slots); the final sum
-    // stays serial in ascending j so the error — and through it every
-    // filtering decision — is bitwise identical at any thread count.
-    std::vector<double> col_res(m, 0.0);
-    sched::parallel_for(
-        0, m, 4,
-        [&](std::size_t j) {
-          double r2 = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double r = av(i, j) - sub.values[j] * v(i, j);
-            r2 += r * r;
-          }
-          col_res[j] = std::sqrt(r2);
-        });
-    double sum_res = 0.0, sum_d2 = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      sum_res += col_res[j];
-      sum_d2 += sub.values[j] * sub.values[j];
-    }
-    out.error = sum_res / (static_cast<double>(m) *
-                           std::max(std::sqrt(sum_d2), 1e-300));
+    std::vector<double> col_res;
+    out.error = detail::ritz_residual(v, av, out.values, m, col_res);
     if (timers != nullptr) timers->add(kernels::kEvalError, t.seconds());
   }
   return out;
@@ -141,11 +114,7 @@ SubspaceResult subspace_iteration(const SubspaceApply& apply, double omega,
     const double damp_lo = std::min(d_max, -1e-9 * span);
     const double a0 = std::min(d_min, damp_lo - 1e-6 * span);
 
-    solver::BlockOpR a_op = [&](const la::Matrix<double>& in,
-                                la::Matrix<double>& out) {
-      apply(in, out, false);
-    };
-    solver::chebyshev_filter_op(a_op, v, opts.cheb_degree, damp_lo, damp_hi,
+    solver::chebyshev_filter_op(apply, v, opts.cheb_degree, damp_lo, damp_hi,
                                 a0);
 
     rr = rayleigh_ritz_and_error(apply, omega, v, timers, events);
@@ -166,9 +135,8 @@ SubspaceResult subspace_iteration(const NuChi0Operator& op, double omega,
                                   obs::EventLog* events) {
   RSRPA_REQUIRE(v.rows() == op.n_grid());
   return subspace_iteration(
-      [&](const la::Matrix<double>& in, la::Matrix<double>& out,
-          bool eval_error) {
-        op.apply(in, out, omega, stats, eval_error ? nullptr : timers);
+      [&](const la::Matrix<double>& in, la::Matrix<double>& out) {
+        op.apply(in, out, omega, stats, timers);
       },
       omega, v, opts, timers, events);
 }

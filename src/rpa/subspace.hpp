@@ -9,9 +9,8 @@
 // visible as ncheb = 0 rows in the artifact log.
 #pragma once
 
-#include <functional>
-
 #include "rpa/nu_chi0.hpp"
+#include "solver/chebyshev.hpp"
 
 namespace rsrpa::rpa {
 
@@ -30,22 +29,22 @@ struct SubspaceResult {
 };
 
 /// Applies nu^{1/2} chi0(i omega) nu^{1/2} to a block at the iteration's
-/// frequency. `eval_error` marks the Eq. (7) convergence-check application,
-/// which subspace_iteration times together with the residual norms under
-/// the eval_error kernel; the closure charges every other application to
-/// nu_chi0_apply itself. The closure owns the Sternheimer telemetry sinks
-/// and, in the driver, the column partition across ranks.
-using SubspaceApply = std::function<void(const la::Matrix<double>& in,
-                                         la::Matrix<double>& out,
-                                         bool eval_error)>;
+/// frequency — the same closure shape ssa_project takes. subspace_iteration
+/// calls it once per Rayleigh-Ritz projection and cheb_degree times per
+/// filter pass; the Eq. (7) check reuses the projection's image and
+/// applies nothing. The closure owns the Sternheimer telemetry sinks, the
+/// nu_chi0_apply timer and, in the driver, the column partition across
+/// ranks.
+using SubspaceApply = solver::BlockOpR;
 
 /// Run Algorithm 5 at frequency `omega`. `v` holds the initial subspace on
 /// entry and the converged (orthonormal) eigenvector block on exit.
 /// `timers` (optional) receives the matmult, eigensolve and eval_error
-/// kernels. `events` (optional) records eigensolve collapses — the
-/// filtered block going numerically rank-deficient and forcing the
-/// orthonormalize + standard-eigensolve recovery path. `omega` only labels
-/// those events; `apply` fixes the frequency.
+/// kernels; eval_error is the Eq. (7) norm reduction alone. `events`
+/// (optional) records eigensolve collapses — the filtered block going
+/// numerically rank-deficient and forcing the orthonormalize +
+/// standard-eigensolve recovery path, which applies the operator once
+/// more. `omega` only labels those events; `apply` fixes the frequency.
 SubspaceResult subspace_iteration(const SubspaceApply& apply, double omega,
                                   la::Matrix<double>& v,
                                   const SubspaceOptions& opts,

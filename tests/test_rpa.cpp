@@ -289,6 +289,125 @@ TEST(SubspaceIteration, WarmStartSkipsFiltering) {
   EXPECT_LT(second.filter_iterations, cold_iters);
 }
 
+// Eq. (7) with a fresh application of A to the Ritz block, as the paper's
+// Algorithm 5 evaluates it. Only the oracle for the error
+// subspace_iteration reports, which rotates the projection's A V instead.
+double fresh_apply_error(const NuChi0Operator& op, double omega,
+                         const la::Matrix<double>& v,
+                         const std::vector<double>& mu) {
+  la::Matrix<double> av(v.rows(), v.cols());
+  op.apply(v, av, omega);
+  double sum_res = 0.0, sum_d2 = 0.0;
+  for (std::size_t j = 0; j < v.cols(); ++j) {
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < v.rows(); ++i) {
+      const double r = av(i, j) - mu[j] * v(i, j);
+      r2 += r * r;
+    }
+    sum_res += std::sqrt(r2);
+    sum_d2 += mu[j] * mu[j];
+  }
+  return sum_res / (static_cast<double>(v.cols()) * std::sqrt(sum_d2));
+}
+
+TEST(SubspaceIteration, RotatedImageErrorMatchesFreshApplyOracle) {
+  TinySystem& t = tiny();
+  const std::size_t n = t.built.ks.n_grid();
+  const std::size_t n_eig = 8;
+  const double omega = 0.69;
+  SternheimerOptions sopts;
+  sopts.tol = 1e-6;
+  sopts.max_iter = 5000;
+  NuChi0Operator op(t.built.ks, *t.built.klap, sopts);
+
+  Rng rng(105);
+  la::Matrix<double> v0(n, n_eig);
+  for (std::size_t j = 0; j < n_eig; ++j) rng.fill_uniform(v0.col(j));
+
+  // Pass k's error, both ways: replay exactly k filter passes from v0
+  // (tol 0 never converges), then apply A afresh to the returned block.
+  SubspaceOptions opts;
+  opts.tol = 0.0;
+  opts.cheb_degree = 4;
+  constexpr int kPasses = 6;
+  std::vector<double> rotated, fresh;
+  for (int k = 0; k <= kPasses; ++k) {
+    opts.max_filter_iter = k;
+    la::Matrix<double> v = v0;
+    const SubspaceResult res = subspace_iteration(op, omega, v, opts);
+    ASSERT_EQ(res.filter_iterations, k);
+    rotated.push_back(res.error);
+    fresh.push_back(fresh_apply_error(op, omega, v, res.eigenvalues));
+    // The two differ by the Sternheimer solves' inexactness alone.
+    EXPECT_NEAR(rotated.back(), fresh.back(), sopts.tol) << k;
+  }
+
+  // Away from tol both estimates take the same filter-or-stop decision
+  // at every pass, so they agree on ncheb.
+  opts.tol = 1e-3;
+  opts.max_filter_iter = kPasses;
+  auto first_below = [&](const std::vector<double>& err) {
+    for (int k = 0; k <= kPasses; ++k)
+      if (err[static_cast<std::size_t>(k)] <= opts.tol) return k;
+    return kPasses + 1;
+  };
+  for (int k = 0; k <= kPasses; ++k) {
+    const std::size_t i = static_cast<std::size_t>(k);
+    EXPECT_GT(std::abs(std::log(rotated[i] / opts.tol)), std::log(1.5)) << k;
+    EXPECT_GT(std::abs(std::log(fresh[i] / opts.tol)), std::log(1.5)) << k;
+  }
+  const int ncheb = first_below(fresh);
+  ASSERT_LE(ncheb, kPasses) << "fixture must converge within the replay";
+  EXPECT_EQ(first_below(rotated), ncheb);
+  la::Matrix<double> v = v0;
+  const SubspaceResult res = subspace_iteration(op, omega, v, opts);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.filter_iterations, ncheb);
+}
+
+TEST(SubspaceIteration, AppliesOncePerProjectionAndFilterStep) {
+  TinySystem& t = tiny();
+  const std::size_t n = t.built.ks.n_grid();
+  const std::size_t n_eig = 8;
+  SternheimerOptions sopts;
+  sopts.tol = 1e-8;
+  sopts.max_iter = 5000;
+  NuChi0Operator op(t.built.ks, *t.built.klap, sopts);
+
+  SubspaceOptions opts;
+  opts.tol = 2e-3;
+  opts.max_filter_iter = 60;
+  opts.cheb_degree = 3;
+
+  Rng rng(106);
+  la::Matrix<double> v(n, n_eig);
+  for (std::size_t j = 0; j < n_eig; ++j) rng.fill_uniform(v.col(j));
+
+  // One application per Rayleigh-Ritz projection, cheb_degree per filter
+  // pass, one more per eigensolve collapse — and none for the Eq. (7)
+  // check. Re-solving the point just converged exits on the unfiltered
+  // projection: one application in all.
+  const auto quad = rpa_frequency_quadrature(8);
+  std::vector<int> ncheb;
+  for (int k : {6, 6, 7}) {
+    const double omega = quad[static_cast<std::size_t>(k)].omega;
+    long applies = 0;
+    const SubspaceApply counting = [&](const la::Matrix<double>& in,
+                                       la::Matrix<double>& out) {
+      ++applies;
+      op.apply(in, out, omega);
+    };
+    const SubspaceResult res = subspace_iteration(counting, omega, v, opts);
+    ASSERT_TRUE(res.converged) << k;
+    EXPECT_EQ(applies, 1 + res.filter_iterations * (opts.cheb_degree + 1) +
+                           res.eigensolve_collapses)
+        << k;
+    ncheb.push_back(res.filter_iterations);
+  }
+  EXPECT_GT(ncheb[0], 0);
+  EXPECT_EQ(ncheb[1], 0);
+}
+
 TEST(ComputeRpaEnergy, MatchesDirectOracleOnTinySystem) {
   TinySystem& t = tiny();
   RpaOptions opts = t.built.default_rpa_options();
