@@ -33,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -132,8 +133,10 @@ StencilRowFn<T> pick_interior_row(int r) {
 // per grid point, every neighbor offset scales by E and each vector lane
 // performs the exact multiply/add tree of the scalar kernel (same FMA
 // contraction opportunities), which is what makes the SIMD path
-// bitwise-identical to the scalar fallback. Only the raw stencil sum is
-// vectorized; the fused epilogue (complex products) stays scalar.
+// bitwise-identical to the scalar fallback. A row of at least one vector
+// runs with no scalar tail: its last vector ends at the row end and
+// overlaps the one before, rewriting the shared points with the same bits.
+// The fused epilogue is shared by both row kinds (fused_row_epilogue).
 namespace simd {
 
 template <typename R>
@@ -208,8 +211,16 @@ inline void stencil_row_interior_simd(const T* in, T* out, std::size_t base,
   Real* rout = reinterpret_cast<Real*>(out);
   const std::size_t rbeg = (base + x0) * E;
   const std::size_t rlen = (x1 - x0) * E;
-  const std::size_t rvec = rlen - rlen % W;
-  for (std::size_t i = 0; i < rvec; i += W) {
+  // A segment shorter than one vector goes through the scalar kernel.
+  if (rlen < W) {
+    stencil_row_interior<T, R>(in, out, base, x0, x1, snx, snxny, r, cx, cy,
+                               cz, diag);
+    return;
+  }
+  // The last vector starts at rlen - W (a whole point, as W and rlen are
+  // multiples of E) and overlaps the previous one instead of a scalar tail.
+  for (std::size_t i0 = 0; i0 < rlen; i0 += W) {
+    const std::size_t i = std::min(i0, rlen - W);
     const Real* q = rin + rbeg + i;
     V sum = diag * simd::vload<Real>(q);
     for (int k = 1; k <= rr; ++k) {
@@ -222,11 +233,6 @@ inline void stencil_row_interior_simd(const T* in, T* out, std::size_t base,
     }
     simd::vstore<Real>(rout + rbeg + i, sum);
   }
-  // Tail: whole grid points that don't fill a vector go through the
-  // scalar kernel (rvec is a multiple of E because W is).
-  if (rvec < rlen)
-    stencil_row_interior<T, R>(in, out, base, x0 + rvec / E, x1, snx, snxny, r,
-                               cx, cy, cz, diag);
 }
 
 template <typename T>
@@ -270,10 +276,11 @@ inline void stencil_row_xwrap(const T* in, T* out, std::size_t base,
 // Boundary-shell row segment [x0, x1): every axis goes through its wrap
 // table (handles any wrap count, including axes shorter than 2r where
 // the shells overlap). This is the scalar oracle of the wrapped-row SIMD
-// kernel below and its tail. Kept out-of-line with FMA contraction pinned
-// off (here and in the vectorized twin): both kernels then evaluate the
-// exact source expression tree in IEEE order, which is what makes the
-// scalar == SIMD bitwise contract compiler-proof for wrapped rows.
+// kernel below and its path for rows shorter than one vector. Kept
+// out-of-line with FMA contraction pinned off (here and in the vectorized
+// twin): both kernels then evaluate the exact source expression tree in
+// IEEE order, which is what makes the scalar == SIMD bitwise contract
+// compiler-proof for wrapped rows.
 // Interior rows keep contraction — their scalar/vector kernels share one
 // expression shape the compiler fuses identically (checked by tests).
 template <typename T>
@@ -324,11 +331,13 @@ inline void stencil_row_wrapped(const T* in, T* out, std::size_t nx,
 // padded row buffer xbuf (E * (nx + 2r) reals), so every x neighbor is a
 // direct stride into it; the y/z wrap offsets are constant along an x
 // row, so each wrapped y/z neighbor is a contiguous row that loads
-// straight into vectors. Only the tail of nx * E mod W reals goes through
-// the scalar wrap-table kernel. Every lane reads the same values and
-// evaluates the same expression tree as stencil_row_wrapped_seg, and
-// contraction is pinned off in both (see its comment), so the result is
-// bitwise-identical to the scalar fallback.
+// straight into vectors. There is no scalar tail: when nx * E is not a
+// multiple of W, the last vector starts at nx * E - W and overlaps the one
+// before it, rewriting the shared points with identical bits. Only a row
+// shorter than one vector goes through the scalar wrap-table kernel. Every
+// lane reads the same values and evaluates the same expression tree as
+// stencil_row_wrapped_seg, and contraction is pinned off in both (see its
+// comment), so the result is bitwise-identical to the scalar fallback.
 template <typename T, int R>
 __attribute__((noinline, optimize("fp-contract=off"))) void
 stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
@@ -346,6 +355,12 @@ stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
   constexpr std::size_t E = sizeof(T) / sizeof(Real);
   constexpr std::size_t W = simd::lanes<Real>::value;
   const int rr = R > 0 ? R : r;
+  const std::size_t rlen = nx * E;
+  if (rlen < W) {
+    stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base, 0, nx, r, wx, wy,
+                               wz, cx, cy, cz, diag);
+    return;
+  }
   const long sr = static_cast<long>(rr);
   for (long q = -sr; q < static_cast<long>(nx) + sr; ++q)
     xbuf[q + sr] = in[base + wx[q]];
@@ -363,10 +378,10 @@ stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
   }
   const Real* rx = reinterpret_cast<const Real*>(xbuf) + E * rr;
   Real* ro = reinterpret_cast<Real*>(out) + base * E;
-  const std::size_t rlen = nx * E;
-  const std::size_t rvec = rlen - rlen % W;
   const long ux = static_cast<long>(E);
-  for (std::size_t i = 0; i < rvec; i += W) {
+  // rlen - W is a whole point because W and rlen are multiples of E.
+  for (std::size_t i0 = 0; i0 < rlen; i0 += W) {
+    const std::size_t i = std::min(i0, rlen - W);
     const Real* q = rx + i;
     V sum = diag * simd::vload<Real>(q);
     for (int k = 1; k <= rr; ++k) {
@@ -379,10 +394,6 @@ stencil_row_wrapped_simd(const T* in, T* out, std::size_t nx,
     }
     simd::vstore<Real>(ro + i, sum);
   }
-  // rvec is a multiple of E because W is, so the tail is whole points.
-  if (rvec < rlen)
-    stencil_row_wrapped_seg<T>(in, out, nx, ny, iy, iz, base, rvec / E, nx, r,
-                               wx, wy, wz, cx, cy, cz, diag);
 }
 
 template <typename T>
@@ -410,6 +421,33 @@ WrappedRowFn<T> pick_wrapped_row_simd(int r) {
 
 #endif  // RSRPA_SIMD_ENABLED
 
+// Complex row epilogue in the interleaved real view, over points
+// [i0, i1): o = alpha o + (beta v + shift) x + eta z, with kV / kE saying
+// whether the vdiag / extra terms are present. Each complex product is
+// spelled as explicit fma, like la's column_axpy: std::complex's operator*
+// carries a NaN-recovery branch that keeps the loop scalar without
+// -ffast-math, and explicit fma pins one rounding sequence per point in
+// every inlining context.
+template <bool kV, bool kE, typename R>
+inline void fused_row_epilogue_complex(const R* x, R* o, const R* v,
+                                       const R* z, R alpha, R beta, R sr,
+                                       R si, R er, R ei, std::size_t i0,
+                                       std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    const R xr = x[2 * i], xi = x[2 * i + 1];
+    const R d = kV ? std::fma(beta, v[i], sr) : sr;
+    R re = std::fma(alpha, o[2 * i], std::fma(d, xr, -(si * xi)));
+    R im = std::fma(alpha, o[2 * i + 1], std::fma(d, xi, si * xr));
+    if constexpr (kE) {
+      const R zr = z[2 * i], zi = z[2 * i + 1];
+      re = std::fma(er, zr, std::fma(-ei, zi, re));
+      im = std::fma(er, zi, std::fma(ei, zr, im));
+    }
+    o[2 * i] = re;
+    o[2 * i + 1] = im;
+  }
+}
+
 // Row epilogue of the fused sweep: combines the raw stencil sum (already
 // in out, still hot in L1) with the diagonal terms. The branches hoist
 // the nullable pointers out of the inner loops.
@@ -417,7 +455,29 @@ template <typename T>
 inline void fused_row_epilogue(const T* in, T* out, const FusedTerms<T>& t,
                                std::size_t i0, std::size_t i1) {
   const la::real_t<T> alpha = t.alpha;
-  if (t.vdiag != nullptr) {
+  if constexpr (!std::is_same_v<T, la::real_t<T>>) {
+    using R = la::real_t<T>;
+    const R* x = reinterpret_cast<const R*>(in);
+    R* o = reinterpret_cast<R*>(out);
+    const R* z = reinterpret_cast<const R*>(t.extra);
+    const R sr = t.shift.real(), si = t.shift.imag();
+    const R er = t.eta.real(), ei = t.eta.imag();
+    if (t.vdiag != nullptr) {
+      if (t.extra != nullptr)
+        fused_row_epilogue_complex<true, true>(x, o, t.vdiag, z, alpha, t.beta,
+                                               sr, si, er, ei, i0, i1);
+      else
+        fused_row_epilogue_complex<true, false>(x, o, t.vdiag, z, alpha,
+                                                t.beta, sr, si, er, ei, i0, i1);
+    } else {
+      if (t.extra != nullptr)
+        fused_row_epilogue_complex<false, true>(x, o, t.vdiag, z, alpha,
+                                                t.beta, sr, si, er, ei, i0, i1);
+      else
+        fused_row_epilogue_complex<false, false>(
+            x, o, t.vdiag, z, alpha, t.beta, sr, si, er, ei, i0, i1);
+    }
+  } else if (t.vdiag != nullptr) {
     const la::real_t<T>* v = t.vdiag;
     if (t.extra != nullptr) {
       for (std::size_t i = i0; i < i1; ++i)

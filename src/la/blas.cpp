@@ -1,7 +1,9 @@
 #include "la/blas.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
+#include <vector>
 
 #include "sched/parallel_for.hpp"
 
@@ -28,6 +30,33 @@ std::size_t column_grain(std::size_t flops_per_col) {
 
 template <typename T>
 constexpr bool kIsComplex = !std::is_same_v<T, real_t<T>>;
+
+// a * b and c + a * b with the complex product spelled as explicit fma:
+// one rounding sequence in every inlining context. A plain `c += a * b`
+// on std::complex is contracted however the optimizer sees fit at each
+// inlined copy, so the serial body and a task's copy of one GEMM could
+// round differently (a thread-count dependence of the result).
+template <typename T>
+inline T mul(T a, T b) {
+  if constexpr (kIsComplex<T>) {
+    return T(std::fma(a.real(), b.real(), -(a.imag() * b.imag())),
+             std::fma(a.real(), b.imag(), a.imag() * b.real()));
+  } else {
+    return a * b;
+  }
+}
+
+template <typename T>
+inline T madd(T c, T a, T b) {
+  if constexpr (kIsComplex<T>) {
+    const auto re = std::fma(a.real(), b.real(), c.real());
+    const auto im = std::fma(a.real(), b.imag(), c.imag());
+    return T(std::fma(-a.imag(), b.imag(), re),
+             std::fma(a.imag(), b.real(), im));
+  } else {
+    return std::fma(a, b, c);
+  }
+}
 
 // ccol[0, m) += acol[0, m) * b. Complex columns run in the interleaved
 // real view with the product spelled as explicit fma: std::complex's
@@ -75,7 +104,7 @@ void gemm_nn_impl(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
         const std::size_t kend = std::min(kk + kKB, k);
         for (std::size_t j = jj; j < jend; ++j) {
           for (std::size_t p = kk; p < kend; ++p) {
-            const T bpj = alpha * b(p, j);
+            const T bpj = mul(alpha, b(p, j));
             if (bpj == T{0}) continue;
             column_axpy(&a(0, p), bpj, &c(0, j), m);
           }
@@ -156,7 +185,7 @@ void gemm_tn_impl(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
       if (beta == T{0})
         for (std::size_t i = 0; i < m; ++i) ccol[i] = T{};
       else if (beta != T{1})
-        for (std::size_t i = 0; i < m; ++i) ccol[i] *= beta;
+        for (std::size_t i = 0; i < m; ++i) ccol[i] = mul(ccol[i], beta);
     }
     for (std::size_t kk = 0; kk < k; kk += kKB) {
       const std::size_t klen = std::min(kKB, k - kk);
@@ -166,18 +195,141 @@ void gemm_tn_impl(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
           const T* bcol = &b(kk, j);
           T* ccol = &c(0, j);
           for (std::size_t i = ii; i < iend; ++i)
-            ccol[i] += alpha * chunk_dot<T, kConj>(&a(kk, i), bcol, klen);
+            ccol[i] = madd(ccol[i], alpha,
+                           chunk_dot<T, kConj>(&a(kk, i), bcol, klen));
         }
       }
     }
   });
 }
 
+// dst[0, m) = src[0, m) + acol[0, m) * b: column_axpy on a copy of src,
+// with the copy folded into the same pass (identical per-element fma).
+template <typename T>
+inline void column_axpy_from(const T* acol, T b, const T* src, T* dst,
+                             std::size_t m) {
+  using R = real_t<T>;
+  const R br = b.real(), bi = b.imag(), nbi = -b.imag();
+  const R* ra = reinterpret_cast<const R*>(acol);
+  const R* rs = reinterpret_cast<const R*>(src);
+  R* rd = reinterpret_cast<R*>(dst);
+  for (std::size_t i = 0; i < 2 * m; i += 2) {
+    const R ar = ra[i], ai = ra[i + 1];
+    rd[i] = std::fma(ai, nbi, std::fma(ar, br, rs[i]));
+    rd[i + 1] = std::fma(ai, br, std::fma(ar, bi, rs[i + 1]));
+  }
+}
+
+// One entry of gemm_tn(1, a, b, 0, c) for columns x of a and y of b, with
+// the same chunking and accumulation as gemm_tn_impl.
+template <typename T>
+T gram_entry(const T* x, const T* y, std::size_t k) {
+  T c{};
+  for (std::size_t kk = 0; kk < k; kk += kKB)
+    c = madd(c, T{1}, chunk_dot<T, Conj::No>(x + kk, y + kk,
+                                             std::min(kKB, k - kk)));
+  return c;
+}
+
+// Sum of squares of a column (complex ones in the real view), in double,
+// over 32 independent chains combined in a fixed order. A single chain is
+// add-latency bound; 32 fill four AVX-512 accumulators.
+template <typename T>
+double column_sumsq(const T* x, std::size_t m) {
+  using R = real_t<T>;
+  constexpr std::size_t kChains = 32;
+  const R* r = reinterpret_cast<const R*>(x);
+  const std::size_t len = (kIsComplex<T> ? 2 : 1) * m;
+  double acc[kChains] = {};
+  std::size_t i = 0;
+  for (; i + kChains <= len; i += kChains)
+    for (std::size_t c = 0; c < kChains; ++c) {
+      const double v = r[i + c];
+      acc[c] = std::fma(v, v, acc[c]);
+    }
+  for (std::size_t c = 0; i < len; ++i, ++c) {
+    const double v = r[i];
+    acc[c] = std::fma(v, v, acc[c]);
+  }
+  for (std::size_t h = kChains / 2; h > 0; h /= 2)
+    for (std::size_t c = 0; c < h; ++c) acc[c] += acc[c + h];
+  return acc[0];
+}
+
+template <typename T>
+double cocg_update_impl(const Matrix<T>& p, const Matrix<T>& u,
+                        const Matrix<T>& alpha, Matrix<T>& y, Matrix<T>& w,
+                        Matrix<T>& rho) {
+  const std::size_t n = p.rows(), s = p.cols();
+  RSRPA_REQUIRE(u.rows() == n && u.cols() == s && y.rows() == n &&
+                y.cols() == s && w.rows() == n && w.cols() == s &&
+                alpha.rows() == s && alpha.cols() == s && rho.rows() == s &&
+                rho.cols() == s);
+  // Per-column |w|^2 slots, summed in ascending column order at the end.
+  constexpr std::size_t kStack = 64;
+  double stack_sq[kStack];
+  std::vector<double> heap_sq;
+  double* sq = stack_sq;
+  if (s > kStack) {
+    heap_sq.resize(s);
+    sq = heap_sq.data();
+  }
+  const std::size_t grain = column_grain(n * s);
+  // Y += P alpha, W -= U alpha: per column the gemm_nn sequence (ascending
+  // q, zero coefficients skipped), column-disjoint across tasks.
+  sched::parallel_for_range(0, s, grain, [&](std::size_t jb, std::size_t je) {
+    for (std::size_t j = jb; j < je; ++j)
+      for (std::size_t q = 0; q < s; ++q) {
+        const T ya = mul(T{1}, alpha(q, j));
+        if (ya != T{0}) column_axpy(&p(0, q), ya, &y(0, j), n);
+        const T wa = mul(T{-1}, alpha(q, j));
+        if (wa != T{0}) column_axpy(&u(0, q), wa, &w(0, j), n);
+      }
+  });
+  // rho = W^T W once every column of W is final.
+  sched::parallel_for_range(0, s, grain, [&](std::size_t jb, std::size_t je) {
+    for (std::size_t j = jb; j < je; ++j) {
+      for (std::size_t i = 0; i < s; ++i)
+        rho(i, j) = gram_entry(&w(0, i), &w(0, j), n);
+      sq[j] = column_sumsq(&w(0, j), n);
+    }
+  });
+  double sum = 0.0;
+  for (std::size_t j = 0; j < s; ++j) sum += sq[j];
+  return std::sqrt(sum);
+}
+
+template <typename T>
+void cocg_direction_impl(const Matrix<T>& w, const Matrix<T>& p,
+                         const Matrix<T>& beta, Matrix<T>& p_next) {
+  const std::size_t n = w.rows(), s = w.cols();
+  RSRPA_REQUIRE(p.rows() == n && p.cols() == s && p_next.rows() == n &&
+                p_next.cols() == s && beta.rows() == s && beta.cols() == s);
+  sched::parallel_for_range(0, s, column_grain(n * s), [&](std::size_t jb,
+                                                           std::size_t je) {
+    for (std::size_t j = jb; j < je; ++j) {
+      const T* src = &w(0, j);  // p_next(:, j) starts as a copy of w(:, j)
+      for (std::size_t q = 0; q < s; ++q) {
+        const T bq = mul(T{1}, beta(q, j));
+        if (bq == T{0}) continue;
+        if (src != nullptr)
+          column_axpy_from(&p(0, q), bq, src, &p_next(0, j), n);
+        else
+          column_axpy(&p(0, q), bq, &p_next(0, j), n);
+        src = nullptr;
+      }
+      if (src != nullptr) std::copy(src, src + n, &p_next(0, j));
+    }
+  });
+}
+
+// Column sums of squares added in ascending column order: cocg_update's
+// norm of W is this same sequence.
 template <typename T>
 double norm_fro_impl(const Matrix<T>& a) {
   double sum = 0.0;
-  const T* p = a.data();
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::norm(p[i]);
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    sum += column_sumsq(a.data() + j * a.rows(), a.rows());
   return std::sqrt(sum);
 }
 
@@ -289,6 +441,28 @@ void gemm_tn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
 void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c) {
   gemm_tn_impl<cplx, Conj::Yes>(alpha, a, b, beta, c);
+}
+
+double cocg_update(const Matrix<cplx>& p, const Matrix<cplx>& u,
+                   const Matrix<cplx>& alpha, Matrix<cplx>& y,
+                   Matrix<cplx>& w, Matrix<cplx>& rho) {
+  return cocg_update_impl(p, u, alpha, y, w, rho);
+}
+
+double cocg_update(const Matrix<cplxf>& p, const Matrix<cplxf>& u,
+                   const Matrix<cplxf>& alpha, Matrix<cplxf>& y,
+                   Matrix<cplxf>& w, Matrix<cplxf>& rho) {
+  return cocg_update_impl(p, u, alpha, y, w, rho);
+}
+
+void cocg_direction(const Matrix<cplx>& w, const Matrix<cplx>& p,
+                    const Matrix<cplx>& beta, Matrix<cplx>& p_next) {
+  cocg_direction_impl(w, p, beta, p_next);
+}
+
+void cocg_direction(const Matrix<cplxf>& w, const Matrix<cplxf>& p,
+                    const Matrix<cplxf>& beta, Matrix<cplxf>& p_next) {
+  cocg_direction_impl(w, p, beta, p_next);
 }
 
 double norm_fro(const Matrix<double>& a) { return norm_fro_impl(a); }

@@ -67,7 +67,29 @@ void gemm_tn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
 void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c);
 
-/// Frobenius norm.
+// ---------- Block COCG step ----------
+
+/// The block COCG update of one Krylov iteration in one call:
+///   Y += P alpha;  W -= U alpha;  rho = W^T W;  returns ||W||_F.
+/// Y, W and rho are bitwise equal to gemm_nn(1, p, alpha, 1, y),
+/// gemm_nn(-1, u, alpha, 1, w) and gemm_tn(1, w, w, 0, rho) (each column
+/// of W is final before the Gram dots read it), and the norm is bitwise
+/// norm_fro(w).
+double cocg_update(const Matrix<cplx>& p, const Matrix<cplx>& u,
+                   const Matrix<cplx>& alpha, Matrix<cplx>& y,
+                   Matrix<cplx>& w, Matrix<cplx>& rho);
+double cocg_update(const Matrix<cplxf>& p, const Matrix<cplxf>& u,
+                   const Matrix<cplxf>& alpha, Matrix<cplxf>& y,
+                   Matrix<cplxf>& w, Matrix<cplxf>& rho);
+
+/// The block COCG direction P_next = W + P beta in one pass; bitwise equal
+/// to `p_next = w; gemm_nn(1, p, beta, 1, p_next)`.
+void cocg_direction(const Matrix<cplx>& w, const Matrix<cplx>& p,
+                    const Matrix<cplx>& beta, Matrix<cplx>& p_next);
+void cocg_direction(const Matrix<cplxf>& w, const Matrix<cplxf>& p,
+                    const Matrix<cplxf>& beta, Matrix<cplxf>& p_next);
+
+/// Frobenius norm, accumulated in double over 32 chains per column.
 double norm_fro(const Matrix<double>& a);
 double norm_fro(const Matrix<cplx>& a);
 double norm_fro(const Matrix<cplxf>& a);

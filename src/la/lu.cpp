@@ -6,9 +6,22 @@
 namespace rsrpa::la {
 
 template <typename T>
-Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {
+Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
+  factor_inplace();
+}
+
+template <typename T>
+void Lu<T>::factor(const Matrix<T>& a) {
+  lu_ = a;
+  factor_inplace();
+}
+
+template <typename T>
+void Lu<T>::factor_inplace() {
   RSRPA_REQUIRE(lu_.rows() == lu_.cols());
   const std::size_t n = lu_.rows();
+  perm_.resize(n);
+  perm_sign_ = 1;
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
 
   double min_piv = 0.0, max_piv = 0.0;
@@ -49,8 +62,15 @@ template <typename T>
 void Lu<T>::solve_inplace(std::span<T> b) const {
   const std::size_t n = lu_.rows();
   RSRPA_REQUIRE(b.size() == n);
-  // Apply permutation.
-  std::vector<T> y(n);
+  // Apply permutation. Small systems (block sizes) solve on the stack.
+  constexpr std::size_t kStack = 16;
+  T stack[kStack];
+  std::vector<T> heap;
+  T* y = stack;
+  if (n > kStack) {
+    heap.resize(n);
+    y = heap.data();
+  }
   for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
   // Forward substitution with unit lower factor.
   for (std::size_t i = 1; i < n; ++i)
@@ -60,7 +80,7 @@ void Lu<T>::solve_inplace(std::span<T> b) const {
     for (std::size_t j = ii + 1; j < n; ++j) y[ii] -= lu_(ii, j) * y[j];
     y[ii] /= lu_(ii, ii);
   }
-  std::copy(y.begin(), y.end(), b.begin());
+  std::copy(y, y + n, b.begin());
 }
 
 template <typename T>

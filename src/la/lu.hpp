@@ -15,9 +15,17 @@ namespace rsrpa::la {
 template <typename T>
 class Lu {
  public:
+  /// Empty factorization; call factor() before solving.
+  Lu() = default;
+
   /// Factor a (copied) square matrix. Throws NumericalBreakdown on an
   /// exactly singular pivot.
   explicit Lu(Matrix<T> a);
+
+  /// Refactor in place for a new matrix, reusing this object's storage
+  /// (the s x s solves of every block COCG iteration). Same result and
+  /// throws as constructing Lu(a).
+  void factor(const Matrix<T>& a);
 
   /// Solve A x = b in place for a single right-hand side.
   void solve_inplace(std::span<T> b) const;
@@ -34,6 +42,8 @@ class Lu {
   [[nodiscard]] std::size_t size() const { return lu_.rows(); }
 
  private:
+  void factor_inplace();
+
   Matrix<T> lu_;
   std::vector<std::size_t> perm_;
   int perm_sign_ = 1;

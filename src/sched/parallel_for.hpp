@@ -17,7 +17,10 @@
 // Grain: the smallest unit worth forking. One task per chunk is created
 // eagerly (no lazy splitting), so choose grain such that the chunk body
 // clearly outweighs ~1 us of queueing overhead. A grain that covers the
-// whole range, or a serial pool, short-circuits to a plain loop.
+// whole range, or a serial pool, short-circuits to a plain loop; without
+// an explicit pool, a range within one grain runs inline without looking
+// up the global pool at all (the per-call cost of the small GEMMs and
+// sweeps inside a Krylov iteration).
 #pragma once
 
 #include <algorithm>
@@ -30,7 +33,7 @@ namespace rsrpa::sched {
 /// body(chunk_begin, chunk_end) over chunks of at most `grain` indices.
 template <class Body>
 void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,
-                        Body&& body, ThreadPool& pool = global_pool()) {
+                        Body&& body, ThreadPool& pool) {
   if (end <= begin) return;
   grain = std::max<std::size_t>(grain, 1);
   // Task quota (thread_pool.hpp): fork at most `quota` chunk tasks by
@@ -53,16 +56,38 @@ void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,
   group.wait();
 }
 
+/// The same on the global pool. The quota only ever enlarges the grain,
+/// so a range within one grain runs inline here exactly as it would there.
+template <class Body>
+void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,
+                        Body&& body) {
+  if (end <= begin) return;
+  if (end - begin <= std::max<std::size_t>(grain, 1)) {
+    body(begin, end);
+    return;
+  }
+  parallel_for_range(begin, end, grain, body, global_pool());
+}
+
 /// body(i) for every i in [begin, end), forked in chunks of `grain`.
 template <class Body>
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  Body&& body, ThreadPool& pool = global_pool()) {
+                  Body&& body, ThreadPool& pool) {
   parallel_for_range(
       begin, end, grain,
       [&body](std::size_t b, std::size_t e) {
         for (std::size_t i = b; i < e; ++i) body(i);
       },
       pool);
+}
+
+template <class Body>
+void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+                  Body&& body) {
+  parallel_for_range(begin, end, grain,
+                     [&body](std::size_t b, std::size_t e) {
+                       for (std::size_t i = b; i < e; ++i) body(i);
+                     });
 }
 
 }  // namespace rsrpa::sched

@@ -1,5 +1,6 @@
 #include "sched/thread_pool.hpp"
 
+#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstdlib>
@@ -274,18 +275,27 @@ void TaskGroup::finish_one() {
 namespace {
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
+// Published copy of g_pool.get(): once the pool exists, global_pool() is
+// one acquire load, with no lock on the per-call hot path.
+std::atomic<ThreadPool*> g_pool_ptr{nullptr};
 }  // namespace
 
 ThreadPool& global_pool() {
+  if (ThreadPool* p = g_pool_ptr.load(std::memory_order_acquire)) return *p;
   std::lock_guard<std::mutex> lk(g_pool_mu);
-  if (!g_pool) g_pool = std::make_unique<ThreadPool>(0);
+  if (!g_pool) {
+    g_pool = std::make_unique<ThreadPool>(0);
+    g_pool_ptr.store(g_pool.get(), std::memory_order_release);
+  }
   return *g_pool;
 }
 
 void set_global_threads(int threads) {
   std::lock_guard<std::mutex> lk(g_pool_mu);
+  g_pool_ptr.store(nullptr, std::memory_order_release);
   g_pool.reset();  // join the old pool before the new one exists
   g_pool = std::make_unique<ThreadPool>(threads);
+  g_pool_ptr.store(g_pool.get(), std::memory_order_release);
 }
 
 }  // namespace rsrpa::sched

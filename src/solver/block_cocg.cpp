@@ -81,10 +81,12 @@ SolveReport block_cocg_core(
   la::Matrix<C> rho(s, s);
   la::gemm_tn(C{1}, w, w, C{0}, rho);  // rho_0 = W^T W
 
-  // p_next is the second buffer of P: each update writes it and swaps,
-  // so the P update allocates nothing.
+  // p_next and rho_new are second buffers: each update writes one and
+  // swaps, and both s x s factorizations refactor in place, so an
+  // iteration allocates nothing.
   la::Matrix<C> p(n, s), p_next(n, s), u(n, s), mu(s, s), alpha(s, s),
       beta(s, s), rho_new(s, s);
+  la::Lu<C> lu_mu, lu_rho;
   bool have_p = false;  // P_{-1} = 0, beta_{-1} = 0
 
   rep.relative_residual = la::norm_fro(w) / bnorm;
@@ -99,8 +101,8 @@ SolveReport block_cocg_core(
   // start; callers deflate by falling back to smaller blocks. This is the
   // deflation caveat of block methods the paper notes in SS II.
   if (s > 1) {
-    la::Lu<C> lu_rho0(rho);
-    if (lu_rho0.pivot_ratio() < opts.breakdown_tol)
+    lu_rho.factor(rho);
+    if (lu_rho.pivot_ratio() < opts.breakdown_tol)
       throw NumericalBreakdown(
           "block COCG: initial residual block is numerically rank-deficient");
   }
@@ -110,8 +112,7 @@ SolveReport block_cocg_core(
   for (int it = 0; it < opts.max_iter; ++it) {
     // P_j = W_j + P_{j-1} beta_{j-1}.
     if (have_p) {
-      p_next = w;
-      la::gemm_nn(C{1}, p, beta, C{1}, p_next);
+      la::cocg_direction(w, p, beta, p_next);
       std::swap(p, p_next);
     } else {
       p = w;
@@ -129,17 +130,17 @@ SolveReport block_cocg_core(
     // it signals either a genuine conjugacy breakdown or benign exact
     // termination (the block Krylov space has filled out). Take the step
     // either way and decide from the residual it produces.
-    la::Lu<C> lu_mu(mu);
+    lu_mu.factor(mu);
     const bool mu_suspect = lu_mu.pivot_ratio() < opts.breakdown_tol;
     alpha = rho;
     lu_mu.solve_inplace(alpha);
 
-    // Y_{j+1} = Y_j + P alpha;  W_{j+1} = W_j - U alpha.
-    la::gemm_nn(C{1}, p, alpha, C{1}, y);
-    la::gemm_nn(C{-1}, u, alpha, C{1}, w);
+    // Y_{j+1} = Y_j + P alpha;  W_{j+1} = W_j - U alpha;
+    // rho_{j+1} = W_{j+1}^T W_{j+1}, all in one call.
+    const double wnorm = la::cocg_update(p, u, alpha, y, w, rho_new);
 
     rep.iterations = it + 1;
-    rep.relative_residual = la::norm_fro(w) / bnorm;
+    rep.relative_residual = wnorm / bnorm;
     if (opts.record_history) rep.history.push_back(rep.relative_residual);
     if (!is_finite(rep.relative_residual))
       throw NumericalBreakdown("block COCG: non-finite residual");
@@ -158,12 +159,11 @@ SolveReport block_cocg_core(
     prev_relres = rep.relative_residual;
     stagnation.check(rep.relative_residual, "block COCG");
 
-    // rho_{j+1} = W^T W;  beta_j = rho_j^{-1} rho_{j+1}.
-    la::gemm_tn(C{1}, w, w, C{0}, rho_new);
-    la::Lu<C> lu_rho(rho);
+    // beta_j = rho_j^{-1} rho_{j+1}.
+    lu_rho.factor(rho);
     beta = rho_new;
     lu_rho.solve_inplace(beta);
-    rho = rho_new;
+    std::swap(rho, rho_new);
   }
   return rep;  // not converged
 }

@@ -146,6 +146,68 @@ TEST(FusedHamiltonian, ApplyMatchesReferenceRealAndShifted) {
   }
 }
 
+// The complex epilogue runs in the interleaved real view with explicit fma.
+// Each of its four branches (vdiag and extra present or absent), for both
+// complex widths, against the reference sweep plus the diagonal terms
+// added in std::complex arithmetic.
+template <typename T>
+void expect_epilogue_branches_match_reference(double rel_tol) {
+  using R = la::real_t<T>;
+  const ham::Hamiltonian h = make_test_hamiltonian();
+  const StencilLaplacian& lap = h.laplacian();
+  const std::size_t n = h.grid().size();
+  const std::vector<cplx> in64 = random_cfield(n, 71);
+  const std::vector<cplx> extra64 = random_cfield(n, 73);
+  std::vector<T> in(n), extra(n);
+  std::vector<R> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in[i] = static_cast<T>(in64[i]);
+    extra[i] = static_cast<T>(extra64[i]);
+    v[i] = static_cast<R>(h.local_potential()[i]);
+  }
+  for (bool with_v : {true, false})
+    for (bool with_extra : {true, false}) {
+      FusedTerms<T> t;
+      t.alpha = R(-0.5);
+      if (with_v) {
+        t.vdiag = v.data();
+        t.beta = R(1.3);
+      }
+      t.shift = T(R(-0.35), R(0.8));
+      if (with_extra) {
+        t.extra = extra.data();
+        t.eta = T(R(0.2), R(-0.6));
+      }
+      std::vector<T> fused(n), lap_ref(n);
+      lap.apply_fused<T>(in, fused, t);
+      lap.apply_reference<T>(in, lap_ref);
+      double scale = 0.0;
+      std::vector<cplx> ref(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const cplx d = (with_v ? static_cast<double>(t.beta) * v[i] : 0.0) +
+                       static_cast<cplx>(t.shift);
+        ref[i] = static_cast<double>(t.alpha) * static_cast<cplx>(lap_ref[i]) +
+                 d * static_cast<cplx>(in[i]);
+        if (with_extra)
+          ref[i] += static_cast<cplx>(t.eta) * static_cast<cplx>(extra[i]);
+        scale = std::max(scale, std::abs(ref[i]));
+      }
+      const double tol = rel_tol * scale;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_NEAR(fused[i].real(), ref[i].real(), tol)
+            << "vdiag=" << with_v << " extra=" << with_extra << " i=" << i;
+        ASSERT_NEAR(fused[i].imag(), ref[i].imag(), tol)
+            << "vdiag=" << with_v << " extra=" << with_extra << " i=" << i;
+      }
+    }
+}
+
+TEST(FusedHamiltonian, RealViewEpilogueMatchesReferenceOnEveryBranch) {
+  expect_epilogue_branches_match_reference<cplx>(kUlpTol);
+  // FP32 sweeps round the coefficients and every sum to float.
+  expect_epilogue_branches_match_reference<la::cplxf>(1e-5);
+}
+
 TEST(FusedHamiltonian, ShiftedBlockMatchesReference) {
   ham::Hamiltonian h = make_test_hamiltonian();
   const std::size_t n = h.grid().size();

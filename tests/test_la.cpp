@@ -287,6 +287,83 @@ TEST(Gemm, RealViewComplexFloatMatchesReferenceAndIsThreadInvariant) {
   expect_real_view_gemms<cplxf>(1e-6);
 }
 
+// ---------------------------------------------------------------------------
+// The fused block COCG kernels against the GEMM sequence they replace:
+// Y, W, rho and P_next bitwise, at 1 and 4 threads; ||W|| to rounding.
+
+template <typename T>
+void expect_bitwise(const Matrix<T>& got, const Matrix<T>& want,
+                    const char* what, std::size_t s, int threads) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t j = 0; j < got.cols(); ++j)
+    for (std::size_t i = 0; i < got.rows(); ++i)
+      ASSERT_EQ(got(i, j), want(i, j))
+          << what << " s=" << s << " threads=" << threads << " i=" << i
+          << " j=" << j;
+}
+
+template <typename T>
+void expect_cocg_kernels_match_gemms(std::size_t n, std::size_t s) {
+  Rng rng(100 * n + s);
+  const Matrix<T> p = random_cmatrix<T>(n, s, rng);
+  const Matrix<T> u = random_cmatrix<T>(n, s, rng);
+  const Matrix<T> y0 = random_cmatrix<T>(n, s, rng);
+  const Matrix<T> w0 = random_cmatrix<T>(n, s, rng);
+  const Matrix<T> alpha = random_cmatrix<T>(s, s, rng);
+  Matrix<T> beta = random_cmatrix<T>(s, s, rng);
+  if (s > 1) beta(1, 0) = T{};  // a skipped zero coefficient
+  for (int threads : {1, 4}) {
+    sched::set_global_threads(threads);
+    Matrix<T> y_ref = y0, w_ref = w0, rho_ref(s, s);
+    gemm_nn(T{1}, p, alpha, T{1}, y_ref);
+    gemm_nn(T{-1}, u, alpha, T{1}, w_ref);
+    gemm_tn(T{1}, w_ref, w_ref, T{0}, rho_ref);
+    Matrix<T> y = y0, w = w0, rho(s, s);
+    const double wnorm = cocg_update(p, u, alpha, y, w, rho);
+    expect_bitwise(y, y_ref, "Y", s, threads);
+    expect_bitwise(w, w_ref, "W", s, threads);
+    expect_bitwise(rho, rho_ref, "rho", s, threads);
+    EXPECT_EQ(wnorm, norm_fro(w_ref)) << "s=" << s << " threads=" << threads;
+
+    Matrix<T> pn_ref = w0, pn(n, s);
+    gemm_nn(T{1}, p, beta, T{1}, pn_ref);
+    cocg_direction(w0, p, beta, pn);
+    expect_bitwise(pn, pn_ref, "P_next", s, threads);
+  }
+  sched::set_global_threads(0);
+}
+
+TEST(CocgKernels, FusedStepMatchesGemmSequenceBitwise) {
+  for (std::size_t s : {1u, 2u, 3u, 4u, 8u}) {
+    expect_cocg_kernels_match_gemms<cplx>(729, s);
+    expect_cocg_kernels_match_gemms<cplxf>(729, s);
+  }
+  // Odd length, and one shape large enough to split into column tasks.
+  expect_cocg_kernels_match_gemms<cplx>(731, 3);
+  expect_cocg_kernels_match_gemms<cplx>(70001, 8);
+}
+
+TEST(CocgKernels, NormFroMatchesLongDoubleSum) {
+  // norm_fro reassociates the sum of squares over 32 chains per column; it
+  // stays within a few ulp of a long double accumulation.
+  Rng rng(17);
+  const Matrix<cplx> a = random_cmatrix<cplx>(1001, 3, rng);
+  const Matrix<cplxf> af = random_cmatrix<cplxf>(257, 2, rng);
+  const Matrix<double> ar = random_matrix(333, 4, rng);
+  auto exact = [](const auto& m) {
+    long double sum = 0.0L;
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      for (std::size_t i = 0; i < m.rows(); ++i)
+        sum += static_cast<long double>(
+            std::norm(static_cast<std::complex<double>>(m(i, j))));
+    return static_cast<double>(std::sqrt(sum));
+  };
+  EXPECT_NEAR(norm_fro(a), exact(a), 4e-16 * exact(a));
+  EXPECT_NEAR(norm_fro(af), exact(af), 4e-16 * exact(af));
+  EXPECT_NEAR(norm_fro(ar), exact(ar), 4e-16 * exact(ar));
+}
+
 TEST(Lu, SolvesRandomRealSystem) {
   Rng rng(6);
   const std::size_t n = 30;

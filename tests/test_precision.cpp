@@ -19,6 +19,7 @@
 #include <cmath>
 #include <complex>
 #include <filesystem>
+#include <type_traits>
 #include <vector>
 
 #include "common/config.hpp"
@@ -84,13 +85,17 @@ std::vector<cplxf> random_input<cplxf>(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// Which diagonal terms a parity sweep fuses: none (the plain Laplacian),
+// every term with a real shift, or the Sternheimer combination the
+// solvers run (vdiag plus a shift -lambda + i omega, no extra vector).
+enum class Terms { kNone, kAll, kSternheimer };
+
 // SIMD and scalar rows are BITWISE identical — exact equality, no ulp
 // budget. By default runs the full fused term combination so the epilogue
-// (not just the raw Laplacian sum) is covered; fused = false runs the
-// plain Laplacian.
+// (not just the raw Laplacian sum) is covered.
 template <typename T>
 void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed,
-                         bool fused = true) {
+                         Terms terms = Terms::kAll) {
   StencilLaplacian lap(g, radius);
   const std::size_t n = g.size();
   const std::vector<T> in = random_input<T>(n, seed);
@@ -109,7 +114,16 @@ void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed,
   t.extra = extra.data();
   t.eta = T(la::real_t<T>(0.25));
 
-  if (!fused) t = FusedTerms<T>{};
+  if (terms == Terms::kNone) t = FusedTerms<T>{};
+  if constexpr (!std::is_same_v<T, la::real_t<T>>) {
+    if (terms == Terms::kSternheimer) {
+      t.alpha = la::real_t<T>(-0.5);
+      t.beta = la::real_t<T>(1);
+      t.shift = T(la::real_t<T>(-0.41), la::real_t<T>(0.83));
+      t.extra = nullptr;
+      t.eta = T{};
+    }
+  }
 
   std::vector<T> scalar(n), simd(n);
   lap.set_simd(false);
@@ -118,8 +132,8 @@ void expect_simd_bitwise(const Grid3D& g, int radius, std::uint64_t seed,
   lap.apply_fused<T>(in, simd, t);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(scalar[i], simd[i])
-        << "n=" << g.nx() << " r=" << radius << " fused=" << fused
-        << " i=" << i;
+        << "n=" << g.nx() << " r=" << radius
+        << " terms=" << static_cast<int>(terms) << " i=" << i;
 }
 
 TEST(SimdStencil, BitwiseMatchesScalarOnNonCubicGrids) {
@@ -133,8 +147,8 @@ TEST(SimdStencil, BitwiseMatchesScalarOnNonCubicGrids) {
 
 TEST(SimdStencil, BitwiseMatchesScalarWhenAxisShorterThanTwoRadii) {
   // nx = 5 < 2r: every x row is a wrapped boundary row, so this pins the
-  // wrapped-row SIMD kernel (and its scalar tail), not just the interior
-  // fast path.
+  // wrapped-row SIMD kernel (and its overlapped last vector), not just the
+  // interior fast path.
   for (int r : {2, 4, 6}) {
     const Grid3D g(5, 12, 9, 2.0, 5.0, 4.0);
     expect_simd_bitwise<double>(g, r, 400u + r);
@@ -147,16 +161,36 @@ TEST(SimdStencil, BitwiseMatchesScalarOnProductGeometry) {
   // The cubic grids of the Si8 runs (9^3 bench scale, 11^3 shipped) and
   // their neighbours, at every radius the SIMD rows cover. Here almost
   // every x row is a wrapped boundary row, vectorized over its whole
-  // length; the lengths exercise both the vector body and the scalar tail
-  // at every lane width.
+  // length; lengths that are not a multiple of the vector width end in a
+  // last vector that overlaps the one before it, at every lane width.
   for (std::size_t n : {7u, 8u, 9u, 11u}) {
     const Grid3D g = Grid3D::cubic(n, ham::kSiLatticeConstant);
     for (int r = 1; r <= 6; ++r)
-      for (bool fused : {true, false}) {
-        const std::uint64_t seed = 1000u * n + 10u * r + (fused ? 1u : 0u);
-        expect_simd_bitwise<double>(g, r, seed, fused);
-        expect_simd_bitwise<cplx>(g, r, seed + 3, fused);
-        expect_simd_bitwise<cplxf>(g, r, seed + 5, fused);
+      for (Terms terms : {Terms::kAll, Terms::kNone, Terms::kSternheimer}) {
+        const std::uint64_t seed = 1000u * n + 10u * r +
+                                   static_cast<std::uint64_t>(terms);
+        if (terms != Terms::kSternheimer)
+          expect_simd_bitwise<double>(g, r, seed, terms);
+        expect_simd_bitwise<cplx>(g, r, seed + 3, terms);
+        expect_simd_bitwise<cplxf>(g, r, seed + 5, terms);
+      }
+  }
+}
+
+TEST(SimdStencil, BitwiseMatchesScalarOnRowsShorterThanAVector) {
+  // Rows (or interior segments) shorter than one vector keep the scalar
+  // kernels: nx = 2 and 3 are whole wrapped rows of 2-3 points, and at
+  // r = 2 the 7- and 13-point axes leave interior segments of 3 and 9
+  // points, below and above one vector of cplxf. Covered with the
+  // Sternheimer terms (complex shift) and with every term.
+  for (std::size_t nx : {2u, 3u, 7u, 13u}) {
+    const Grid3D g(nx, 12, 11, 1.5 + 0.4 * nx, 5.0, 4.5);
+    for (int r : {1, 2, 4})
+      for (Terms terms : {Terms::kAll, Terms::kSternheimer}) {
+        const std::uint64_t seed = 2000u + 100u * nx + 10u * r +
+                                   static_cast<std::uint64_t>(terms);
+        expect_simd_bitwise<cplx>(g, r, seed, terms);
+        expect_simd_bitwise<cplxf>(g, r, seed + 3, terms);
       }
   }
 }
@@ -170,11 +204,11 @@ TEST(SimdStencil, RadiusBeyondSixKeepsScalarWrappedRows) {
   EXPECT_EQ(grid::detail::pick_wrapped_row_simd<cplxf>(8), nullptr);
 #endif
   for (std::size_t n : {7u, 9u, 11u, 17u})
-    for (bool fused : {true, false}) {
+    for (Terms terms : {Terms::kAll, Terms::kNone}) {
       const Grid3D g = Grid3D::cubic(n, ham::kSiLatticeConstant);
-      expect_simd_bitwise<double>(g, 8, 700u + n, fused);
-      expect_simd_bitwise<cplx>(g, 8, 800u + n, fused);
-      expect_simd_bitwise<cplxf>(g, 8, 900u + n, fused);
+      expect_simd_bitwise<double>(g, 8, 700u + n, terms);
+      expect_simd_bitwise<cplx>(g, 8, 800u + n, terms);
+      expect_simd_bitwise<cplxf>(g, 8, 900u + n, terms);
     }
 }
 
