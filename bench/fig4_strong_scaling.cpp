@@ -20,6 +20,11 @@ int main() {
                            "near-ideal scaling at small p, efficiency loss "
                            "at large p from load imbalance + collectives");
 
+  // One lane per simulated rank, as in the paper's one-core-per-rank runs:
+  // each rank's orbital fan-out (rpa/chi0.hpp) and nested loops run
+  // inline, and so does the p = 1 point. Quotas only regroup tasks, so no
+  // bits change.
+  sched::TaskQuotaScope one_lane_per_rank(1);
   const std::size_t max_cells = bench::full_scale() ? 4 : 2;
   bool all_ok = true;
   obs::Json sweeps = obs::Json::array();

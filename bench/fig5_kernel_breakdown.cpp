@@ -22,6 +22,11 @@ int main() {
                            "matmult/eigensolve scale poorly, growing in "
                            "share with p");
 
+  // One lane per simulated rank, as in the paper's one-core-per-rank runs:
+  // each rank's orbital fan-out (rpa/chi0.hpp) and nested loops run
+  // inline, and so does the p = 1 point. Quotas only regroup tasks, so no
+  // bits change.
+  sched::TaskQuotaScope one_lane_per_rank(1);
   rpa::SystemPreset preset =
       rpa::make_si_preset(bench::full_scale() ? 5 : 2, false);
   preset.grid_per_cell = 9;

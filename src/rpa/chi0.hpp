@@ -13,6 +13,22 @@
 // The 1/dv converts the grid-orthonormal orbital convention into the
 // continuum polarizability operator, so the spectrum of nu chi0 is the
 // physical (dimensionless) one of paper Fig. 1.
+//
+// Concurrency. The n_occ solves are independent, so one apply runs them
+// on the sched pool in waves of L = min(pool lanes, current task quota,
+// n_occ) tasks. Each task owns a slot (its B_j, Y_j and real RHS buffers,
+// its solver report, operator counters and event log); the L slots are
+// allocated once per apply and reused by every wave. After each join the
+// slots merge in ascending j: statistics, counters and events first, then
+// the Eq. (6) term out += (4/dv) psi_j Re Y_j with the serial expression.
+// Every orbital does the same floating-point work as in a serial loop and
+// the sum keeps its serial order, so with a pinned block size
+// (dynamic_block = false) the output, the non-timing statistics and the
+// event stream are bitwise the same at any lane count or quota. A solve
+// that throws is rethrown at its merge, after the orbitals before it and
+// its own events: the caller sees the serial loop's partial state. At one
+// lane (or a quota of 1) the loop runs inline and forks nothing. Memory
+// grows with L: three n x s buffers plus one solver workspace per slot.
 #pragma once
 
 #include <map>
@@ -70,6 +86,8 @@ struct SternheimerStats {
   /// point: matvec_flops / matvec_bytes.
   double matvec_bytes = 0.0;
   double matvec_flops = 0.0;
+  /// Solver time summed over the orbital solves. They run concurrently,
+  /// so this is thread-seconds, not the wall time of the applies.
   double seconds = 0.0;
   bool all_converged = true;
   // Recovery-ladder totals (solver/resilience.hpp).
@@ -96,11 +114,14 @@ class Chi0Applier {
  public:
   Chi0Applier(const dft::KsSystem& sys, SternheimerOptions opts);
 
-  /// out = chi0(i omega) * v for a block of real vectors. `stats`
+  /// out = chi0(i omega) * v for a block of real vectors, the occupied
+  /// orbitals solved concurrently (see the header comment). `stats`
   /// (optional) accumulates solver statistics. `events` (optional)
   /// overrides the options-level event sink for this call — concurrent
   /// callers (the rank tasks of compute_rpa_energy) pass per-task logs here
-  /// because EventLog itself is single-owner.
+  /// because EventLog itself is single-owner. The sink receives one
+  /// apply_counters event per call; its seconds are thread-seconds summed
+  /// over the orbital solves.
   void apply(const la::Matrix<double>& v, la::Matrix<double>& out,
              double omega, SternheimerStats* stats = nullptr,
              obs::EventLog* events = nullptr) const;

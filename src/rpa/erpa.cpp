@@ -23,7 +23,10 @@ namespace {
 // accumulates telemetry into its own sinks, and the sinks merge in
 // ascending rank order after the join — so both the numbers and the
 // telemetry stream are identical to sequential rank execution at any
-// thread count.
+// thread count. Each rank task runs under a quota of its share of the
+// lanes, max(1, lanes / p) capped by any outer quota, so the orbital
+// fan-out inside chi0 never oversubscribes the p concurrent ranks and a
+// rank's seconds measure one rank's share of the machine.
 void ranked_apply(const NuChi0Operator& op, const ColumnPartition& part,
                   double omega, const la::Matrix<double>& in,
                   la::Matrix<double>& out, std::vector<double>& rank_seconds,
@@ -31,9 +34,14 @@ void ranked_apply(const NuChi0Operator& op, const ColumnPartition& part,
   const std::size_t p = part.n_ranks();
   std::vector<SternheimerStats> rank_stats(p);
   std::vector<obs::EventLog> rank_events(p);
+  int share =
+      std::max(1, sched::global_pool().threads() / static_cast<int>(p));
+  if (const int outer = sched::current_task_quota(); outer > 0)
+    share = std::min(share, outer);
   sched::TaskGroup group;
   for (std::size_t r = 0; r < p; ++r)
     group.run([&, r] {
+      sched::TaskQuotaScope quota(share);
       WallTimer t;
       const std::size_t j0 = part.begin(r), cnt = part.count(r);
       la::Matrix<double> slice = in.slice_cols(j0, cnt);

@@ -6,8 +6,10 @@
 #include <cstring>
 #include <string>
 
+#include "common/rng.hpp"
 #include "obs/event_log.hpp"
 #include "par/kernel_breakdown.hpp"
+#include "rpa/chi0.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/partition.hpp"
 #include "rpa/presets.hpp"
@@ -303,6 +305,213 @@ TEST(ThreadDeterminism, BitwiseIdenticalEnergiesAtAnyThreadCount) {
     EXPECT_GT(par_4.pool.tasks, 0);
     EXPECT_EQ(par_1.pool.threads, 1);
   }
+}
+
+// ------------------------ orbital-parallel chi0 ------------------------
+
+// Chi0Applier::apply solves the occupied orbitals' Sternheimer systems
+// concurrently, in waves of one task per lane, and reduces them in orbital
+// order. The output, the non-timing statistics and the event stream must
+// then be the same bits at any lane count and under any task quota.
+class OrbitalFanOutTest : public ParallelRpaTest {
+ protected:
+  struct Chi0Run {
+    la::Matrix<double> out;
+    rpa::SternheimerStats stats;
+    obs::EventLog events;
+  };
+
+  static la::Matrix<double> probe_block(std::size_t s) {
+    la::Matrix<double> v(built().ks.n_grid(), s);
+    Rng rng(17);
+    for (std::size_t c = 0; c < s; ++c) rng.fill_uniform(v.col(c));
+    return v;
+  }
+
+  static Chi0Run apply(const rpa::SternheimerOptions& sopts,
+                       const la::Matrix<double>& v) {
+    Chi0Run r;
+    r.out = la::Matrix<double>(v.rows(), v.cols());
+    rpa::Chi0Applier(built().ks, sopts)
+        .apply(v, r.out, 0.7, &r.stats, &r.events);
+    return r;
+  }
+
+  // The serial run and its replays at 4 lanes, with and without a quota
+  // of 2 tasks. Restores the default pool.
+  static std::vector<Chi0Run> runs_at_each_lane_count(
+      const rpa::SternheimerOptions& sopts, const la::Matrix<double>& v) {
+    std::vector<Chi0Run> runs;
+    sched::set_global_threads(1);
+    runs.push_back(apply(sopts, v));
+    sched::set_global_threads(4);
+    runs.push_back(apply(sopts, v));
+    {
+      sched::TaskQuotaScope quota(2);
+      runs.push_back(apply(sopts, v));
+    }
+    sched::set_global_threads(0);
+    return runs;
+  }
+
+  static void expect_same_stats(const rpa::SternheimerStats& a,
+                                const rpa::SternheimerStats& b) {
+    EXPECT_EQ(a.block_size_chunks, b.block_size_chunks);
+    EXPECT_EQ(a.total_chunks, b.total_chunks);
+    EXPECT_EQ(a.matvec_columns, b.matvec_columns);
+    EXPECT_EQ(a.matvec_columns_f32, b.matvec_columns_f32);
+    EXPECT_EQ(a.matvec_bytes, b.matvec_bytes);
+    EXPECT_EQ(a.matvec_flops, b.matvec_flops);
+    EXPECT_EQ(a.all_converged, b.all_converged);
+    EXPECT_EQ(a.restarts, b.restarts);
+    EXPECT_EQ(a.deflations, b.deflations);
+    EXPECT_EQ(a.solver_swaps, b.solver_swaps);
+    EXPECT_EQ(a.quarantined_columns, b.quarantined_columns);
+    EXPECT_EQ(a.quarantined_column_indices, b.quarantined_column_indices);
+  }
+
+  // Same kinds, details and payloads in the same order; a field named
+  // "seconds" is a measured time and is skipped.
+  static void expect_same_events(const obs::EventLog& a,
+                                 const obs::EventLog& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      const obs::Event& x = a.events()[e];
+      const obs::Event& y = b.events()[e];
+      EXPECT_EQ(x.kind, y.kind) << "event " << e;
+      EXPECT_EQ(x.detail, y.detail) << "event " << e;
+      ASSERT_EQ(x.fields.size(), y.fields.size()) << "event " << e;
+      for (std::size_t f = 0; f < x.fields.size(); ++f) {
+        EXPECT_EQ(x.fields[f].first, y.fields[f].first);
+        if (x.fields[f].first != "seconds") {
+          EXPECT_EQ(x.fields[f].second, y.fields[f].second)
+              << "event " << e << " field " << x.fields[f].first;
+        }
+      }
+    }
+  }
+
+  static void expect_same_runs(const std::vector<Chi0Run>& runs) {
+    const Chi0Run& serial = runs.front();
+    for (std::size_t k = 1; k < runs.size(); ++k) {
+      SCOPED_TRACE(k == 1 ? "4 lanes" : "4 lanes, quota 2");
+      const Chi0Run& r = runs[k];
+      ASSERT_EQ(r.out.size(), serial.out.size());
+      EXPECT_EQ(std::memcmp(r.out.data(), serial.out.data(),
+                            serial.out.size() * sizeof(double)),
+                0);
+      expect_same_stats(serial.stats, r.stats);
+      expect_same_events(serial.events, r.events);
+    }
+  }
+
+  static rpa::SternheimerOptions pinned_block(int fixed_block) {
+    rpa::SternheimerOptions sopts = base_options().stern;
+    sopts.dynamic_block = false;
+    sopts.fixed_block = fixed_block;
+    return sopts;
+  }
+};
+
+TEST_F(OrbitalFanOutTest, BitwiseIdenticalAtAnyLaneCount) {
+  const la::Matrix<double> v = probe_block(5);
+  for (const common::Precision precision :
+       {common::Precision::kFp64, common::Precision::kMixed}) {
+    for (int fixed_block : {1, 3}) {
+      SCOPED_TRACE(std::string(precision == common::Precision::kFp64
+                                   ? "fp64"
+                                   : "mixed") +
+                   ", fixed_block " + std::to_string(fixed_block));
+      rpa::SternheimerOptions sopts = pinned_block(fixed_block);
+      sopts.precision = precision;
+      const std::vector<Chi0Run> runs = runs_at_each_lane_count(sopts, v);
+      EXPECT_GT(runs.front().stats.matvec_columns, 0);
+      EXPECT_EQ(runs.front().events.count(obs::events::kApplyCounters), 1u);
+      expect_same_runs(runs);
+    }
+  }
+}
+
+TEST_F(OrbitalFanOutTest, QuarantineOrderIsTheSerialOrder) {
+  // A persistent zero-matvec fault quarantines every column of the
+  // faulted orbitals' solves; the index list and the ladder events must
+  // come out in orbital order whatever lane solved them.
+  const la::Matrix<double> v = probe_block(5);
+  for (int orbital : {5, -1}) {
+    SCOPED_TRACE("fault orbital " + std::to_string(orbital));
+    rpa::SternheimerOptions sopts = pinned_block(3);
+    sopts.resilience.quarantine = true;
+    sopts.fault.mode = solver::FaultMode::kZeroMatvec;
+    sopts.fault.at_apply = 0;
+    sopts.fault.period = 1;
+    sopts.fault.max_faults = 1 << 30;
+    sopts.fault.orbital = orbital;
+    const std::vector<Chi0Run> runs = runs_at_each_lane_count(sopts, v);
+    const rpa::SternheimerStats& serial = runs.front().stats;
+    EXPECT_GT(serial.quarantined_columns, 0);
+    EXPECT_GE(runs.front().events.count(obs::events::kColumnQuarantine), 1u);
+    if (orbital < 0) {
+      EXPECT_GT(serial.quarantined_columns, 5);  // several orbitals
+    }
+    expect_same_runs(runs);
+  }
+}
+
+TEST_F(OrbitalFanOutTest, FailedOrbitalThrowsAfterTheSerialPrefix) {
+  // With the ladder off, orbital 5's injected breakdown escapes the apply.
+  // Orbitals 0-4 are merged first and nothing after orbital 5 is, at any
+  // lane count: the caller sees the serial loop's partial state.
+  const la::Matrix<double> v = probe_block(5);
+  rpa::SternheimerOptions sopts = pinned_block(3);
+  sopts.resilience.enabled = false;
+  sopts.fault.mode = solver::FaultMode::kZeroMatvec;
+  sopts.fault.at_apply = 0;
+  sopts.fault.period = 1;
+  sopts.fault.max_faults = 1 << 30;
+  sopts.fault.orbital = 5;
+  std::vector<Chi0Run> runs(3);
+  const auto attempt = [&](Chi0Run& r) {
+    r.out = la::Matrix<double>(v.rows(), v.cols());
+    EXPECT_THROW(rpa::Chi0Applier(built().ks, sopts)
+                     .apply(v, r.out, 0.7, &r.stats, &r.events),
+                 NumericalBreakdown);
+  };
+  sched::set_global_threads(1);
+  attempt(runs[0]);
+  sched::set_global_threads(4);
+  attempt(runs[1]);
+  {
+    sched::TaskQuotaScope quota(2);
+    attempt(runs[2]);
+  }
+  sched::set_global_threads(0);
+  // Two chunks (3 + 2 columns) per clean orbital.
+  EXPECT_EQ(runs[0].stats.total_chunks, 5 * 2);
+  EXPECT_EQ(runs[0].events.count(obs::events::kApplyCounters), 0u);
+  expect_same_runs(runs);
+}
+
+TEST_F(OrbitalFanOutTest, OneColumnApplyForksOneTaskPerOrbital) {
+  // Structural guard against a silent return to the serial orbital loop:
+  // at 4 lanes an s = 1 apply forks the orbital solves onto the pool;
+  // under a quota of 1 and at 1 lane it forks nothing.
+  const la::Matrix<double> v = probe_block(1);
+  const rpa::SternheimerOptions sopts = pinned_block(1);
+  const std::size_t n_occ = built().ks.n_occ();
+  const auto forked = [&] {
+    const sched::PoolStats pool0 = sched::global_pool().stats();
+    apply(sopts, v);
+    return sched::global_pool().stats().since(pool0).tasks;
+  };
+  sched::set_global_threads(4);
+  EXPECT_GE(forked(), static_cast<long>(n_occ) - 1);
+  {
+    sched::TaskQuotaScope quota(1);
+    EXPECT_EQ(forked(), 0);
+  }
+  sched::set_global_threads(1);
+  EXPECT_EQ(forked(), 0);
+  sched::set_global_threads(0);
 }
 
 TEST_F(ParallelRpaTest, ModeledNuChi0TimeShrinksWithRanks) {
