@@ -1,6 +1,10 @@
 #include "direct/dense.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "la/blas.hpp"
+#include "sched/parallel_for.hpp"
 
 namespace rsrpa::direct {
 
@@ -25,40 +29,37 @@ la::Matrix<double> dense_chi0(const la::EigResult& eig, std::size_t n_occ,
                               double omega, double dv) {
   const std::size_t n = eig.values.size();
   RSRPA_REQUIRE(n_occ >= 1 && n_occ < n && omega > 0.0);
+  const std::size_t n_vir = n - n_occ;
 
-  // chi0 = sum_j D_j G_j D_j with D_j = diag(psi_j) and
-  // G_j = Q diag( 4 (lam_a - lam_j) / ((lam_a - lam_j)^2 + w^2) ) Q^T.
-  // Occupied-occupied terms cancel pairwise inside the j sum, so the full
-  // resolvent over ALL states a reproduces the occupied-unoccupied
-  // Adler-Wiser sum exactly (see DESIGN.md).
-  const la::Matrix<double>& q = eig.vectors;
-  la::Matrix<double> qt = q.transposed();
-  la::Matrix<double> chi0(n, n), scaled(n, n), g(n, n);
-
+  // chi0 = -sum_j W_j^T W_j over the occupied j, one symmetric rank-n_vir
+  // update each, with the occupied-virtual pair products
+  //   W_j(a, i) = psi_j(i) psi_a(i) s_ja,
+  //   s_ja^2 = -4 (lam_j - lam_a) / (((lam_j - lam_a)^2 + w^2) dv) >= 0,
+  // the Adler-Wiser sum of Eq. (2) in the operator convention (1/dv).
+  // Occupied-occupied pairs cancel in that sum and are never formed.
+  la::Matrix<double> qt_vir(n_vir, n);  // qt_vir(a, i) = psi_{n_occ + a}(i)
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t a = 0; a < n_vir; ++a)
+      qt_vir(a, i) = eig.vectors(i, n_occ + a);
+  la::Matrix<double> chi0(n, n), w(n_vir, n);
+  std::vector<double> s(n_vir);
   for (std::size_t j = 0; j < n_occ; ++j) {
     const double lam_j = eig.values[j];
-    // scaled = Q * diag(f_a)
-    for (std::size_t a = 0; a < n; ++a) {
-      const double d = lam_j - eig.values[a];
-      const double f = 4.0 * d / (d * d + omega * omega);
-      const double* qa = &q(0, a);
-      double* sa = &scaled(0, a);
-      for (std::size_t i = 0; i < n; ++i) sa[i] = qa[i] * f;
+    for (std::size_t a = 0; a < n_vir; ++a) {
+      const double d = lam_j - eig.values[n_occ + a];
+      s[a] = std::sqrt(
+          std::max(-4.0 * d / ((d * d + omega * omega) * dv), 0.0));
     }
-    la::gemm_nn(1.0, scaled, qt, 0.0, g);
-    // chi0 += D_j G D_j (element-wise outer scaling by psi_j).
-    const double* psi = &q(0, j);
-    for (std::size_t c = 0; c < n; ++c) {
-      const double pc = psi[c];
-      const double* gc = &g(0, c);
-      double* xc = &chi0(0, c);
-      for (std::size_t i = 0; i < n; ++i) xc[i] += psi[i] * gc[i] * pc;
-    }
+    const double* psi = &eig.vectors(0, j);
+    sched::parallel_for_range(0, n, 64, [&](std::size_t ib, std::size_t ie) {
+      for (std::size_t i = ib; i < ie; ++i) {
+        const double* q = &qt_vir(0, i);
+        double* wi = &w(0, i);
+        for (std::size_t a = 0; a < n_vir; ++a) wi[a] = psi[i] * q[a] * s[a];
+      }
+    });
+    la::syrk_tn(-1.0, w, 1.0, chi0);
   }
-  // Grid-orbital convention -> continuum polarizability operator.
-  const double inv_dv = 1.0 / dv;
-  for (std::size_t c = 0; c < n; ++c)
-    for (std::size_t i = 0; i < n; ++i) chi0(i, c) *= inv_dv;
   return chi0;
 }
 

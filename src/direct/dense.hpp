@@ -26,7 +26,9 @@ la::EigResult full_diagonalization(const ham::Hamiltonian& h);
 /// frequency): the dense polarizability OPERATOR matrix, i.e. including
 /// the 1/dv quadrature factor so it matches Chi0Applier's convention.
 /// `eig` must be the full decomposition of H; the lowest n_occ states are
-/// occupied.
+/// occupied. Formed from the occupied-virtual pair products only, as
+/// n_occ symmetric rank-n_vir updates (la::syrk_tn): n_occ n_vir n_d^2 / 2
+/// mul-adds. The result is exactly symmetric.
 la::Matrix<double> dense_chi0(const la::EigResult& eig, std::size_t n_occ,
                               double omega, double dv);
 

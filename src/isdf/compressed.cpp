@@ -86,7 +86,7 @@ la::Matrix<double> CompressedNuChi0::assemble(double omega) const {
   });
 
   la::Matrix<double> c(nip_, nip_);
-  la::gemm_tn(-1.0, wt, wt, 0.0, c);
+  la::syrk_tn(-1.0, wt, 0.0, c);
   return c;
 }
 
@@ -114,17 +114,18 @@ std::vector<double> CompressedNuChi0::spectrum(double omega,
 double CompressedNuChi0::flops_per_freq() const {
   const double nov = static_cast<double>(n_occ_) * static_cast<double>(n_vir_);
   const double nip = static_cast<double>(nip_);
-  // W fill + assembly GEMM + the two congruence GEMMs (the eigensolve is
-  // not GEMM work and is excluded on purpose: the bench uses this to
-  // check the run is GEMM-dominated).
-  return 2.0 * nov * nip + 2.0 * nov * nip * nip + 4.0 * nip * nip * nip;
+  // W fill + the assembly's rank-k update (its lower triangle, nip (nip +
+  // 1) / 2 dot products of length nov) + the two congruence GEMMs (the
+  // eigensolve is not GEMM work and is excluded on purpose: the bench uses
+  // this to check the run is GEMM-dominated).
+  return 2.0 * nov * nip + nov * nip * (nip + 1.0) + 4.0 * nip * nip * nip;
 }
 
 double CompressedNuChi0::bytes_per_freq() const {
   const double nov = static_cast<double>(n_occ_) * static_cast<double>(n_vir_);
   const double nip = static_cast<double>(nip_);
-  // Streaming lower bound: W written once and read once by the assembly
-  // GEMM, sampled rows read once, the three nip^2 operands of each
+  // Streaming lower bound: W written once and read once by the assembly,
+  // sampled rows read once, the three nip^2 operands of each
   // congruence GEMM read/written once.
   return 8.0 * (2.0 * nov * nip +
                 static_cast<double>(n_occ_ + n_vir_) * nip + 10.0 * nip * nip);

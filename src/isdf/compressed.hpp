@@ -7,14 +7,15 @@
 //   C = -W W^T,  W(mu, (j,a)) = psi_j(p_mu) phi_a(p_mu) sd_{ja},
 //   sd_{ja}^2 = 4 (lam_a - lam_j) / (((lam_j - lam_a)^2 + omega^2) dv),
 //
-// matching dense_chi0's operator convention exactly (occ-occ terms cancel
-// pairwise there; the occ x vir restriction here is the same operator).
+// matching dense_chi0's operator convention exactly (dense_chi0 sums the
+// same occupied-virtual pair products over the full grid).
 // The symmetrized operator becomes M ~= Z C Z^T with Z = nu^{1/2} Theta
 // (Kronecker spectral apply), whose nonzero spectrum equals that of the
 // nip x nip matrix K = S^{1/2} C S^{1/2}, S = Z^T Z. S is frequency
 // independent, so S^{1/2} is built once; each quadrature point then costs
-// one (nov x nip)-GEMM assembly, two nip^3 GEMMs, and a nip^3 eigensolve
-// — the cubic-scaling path of Lu & Thicke.
+// one symmetric rank-nov update (la::syrk_tn, the lower triangle of
+// W W^T), two nip^3 GEMMs, and a nip^3 eigensolve — the cubic-scaling
+// path of Lu & Thicke.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +44,8 @@ class CompressedNuChi0 {
                    la::Matrix<double> theta,
                    const poisson::KroneckerLaplacian& klap);
 
-  /// The nip x nip coefficient matrix C(i omega) (symmetric, negative
-  /// semidefinite). GEMM-dominated: 2 * nip^2 * n_occ*n_vir flops.
+  /// The nip x nip coefficient matrix C(i omega) (exactly symmetric,
+  /// negative semidefinite). Rank-k dominated: nip^2 * n_occ*n_vir flops.
   [[nodiscard]] la::Matrix<double> assemble(double omega) const;
 
   /// Ascending spectrum of the compressed nu^{1/2} chi0 nu^{1/2} (its
@@ -56,7 +57,7 @@ class CompressedNuChi0 {
   [[nodiscard]] std::size_t nip() const { return nip_; }
   [[nodiscard]] std::size_t n_pairs() const { return n_occ_ * n_vir_; }
 
-  /// Modeled GEMM work/traffic for one spectrum() call (assembly GEMM +
+  /// Modeled GEMM work/traffic for one spectrum() call (assembly +
   /// the two congruence GEMMs; streaming lower-bound byte model, same
   /// spirit as solver::ApplyCostModel). Feeds the PR-4 AI telemetry.
   [[nodiscard]] double flops_per_freq() const;

@@ -203,6 +203,59 @@ void gemm_tn_impl(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
   });
 }
 
+// One tile of the syrk_tn lower triangle: for rows i0 + r (r < kR) and
+// columns j0 + q (q < kC) with i >= j, C(i, j) += alpha * the dot product
+// of A's columns i and j over the rows [kk, kk + klen). Every entry sums
+// over the same four chains (chain = offset mod 4) with explicit fma,
+// combined as (s0 + s1) + (s2 + s3), so its bits do not depend on the tile
+// shape or on which task computes it. A 4 x 4 tile issues 16 independent
+// chains from 8 column loads per step, where a single dot product issues
+// one chain from two.
+template <std::size_t kR, std::size_t kC>
+void syrk_tile(const Matrix<double>& a, std::size_t kk, std::size_t klen,
+               std::size_t i0, std::size_t j0, double alpha,
+               Matrix<double>& c) {
+  // Columns addressed from one base and a stride (not through an array of
+  // pointers), which lets the compiler keep the 4 x 4 x 4 chains in vector
+  // registers.
+  const std::size_t lda = a.rows();
+  const double* x = &a(kk, i0);
+  const double* y = &a(kk, j0);
+  double s[kR][kC][4] = {};
+  std::size_t p = 0;
+  for (; p + 4 <= klen; p += 4)
+    for (std::size_t r = 0; r < kR; ++r)
+      for (std::size_t q = 0; q < kC; ++q)
+        for (std::size_t l = 0; l < 4; ++l)
+          s[r][q][l] = std::fma(x[r * lda + p + l], y[q * lda + p + l],
+                                s[r][q][l]);
+  // The tail goes to chains 0, 1, 2 in turn, as one more step padded with
+  // zeros (fma(0, 0, s) adds nothing): every chain index stays a
+  // compile-time constant, which keeps the chains in registers above.
+  if (p < klen) {
+    double xt[kR][4], yt[kC][4];
+    for (std::size_t l = 0; l < 4; ++l) {
+      const bool in = p + l < klen;
+      for (std::size_t r = 0; r < kR; ++r)
+        xt[r][l] = in ? x[r * lda + p + l] : 0.0;
+      for (std::size_t q = 0; q < kC; ++q)
+        yt[q][l] = in ? y[q * lda + p + l] : 0.0;
+    }
+    for (std::size_t r = 0; r < kR; ++r)
+      for (std::size_t q = 0; q < kC; ++q)
+        for (std::size_t l = 0; l < 4; ++l)
+          s[r][q][l] = std::fma(xt[r][l], yt[q][l], s[r][q][l]);
+  }
+  double sum[kR][kC];
+  for (std::size_t r = 0; r < kR; ++r)
+    for (std::size_t q = 0; q < kC; ++q)
+      sum[r][q] = (s[r][q][0] + s[r][q][1]) + (s[r][q][2] + s[r][q][3]);
+  for (std::size_t r = 0; r < kR; ++r)
+    for (std::size_t q = 0; q < kC; ++q)
+      if (i0 + r >= j0 + q)
+        c(i0 + r, j0 + q) = std::fma(alpha, sum[r][q], c(i0 + r, j0 + q));
+}
+
 // dst[0, m) = src[0, m) + acol[0, m) * b: column_axpy on a copy of src,
 // with the copy folded into the same pass (identical per-element fma).
 template <typename T>
@@ -441,6 +494,64 @@ void gemm_tn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
 void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c) {
   gemm_tn_impl<cplx, Conj::Yes>(alpha, a, b, beta, c);
+}
+
+void syrk_tn(double alpha, const Matrix<double>& a, double beta,
+             Matrix<double>& c) {
+  const std::size_t k = a.rows(), m = a.cols();
+  RSRPA_REQUIRE(c.rows() == m && c.cols() == m);
+  // Columns go in blocks of four. Block b's lower-triangle work is
+  // proportional to m - 4b, so one work item pairs block t with block
+  // nb - 1 - t and every item costs about the same 4 m k mul-adds. Items
+  // write disjoint columns of the lower triangle and, when mirroring,
+  // disjoint rows of the upper one.
+  constexpr std::size_t kT = 4;
+  const std::size_t nb = (m + kT - 1) / kT;
+  const std::size_t items = (nb + 1) / 2;
+  const std::size_t grain = column_grain(kT * m * std::max<std::size_t>(k, 1));
+  sched::parallel_for_range(0, items, grain, [&](std::size_t tb,
+                                                 std::size_t te) {
+    // Block t and its partner nb - 1 - t (the middle block has none).
+    auto each_block = [&](auto&& body) {
+      for (std::size_t t = tb; t < te; ++t) {
+        body(kT * t);
+        if (nb - 1 - t != t) body(kT * (nb - 1 - t));
+      }
+    };
+    each_block([&](std::size_t j0) {
+      for (std::size_t j = j0; j < std::min(j0 + kT, m); ++j) {
+        double* ccol = &c(0, j);
+        if (beta == 0.0)
+          std::fill(ccol + j, ccol + m, 0.0);
+        else if (beta != 1.0)
+          for (std::size_t i = j; i < m; ++i) ccol[i] *= beta;
+      }
+    });
+    // Chunks of the shared dimension outermost, as in gemm_tn: the
+    // (kKB x m) panel of A stays in cache across the item's blocks.
+    for (std::size_t kk = 0; kk < k; kk += kKB) {
+      const std::size_t klen = std::min(kKB, k - kk);
+      each_block([&](std::size_t j0) {
+        const std::size_t nc = std::min(kT, m - j0);
+        for (std::size_t i0 = j0; i0 < m; i0 += kT) {
+          const std::size_t nr = std::min(kT, m - i0);
+          if (nr == kT && nc == kT) {
+            syrk_tile<kT, kT>(a, kk, klen, i0, j0, alpha, c);
+            continue;
+          }
+          for (std::size_t r = 0; r < nr; ++r)
+            for (std::size_t q = 0; q < nc; ++q)
+              if (i0 + r >= j0 + q)
+                syrk_tile<1, 1>(a, kk, klen, i0 + r, j0 + q, alpha, c);
+        }
+      });
+    }
+    each_block([&](std::size_t j0) {
+      const std::size_t jend = std::min(j0 + kT, m);
+      for (std::size_t i = j0 + 1; i < m; ++i)
+        for (std::size_t j = j0; j < jend && j < i; ++j) c(j, i) = c(i, j);
+    });
+  });
 }
 
 double cocg_update(const Matrix<cplx>& p, const Matrix<cplx>& u,

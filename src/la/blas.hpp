@@ -1,7 +1,7 @@
 // Hand-rolled BLAS-1/2/3 kernels.
 //
-// No vendor BLAS is available in this environment, so the library carries
-// its own kernels. The GEMM variants are cache-blocked and, above a
+// No vendor BLAS is available, so the library carries its own kernels.
+// The GEMM variants are cache-blocked and, above a
 // flop-count threshold, fan column tiles out on the sched runtime
 // (sched::parallel_for over disjoint output-column ranges — bitwise
 // identical to the serial loop at any thread count); that is sufficient
@@ -66,6 +66,15 @@ void gemm_tn(cplxf alpha, const Matrix<cplxf>& a, const Matrix<cplxf>& b,
 /// C = alpha * A^H * B + beta * C    (conjugated transpose)
 void gemm_hn(cplx alpha, const Matrix<cplx>& a, const Matrix<cplx>& b,
              cplx beta, Matrix<cplx>& c);
+
+/// Symmetric rank-k update C = alpha * A^T * A + beta * C (A: k x m,
+/// C: m x m). Only the lower triangle (i >= j) is computed, from the lower
+/// triangle of C; the upper triangle is then overwritten by its mirror, so
+/// C comes out exactly symmetric. Half the mul-adds of gemm_tn(alpha, a, a,
+/// beta, c), to which it agrees to rounding (a different summation order,
+/// pinned by explicit fma, and bitwise identical at every thread count).
+void syrk_tn(double alpha, const Matrix<double>& a, double beta,
+             Matrix<double>& c);
 
 // ---------- Block COCG step ----------
 

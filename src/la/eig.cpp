@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "la/cholesky.hpp"
 
@@ -13,56 +14,99 @@ namespace {
 
 double hypot2(double a, double b) { return std::hypot(a, b); }
 
+// p[0, m) = A u for the symmetric A whose lower triangle is the leading
+// m x m block of z, read down columns only. Column k adds A(k:m, k) u[k]
+// to p[k:m] (an axpy), after which p[k] is complete up to the diagonal,
+// and continues p[k] with A(k+1:m, k) . u[k+1:m] (a dot). Each p[j] is
+// thus one fma chain in EISPACK's row order. Columns go in blocks of
+// eight: each row's p[j] is loaded once per block, and the block's eight
+// dots run as eight interleaved chains.
+void symv_lower(const Matrix<double>& z, std::size_t m, const double* u,
+                double* p) {
+  constexpr std::size_t kB = 8;
+  std::fill(p, p + m, 0.0);
+  for (std::size_t k0 = 0; k0 < m; k0 += kB) {
+    const std::size_t nb = std::min(kB, m - k0), kend = k0 + nb;
+    const double* col[kB];
+    for (std::size_t b = 0; b < nb; ++b) col[b] = &z(0, k0 + b);
+    double s[kB];
+    for (std::size_t b = 0; b < nb; ++b) {  // the block's own triangle
+      const std::size_t k = k0 + b;
+      s[b] = std::fma(col[b][k], u[k], p[k]);  // p[k]'s axpy part is done
+      for (std::size_t j = k + 1; j < kend; ++j) {
+        p[j] = std::fma(col[b][j], u[k], p[j]);
+        s[b] = std::fma(col[b][j], u[j], s[b]);
+      }
+    }
+    auto rows_below = [&](auto nbc) {
+      for (std::size_t j = kend; j < m; ++j) {
+        double pj = p[j];
+        for (std::size_t b = 0; b < nbc; ++b) {
+          pj = std::fma(col[b][j], u[k0 + b], pj);
+          s[b] = std::fma(col[b][j], u[j], s[b]);
+        }
+        p[j] = pj;
+      }
+    };
+    if (nb == kB)
+      rows_below(std::integral_constant<std::size_t, kB>{});
+    else
+      rows_below(nb);
+    for (std::size_t b = 0; b < nb; ++b) p[k0 + b] = s[b];
+  }
+}
+
 // Householder reduction of a symmetric matrix to tridiagonal form with
 // accumulation of the orthogonal transform (EISPACK tred2). On exit `z`
 // holds the transform Q with A = Q T Q^T, `d` the diagonal of T and `e`
 // the subdiagonal (e[i] couples i-1 and i; e[0] = 0).
+// EISPACK's steps in column order (see eig.hpp): every loop is stride-1.
 void tred2(Matrix<double>& z, std::vector<double>& d, std::vector<double>& e,
            bool want_vectors) {
   const std::size_t n = z.rows();
   d.assign(n, 0.0);
   e.assign(n, 0.0);
   if (n == 0) return;
+  std::vector<double> u(n), p(n);
 
-  for (std::size_t ii = n - 1; ii >= 1; --ii) {
-    const std::size_t i = ii;
-    const std::size_t l = i - 1;
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    const std::size_t l = i - 1, m = i;  // the active block is m x m
     double h = 0.0;
     double scale = 0.0;
-    if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::abs(z(i, k));
-      if (scale == 0.0) {
-        e[i] = z(i, l);
-      } else {
-        for (std::size_t k = 0; k <= l; ++k) {
-          z(i, k) /= scale;
-          h += z(i, k) * z(i, k);
-        }
-        double f = z(i, l);
-        double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
-        e[i] = scale * g;
-        h -= f * g;
-        z(i, l) = f - g;
-        f = 0.0;
-        for (std::size_t j = 0; j <= l; ++j) {
-          if (want_vectors) z(j, i) = z(i, j) / h;
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += z(j, k) * z(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
-          e[j] = g / h;
-          f += e[j] * z(i, j);
-        }
-        const double hh = f / (h + h);
-        for (std::size_t j = 0; j <= l; ++j) {
-          f = z(i, j);
-          g = e[j] - hh * f;
-          e[j] = g;
-          for (std::size_t k = 0; k <= j; ++k)
-            z(j, k) -= f * e[k] + g * z(i, k);
-        }
-      }
+    for (std::size_t k = 0; k < m; ++k) {
+      u[k] = z(i, k);
+      scale += std::abs(u[k]);
+    }
+    if (l == 0 || scale == 0.0) {
+      e[i] = u[l];
     } else {
-      e[i] = z(i, l);
+      for (std::size_t k = 0; k < m; ++k) u[k] /= scale;
+      for (std::size_t k = 0; k < m; ++k) h = std::fma(u[k], u[k], h);
+      const double f = u[l];
+      const double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
+      e[i] = scale * g;
+      h = std::fma(-f, g, h);
+      u[l] = f - g;
+      // Row i keeps u for the accumulation phase; column i (above the
+      // diagonal) keeps u / h.
+      for (std::size_t k = 0; k < m; ++k) z(i, k) = u[k];
+      if (want_vectors)
+        for (std::size_t j = 0; j < m; ++j) z(j, i) = u[j] / h;
+      symv_lower(z, m, u.data(), p.data());
+      double f_dot = 0.0;
+      for (std::size_t j = 0; j < m; ++j) {
+        p[j] /= h;
+        f_dot = std::fma(p[j], u[j], f_dot);
+      }
+      const double hh = f_dot / (h + h);
+      for (std::size_t j = 0; j < m; ++j) p[j] = std::fma(-hh, u[j], p[j]);
+      // A -= u p^T + p u^T on the lower triangle, column by column.
+      for (std::size_t k = 0; k < m; ++k) {
+        double* col = &z(0, k);
+        const double uk = u[k], pk = p[k];
+        for (std::size_t j = k; j < m; ++j)
+          col[j] -= std::fma(u[j], pk, p[j] * uk);
+      }
     }
     d[i] = h;
   }
@@ -73,11 +117,22 @@ void tred2(Matrix<double>& z, std::vector<double>& d, std::vector<double>& e,
   for (std::size_t i = 0; i < n; ++i) {
     if (want_vectors) {
       if (d[i] != 0.0) {
-        const std::size_t l = i;  // columns 0..i-1
-        for (std::size_t j = 0; j < l; ++j) {
-          double g = 0.0;
-          for (std::size_t k = 0; k < l; ++k) g += z(i, k) * z(k, j);
-          for (std::size_t k = 0; k < l; ++k) z(k, j) -= g * z(k, i);
+        // Q[0:i, 0:i] -= (u / h) (u^T Q[0:i, 0:i]): the dots of eight
+        // columns run as eight interleaved chains, then each column takes
+        // its axpy.
+        for (std::size_t k = 0; k < i; ++k) u[k] = z(i, k);
+        const double* v = &z(0, i);
+        for (std::size_t j0 = 0; j0 < i; j0 += 8) {
+          const std::size_t nb = std::min<std::size_t>(8, i - j0);
+          double g[8] = {};
+          for (std::size_t k = 0; k < i; ++k)
+            for (std::size_t b = 0; b < nb; ++b)
+              g[b] = std::fma(u[k], z(k, j0 + b), g[b]);
+          for (std::size_t b = 0; b < nb; ++b) {
+            double* col = &z(0, j0 + b);
+            for (std::size_t k = 0; k < i; ++k)
+              col[k] = std::fma(-g[b], v[k], col[k]);
+          }
         }
       }
       d[i] = z(i, i);

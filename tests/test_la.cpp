@@ -1,9 +1,12 @@
 // Unit and property tests for the dense linear algebra substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -364,6 +367,64 @@ TEST(CocgKernels, NormFroMatchesLongDoubleSum) {
   EXPECT_NEAR(norm_fro(ar), exact(ar), 4e-16 * exact(ar));
 }
 
+// ---------------------------------------------------------------------------
+// syrk_tn: the lower-triangle rank-k update against gemm_tn.
+
+// max |x - y| over max |y|.
+double max_rel_diff(const Matrix<double>& x, const Matrix<double>& y) {
+  double diff = 0.0, scale = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    diff = std::max(diff, std::abs(x.data()[i] - y.data()[i]));
+    scale = std::max(scale, std::abs(y.data()[i]));
+  }
+  return diff / scale;
+}
+
+TEST(Syrk, MatchesGemmTnAndIsExactlySymmetric) {
+  // Odd sizes, edge tiles (m mod 4 != 0), and shared dimensions below,
+  // at and across the 256-row chunk (k mod 4 != 0 exercises the tail).
+  const std::size_t shapes[][2] = {{1, 1},   {3, 5},    {4, 8},   {7, 13},
+                                   {256, 9}, {257, 31}, {513, 6}, {700, 33},
+                                   {5, 130}, {1001, 67}};
+  for (const auto& [k, m] : shapes) {
+    Rng rng(10 * k + m);
+    const Matrix<double> a = random_matrix(k, m, rng);
+    for (const double beta : {0.0, 1.0, -0.5}) {
+      Matrix<double> c0 = random_symmetric(m, rng);
+      Matrix<double> ref = c0;
+      gemm_tn(-1.5, a, a, beta, ref);
+      // The upper triangle is never read: poison it.
+      for (std::size_t j = 1; j < m; ++j)
+        for (std::size_t i = 0; i < j; ++i)
+          c0(i, j) = std::numeric_limits<double>::quiet_NaN();
+      Matrix<double> c = c0;
+      syrk_tn(-1.5, a, beta, c);
+      EXPECT_LE(max_rel_diff(c, ref), 1e-14)
+          << "k=" << k << " m=" << m << " beta=" << beta;
+      for (std::size_t j = 0; j < m; ++j)
+        for (std::size_t i = 0; i < j; ++i)
+          ASSERT_EQ(c(i, j), c(j, i)) << "k=" << k << " m=" << m;
+    }
+  }
+}
+
+TEST(Syrk, BitwiseEqualAtOneAndFourLanes) {
+  Rng rng(41);
+  for (const auto& [k, m] : {std::pair<std::size_t, std::size_t>{713, 301},
+                             {11408, 61}}) {
+    const Matrix<double> a = random_matrix(k, m, rng);
+    const Matrix<double> c0 = random_symmetric(m, rng);
+    sched::set_global_threads(1);
+    Matrix<double> serial = c0;
+    syrk_tn(-1.0, a, 1.0, serial);
+    sched::set_global_threads(4);
+    Matrix<double> threaded = c0;
+    syrk_tn(-1.0, a, 1.0, threaded);
+    sched::set_global_threads(0);
+    expect_bitwise(threaded, serial, "syrk_tn", m, 4);
+  }
+}
+
 TEST(Lu, SolvesRandomRealSystem) {
   Rng rng(6);
   const std::size_t n = 30;
@@ -531,6 +592,147 @@ TEST(SymEig, ValuesOnlyAgreesWithFull) {
   ASSERT_EQ(vals.size(), full.values.size());
   for (std::size_t i = 0; i < vals.size(); ++i)
     EXPECT_NEAR(vals[i], full.values[i], 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The column-order tridiagonalization: edge sizes, its branches, accuracy
+// at working size, and lane-count invariance.
+
+// max |A V - V D| over max |lambda|, and max |V^T V - I|.
+void expect_eigenpairs(const Matrix<double>& a, const EigResult& r,
+                       double tol, const char* what) {
+  const std::size_t n = a.rows();
+  ASSERT_EQ(r.values.size(), n) << what;
+  ASSERT_EQ(r.vectors.rows(), n) << what;
+  ASSERT_EQ(r.vectors.cols(), n) << what;
+  double scale = 0.0;
+  for (double v : r.values) scale = std::max(scale, std::abs(v));
+  if (scale == 0.0) scale = 1.0;
+  Matrix<double> av(n, n), vtv(n, n);
+  gemm_nn(1.0, a, r.vectors, 0.0, av);
+  gemm_tn(1.0, r.vectors, r.vectors, 0.0, vtv);
+  double res = 0.0, orth = 0.0;
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) {
+      res = std::max(res, std::abs(av(i, j) - r.values[j] * r.vectors(i, j)));
+      orth = std::max(orth, std::abs(vtv(i, j) - (i == j ? 1.0 : 0.0)));
+    }
+  EXPECT_LE(res / scale, tol) << what << ": residual";
+  EXPECT_LE(orth, tol) << what << ": orthogonality";
+  for (std::size_t i = 1; i < n; ++i)
+    EXPECT_LE(r.values[i - 1], r.values[i]) << what << ": ascending";
+}
+
+TEST(SymEig, EmptyOneAndTwoByTwo) {
+  const Matrix<double> a0(0, 0);
+  EXPECT_TRUE(sym_eig(a0).values.empty());
+  EXPECT_TRUE(sym_eigvals(a0).empty());
+
+  Matrix<double> a1(1, 1);
+  a1(0, 0) = -2.5;
+  const EigResult r1 = sym_eig(a1);
+  ASSERT_EQ(r1.values.size(), 1u);
+  EXPECT_EQ(r1.values[0], -2.5);
+  EXPECT_EQ(std::abs(r1.vectors(0, 0)), 1.0);
+  EXPECT_EQ(sym_eigvals(a1), std::vector<double>{-2.5});
+
+  Matrix<double> a2(2, 2);
+  a2(0, 0) = 1.0;
+  a2(1, 1) = 3.0;
+  a2(1, 0) = a2(0, 1) = 0.5;
+  const double mid = 2.0, rad = std::sqrt(1.0 + 0.25);
+  const EigResult r2 = sym_eig(a2);
+  expect_eigenpairs(a2, r2, 1e-15, "2x2");
+  EXPECT_NEAR(r2.values[0], mid - rad, 1e-15);
+  EXPECT_NEAR(r2.values[1], mid + rad, 1e-15);
+  const std::vector<double> v2 = sym_eigvals(a2);
+  ASSERT_EQ(v2.size(), 2u);
+  EXPECT_NEAR(v2[0], mid - rad, 1e-15);
+  EXPECT_NEAR(v2[1], mid + rad, 1e-15);
+}
+
+TEST(SymEig, ZeroRowTakesTheUnscaledBranch) {
+  // Row 5 is zero and row n-1 has a zero off-diagonal part: both steps
+  // find scale == 0 (the Householder updates of later rows keep them so).
+  Rng rng(42);
+  const std::size_t n = 12;
+  Matrix<double> a = random_symmetric(n, rng);
+  for (std::size_t k = 0; k < n; ++k) {
+    a(5, k) = a(k, 5) = 0.0;
+    if (k + 1 < n) a(n - 1, k) = a(k, n - 1) = 0.0;
+  }
+  a(n - 1, n - 1) = 2.0;
+  const EigResult r = sym_eig(a);
+  expect_eigenpairs(a, r, 1e-14, "zero row");
+  auto has = [&](double v) {
+    for (double x : r.values)
+      if (std::abs(x - v) <= 1e-14) return true;
+    return false;
+  };
+  EXPECT_TRUE(has(0.0));
+  EXPECT_TRUE(has(2.0));
+  const std::vector<double> vals = sym_eigvals(a);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(vals[i], r.values[i], 1e-14);
+}
+
+TEST(SymEig, DiagonalAndRepeatedEigenvalues) {
+  // A diagonal matrix is already tridiagonal: its values come back exact.
+  const std::vector<double> diag = {2.0, -1.0, 2.0, 0.5, -1.0,
+                                    2.0, 3.0,  0.5, 2.0};
+  const std::size_t n = diag.size();
+  Matrix<double> d(n, n);
+  for (std::size_t i = 0; i < n; ++i) d(i, i) = diag[i];
+  std::vector<double> sorted = diag;
+  std::sort(sorted.begin(), sorted.end());
+  const EigResult rd = sym_eig(d);
+  EXPECT_EQ(rd.values, sorted);
+  EXPECT_EQ(sym_eigvals(d), sorted);
+  expect_eigenpairs(d, rd, 0.0, "diagonal");
+
+  // Dense, with eigenvalues of multiplicity 3, 2 and 1: Q diag Q^T.
+  Rng rng(43);
+  const std::size_t m = 40;
+  const Matrix<double> q = sym_eig(random_symmetric(m, rng)).vectors;
+  std::vector<double> lam(m);
+  for (std::size_t i = 0; i < m; ++i)
+    lam[i] = i < 3 ? -1.0 : i < 5 ? 0.25 : 1.0 + static_cast<double>(i);
+  Matrix<double> ql = q;
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t i = 0; i < m; ++i) ql(i, j) *= lam[j];
+  Matrix<double> a(m, m);
+  gemm_nn(1.0, ql, q.transposed(), 0.0, a);
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t i = 0; i < j; ++i) a(i, j) = a(j, i);
+  const EigResult r = sym_eig(a);
+  expect_eigenpairs(a, r, 1e-13, "repeated");
+  for (std::size_t i = 0; i < m; ++i) EXPECT_NEAR(r.values[i], lam[i], 1e-13);
+}
+
+TEST(SymEig, ResidualsAndOrthogonalityAtWorkingSize) {
+  Rng rng(44);
+  const std::size_t n = 240;
+  const Matrix<double> a = random_symmetric(n, rng);
+  const EigResult r = sym_eig(a);
+  expect_eigenpairs(a, r, 1e-13, "n=240");
+  const std::vector<double> vals = sym_eigvals(a);
+  ASSERT_EQ(vals.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_NEAR(vals[i], r.values[i], 1e-13 * std::abs(r.values.back()));
+}
+
+TEST(SymEig, BitwiseEqualAtOneAndFourLanes) {
+  Rng rng(45);
+  const Matrix<double> a = random_symmetric(260, rng);
+  sched::set_global_threads(1);
+  const EigResult serial = sym_eig(a);
+  const std::vector<double> serial_vals = sym_eigvals(a);
+  sched::set_global_threads(4);
+  const EigResult threaded = sym_eig(a);
+  const std::vector<double> threaded_vals = sym_eigvals(a);
+  sched::set_global_threads(0);
+  EXPECT_EQ(threaded.values, serial.values);
+  EXPECT_EQ(threaded_vals, serial_vals);
+  expect_bitwise(threaded.vectors, serial.vectors, "sym_eig vectors", 260, 4);
 }
 
 TEST(SymEigGen, ReducesToStandardWhenBIsIdentity) {

@@ -515,6 +515,10 @@ TEST_F(OrbitalFanOutTest, OneColumnApplyForksOneTaskPerOrbital) {
 }
 
 TEST_F(ParallelRpaTest, ModeledNuChi0TimeShrinksWithRanks) {
+  // One lane per simulated rank, as fig4/fig5 run it: the p = 1 run must
+  // not fan its orbital solves out over lanes the ranks of the p = 4 run
+  // do not get.
+  sched::TaskQuotaScope one_lane_per_rank(1);
   const rpa::RpaResult r1 = run(base_options(), 1);
   const rpa::RpaResult r4 = run(base_options(), 4);
   // The embarrassingly parallel kernel must show real speedup in the
