@@ -69,8 +69,6 @@
 //                      rest by projection (default 0 = off)
 //   SSA_RESIDUAL_TOL   projection-residual bound; above it the point
 //                      falls back to a full solve    (default 5e-3)
-//   SSA_REFRESH        1 = a fallback's eigenvectors refresh the frozen
-//                      basis (default); 0 = basis stays frozen
 //
 // Checkpoint/restart keys (docs/REPRODUCING.md, "Checkpoint and resume"):
 //   CHECKPOINT  path of the run checkpoint, written atomically after every

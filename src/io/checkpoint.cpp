@@ -184,7 +184,6 @@ std::uint64_t run_fingerprint(const dft::KsSystem& sys,
   // a checkpoint is only resumable under the same elision policy.
   f.i64(opts.ssa.freeze_after);
   f.f64(opts.ssa.residual_tol);
-  f.b(opts.ssa.refresh);
   hash_sternheimer_options(f, opts.stern);
   f.u64(opts.n_ranks);
   return f.h;

@@ -32,10 +32,6 @@ inline constexpr const char* kSolverSwap = "solver_swap";
 inline constexpr const char* kColumnQuarantine = "column_quarantine";
 // Driver-level summary: a quadrature point with quarantined columns.
 inline constexpr const char* kQuadPointDegraded = "quad_point_degraded";
-// Per-apply telemetry of the fused shifted-Hamiltonian pipeline: one
-// event per chi0 application with modeled bytes/flops, measured seconds,
-// and the resulting arithmetic intensity.
-inline constexpr const char* kApplyCounters = "apply_counters";
 // Warm-start hygiene: quarantined subspace columns re-randomized before
 // the next quadrature point (part of the result log — deterministic).
 inline constexpr const char* kWarmStartReseed = "warm_start_reseed";

@@ -34,10 +34,6 @@ Json to_json(const solver::SolveReport& rep) {
   j["relative_residual"] = rep.relative_residual;
   j["converged"] = rep.converged;
   j["matvec_columns"] = rep.matvec_columns;
-  if (rep.matvec_bytes > 0.0 || rep.matvec_flops > 0.0) {
-    j["matvec_bytes"] = rep.matvec_bytes;
-    j["matvec_flops"] = rep.matvec_flops;
-  }
   if (!rep.history.empty()) {
     Json h = Json::array();
     for (double r : rep.history) h.push_back(r);

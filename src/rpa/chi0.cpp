@@ -38,7 +38,6 @@ struct OrbitalSlot {
   la::Matrix<la::cplx> b, y;
   la::Matrix<double> b_real;
   solver::DynamicBlockReport rep;
-  solver::ApplyCounters counters;
   obs::EventLog events;
   std::exception_ptr error;
 };
@@ -102,6 +101,7 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
   dopts.solver.max_iter = opts_.max_iter;
   dopts.solver.stagnation_window = opts_.stagnation_window;
   dopts.solver.stagnation_factor = opts_.stagnation_factor;
+  dopts.solver.precision = opts_.precision;
   dopts.enabled = opts_.dynamic_block;
   dopts.fixed_block = opts_.fixed_block;
   dopts.max_block = opts_.max_block;
@@ -120,20 +120,10 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
   const std::size_t grain = column_grain(n);
 
   const ham::Hamiltonian& h = *sys_.h;
-  // Hand the operator's per-column cost model to the solvers so their
-  // reports (and through them SternheimerStats) carry bytes/flops.
-  {
-    const solver::ApplyCostModel cost = solver::shifted_apply_cost(h);
-    dopts.solver.matvec_bytes_per_column = cost.bytes_per_column;
-    dopts.solver.matvec_flops_per_column = cost.flops_per_column;
-  }
-  if (opts_.precision == common::Precision::kMixed) {
-    dopts.solver.precision = common::Precision::kMixed;
-    const solver::ApplyCostModel cost32 =
-        solver::shifted_apply_cost(h, 4.0);
-    dopts.solver.matvec_bytes_per_column_f32 = cost32.bytes_per_column;
-    dopts.solver.matvec_flops_per_column_f32 = cost32.flops_per_column;
-  }
+  // The operator's per-column cost models: the dynamic-block reports
+  // (and through them SternheimerStats) carry modeled bytes/flops.
+  dopts.cost = solver::shifted_apply_cost(h);
+  dopts.cost_f32 = solver::shifted_apply_cost(h, 4.0);
 
   // Orbital j's block Sternheimer solve, into its slot. It reads only
   // shared const state, so any number can run concurrently.
@@ -168,15 +158,14 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
         });
 
     // Bind the Sternheimer coefficient operator as a first-class object:
-    // every solve runs the fused single-sweep pipeline and the op
-    // accumulates per-apply bytes/flops/seconds for this orbital.
+    // every solve runs the fused single-sweep pipeline.
     solver::ShiftedHamiltonianOp ham_op(h, lambda, omega);
     solver::BlockOpC op = std::cref(ham_op);
     solver::DynamicBlockOptions jopts = dopts;
     jopts.events = sink != nullptr ? &slot.events : nullptr;
     if (opts_.precision == common::Precision::kMixed) {
-      // FP32 inner kernel over the SAME shifted operator; columns land in
-      // the op's columns_f32 counter with the elem_bytes = 4 cost model.
+      // FP32 inner kernel over the SAME shifted operator; its columns are
+      // counted in matvec_columns_f32 and costed with dopts.cost_f32.
       // Fault injection stays on the FP64 outer applies — the ladder's
       // recovery semantics are defined at the residual-replacement
       // boundary, which is where injected faults must surface.
@@ -197,7 +186,6 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
       op = solver::FaultInjectingOp(std::move(op), fopts);
     }
     slot.rep = solver::solve_dynamic_block(op, b, y, jopts);
-    slot.counters = ham_op.counters();
   };
   const auto run = [&](std::size_t j, OrbitalSlot& slot) {
     try {
@@ -210,14 +198,12 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
   // Orbital j's share of the serial reduction, in ascending j: telemetry,
   // then the Eq. (6) term. A failed orbital rethrows here, after its
   // events, so everything merged before it matches the serial loop.
-  solver::ApplyCounters call_counters;
   const double scale = 4.0 / h.grid().dv();
   const auto merge = [&](std::size_t j, OrbitalSlot& slot) {
     if (sink != nullptr) sink->merge(slot.events);
     slot.events.clear();
     if (slot.error) std::rethrow_exception(slot.error);
     if (stats != nullptr) stats->merge(slot.rep);
-    call_counters.merge(slot.counters);
 
     // Accumulate (4 / dv) Re(Psi_j . Y_j). Columns are disjoint; the
     // j-accumulation order within each column matches the serial loop.
@@ -245,24 +231,6 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
       group.wait();
     }
     for (std::size_t t = 0; t < w; ++t) merge(j0 + t, slots[t]);
-  }
-
-  // One measured-intensity event per chi0 application: modeled traffic
-  // and work plus time actually spent inside the operator (thread-seconds
-  // summed over the orbital solves), so the bench reports (Fig. 5 / A1)
-  // can quote achieved arithmetic intensity.
-  if (sink != nullptr && call_counters.applies > 0) {
-    sink->emit(obs::events::kApplyCounters,
-               "shifted-Hamiltonian apply totals for one chi0 application",
-               {{"omega", omega},
-                {"applies", static_cast<double>(call_counters.applies)},
-                {"columns", static_cast<double>(call_counters.columns)},
-                {"columns_f32", static_cast<double>(call_counters.columns_f32)},
-                {"bytes", call_counters.bytes},
-                {"flops", call_counters.flops},
-                {"seconds", call_counters.seconds},
-                {"arithmetic_intensity",
-                 call_counters.arithmetic_intensity()}});
   }
 }
 

@@ -17,10 +17,10 @@
 // Concurrency. The n_occ solves are independent, so one apply runs them
 // on the sched pool in waves of L = min(pool lanes, current task quota,
 // n_occ) tasks. Each task owns a slot (its B_j, Y_j and real RHS buffers,
-// its solver report, operator counters and event log); the L slots are
-// allocated once per apply and reused by every wave. After each join the
-// slots merge in ascending j: statistics, counters and events first, then
-// the Eq. (6) term out += (4/dv) psi_j Re Y_j with the serial expression.
+// its solver report and event log); the L slots are allocated once per
+// apply and reused by every wave. After each join the slots merge in
+// ascending j: statistics and events first, then the Eq. (6) term
+// out += (4/dv) psi_j Re Y_j with the serial expression.
 // Every orbital does the same floating-point work as in a serial loop and
 // the sum keeps its serial order, so with a pinned block size
 // (dynamic_block = false) the output, the non-timing statistics and the
@@ -29,6 +29,12 @@
 // its own events: the caller sees the serial loop's partial state. At one
 // lane (or a quota of 1) the loop runs inline and forks nothing. Memory
 // grows with L: three n x s buffers plus one solver workspace per slot.
+//
+// Operator work. The solvers count applied columns (FP64, and FP32 on
+// the mixed path); solve_dynamic_block turns the counts into modeled
+// bytes and flops with the two shifted_apply_cost models this apply hands
+// it. They reach SternheimerStats::matvec_{columns,bytes,flops} and the
+// per-omega records; no per-apply event is emitted.
 #pragma once
 
 #include <map>
@@ -80,9 +86,9 @@ struct SternheimerStats {
   long total_chunks = 0;
   long matvec_columns = 0;      ///< FP64 single-vector applications
   long matvec_columns_f32 = 0;  ///< FP32 inner-iteration applications (mixed)
-  /// Estimated operator traffic/work over all solves (the per-column cost
-  /// model of the bound ShiftedHamiltonianOp times matvec_columns), so
-  /// run reports expose achieved arithmetic intensity per quadrature
+  /// Modeled operator traffic/work over all solves (matvec columns times
+  /// shifted_apply_cost, per precision, summed by solve_dynamic_block),
+  /// so run reports expose achieved arithmetic intensity per quadrature
   /// point: matvec_flops / matvec_bytes.
   double matvec_bytes = 0.0;
   double matvec_flops = 0.0;
@@ -119,9 +125,10 @@ class Chi0Applier {
   /// (optional) accumulates solver statistics. `events` (optional)
   /// overrides the options-level event sink for this call — concurrent
   /// callers (the rank tasks of compute_rpa_energy) pass per-task logs here
-  /// because EventLog itself is single-owner. The sink receives one
-  /// apply_counters event per call; its seconds are thread-seconds summed
-  /// over the orbital solves.
+  /// because EventLog itself is single-owner. The sink receives only the
+  /// solvers' recovery-ladder events; operator work lands in `stats` as
+  /// matvec_{columns,bytes,flops}, bytes and flops modeled as columns x
+  /// shifted_apply_cost (no per-apply event exists).
   void apply(const la::Matrix<double>& v, la::Matrix<double>& out,
              double omega, SternheimerStats* stats = nullptr,
              obs::EventLog* events = nullptr) const;

@@ -281,21 +281,15 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
             "a full solve",
             {{"omega_index", static_cast<double>(k)},
              {"projection_residual", proj.residual},
-             {"collapsed", proj.collapsed ? 1.0 : 0.0},
-             {"refresh", opts.ssa.refresh ? 1.0 : 0.0}});
+             {"collapsed", proj.collapsed ? 1.0 : 0.0}});
       }
     }
 
     if (solve_in_full) {
-      // With SSA_REFRESH a fallback's converged eigenvectors become the
-      // new frozen basis; off, the solve runs on a scratch copy and the
-      // original basis stays frozen. Either way the fallback warm-starts
-      // from the frozen basis — the best guess available.
-      la::Matrix<double> scratch;
-      const bool keep_basis = rec.fallback && !opts.ssa.refresh;
-      if (keep_basis) scratch = v;
-      la::Matrix<double>& target = keep_basis ? scratch : v;
-      SubspaceResult sub = subspace_iteration(apply, q.omega, target, sopts,
+      // A fallback warm-starts from the frozen basis (the best guess
+      // available) and its converged eigenvectors become the new frozen
+      // basis, so one fallback re-anchors the remaining tail.
+      SubspaceResult sub = subspace_iteration(apply, q.omega, v, sopts,
                                               &result.timers, &result.events);
       rec.filter_iterations = sub.filter_iterations;
       rec.error = sub.error;

@@ -133,10 +133,6 @@ struct SsaOptions {
   /// tol_eig) above which an elision candidate falls back to a full solve
   /// (SSA_RESIDUAL_TOL).
   double residual_tol = 5e-3;
-  /// After a fallback solve, adopt the freshly converged eigenvectors as
-  /// the new frozen basis (SSA_REFRESH). Off, the original basis stays
-  /// frozen and the fallback's subspace evolution is discarded.
-  bool refresh = true;
 };
 
 /// True when quadrature point `k` is an elision candidate: the basis is

@@ -63,7 +63,6 @@ SolveReport block_cocg_core(
   RSRPA_REQUIRE(y.rows() == n && y.cols() == s && s >= 1);
 
   SolveReport rep;
-  MatvecCostScope cost_scope(rep, opts);
   const double bnorm = la::norm_fro(b);
   if (bnorm == 0.0) {
     y.zero();
@@ -189,7 +188,6 @@ SolveReport cocg(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
   RSRPA_REQUIRE(y.size() == n);
 
   SolveReport rep;
-  MatvecCostScope cost_scope(rep, opts);
   const double bnorm = la::nrm2(b);
   if (bnorm == 0.0) {
     std::fill(y.begin(), y.end(), cplx{});

@@ -1,27 +1,18 @@
 #include "solver/block_cocr.hpp"
 
 #include <cmath>
-#include <functional>
 
 #include "la/blas.hpp"
 #include "la/lu.hpp"
-#include "solver/mixed.hpp"
 
 namespace rsrpa::solver {
 
-namespace {
-
-// The recurrence over a generic working scalar C (cplx for the FP64
-// path, cplxf for the mixed inner iterations); see block_cocg.cpp.
-template <typename C>
-SolveReport block_cocr_core(
-    const std::function<void(const la::Matrix<C>&, la::Matrix<C>&)>& a,
-    const la::Matrix<C>& b, la::Matrix<C>& y, const SolverOptions& opts) {
+SolveReport block_cocr(const BlockOpC& a, const la::Matrix<cplx>& b,
+                       la::Matrix<cplx>& y, const SolverOptions& opts) {
   const std::size_t n = b.rows(), s = b.cols();
   RSRPA_REQUIRE(y.rows() == n && y.cols() == s && s >= 1);
 
   SolveReport rep;
-  MatvecCostScope cost_scope(rep, opts);
   const double bnorm = la::norm_fro(b);
   if (bnorm == 0.0) {
     y.zero();
@@ -30,7 +21,7 @@ SolveReport block_cocr_core(
   }
 
   // R = B - A Y0; AR = A R.
-  la::Matrix<C> r(n, s), ar(n, s);
+  la::Matrix<cplx> r(n, s), ar(n, s);
   a(y, r);
   rep.matvec_columns += static_cast<long>(s);
   for (std::size_t j = 0; j < s; ++j)
@@ -46,22 +37,22 @@ SolveReport block_cocr_core(
   a(r, ar);
   rep.matvec_columns += static_cast<long>(s);
 
-  la::Matrix<C> p = r, ap = ar;
-  la::Matrix<C> rho(s, s), rho_new(s, s), sigma(s, s), alpha(s, s),
+  la::Matrix<cplx> p = r, ap = ar;
+  la::Matrix<cplx> rho(s, s), rho_new(s, s), sigma(s, s), alpha(s, s),
       beta(s, s);
-  la::gemm_tn(C{1}, r, ar, C{0}, rho);  // rho = R^T A R
+  la::gemm_tn(cplx{1}, r, ar, cplx{0}, rho);  // rho = R^T A R
 
   double prev_relres = rep.relative_residual;
   for (int it = 0; it < opts.max_iter; ++it) {
     // sigma = (A P)^T (A P); alpha = sigma^{-1} rho.
-    la::gemm_tn(C{1}, ap, ap, C{0}, sigma);
-    la::Lu<C> lu_sigma(sigma);
+    la::gemm_tn(cplx{1}, ap, ap, cplx{0}, sigma);
+    la::Lu<cplx> lu_sigma(sigma);
     const bool suspect = lu_sigma.pivot_ratio() < opts.breakdown_tol;
     alpha = rho;
     lu_sigma.solve_inplace(alpha);
 
-    la::gemm_nn(C{1}, p, alpha, C{1}, y);
-    la::gemm_nn(C{-1}, ap, alpha, C{1}, r);
+    la::gemm_nn(cplx{1}, p, alpha, cplx{1}, y);
+    la::gemm_nn(cplx{-1}, ap, alpha, cplx{1}, r);
 
     rep.iterations = it + 1;
     rep.relative_residual = la::norm_fro(r) / bnorm;
@@ -79,37 +70,22 @@ SolveReport block_cocr_core(
 
     a(r, ar);
     rep.matvec_columns += static_cast<long>(s);
-    la::gemm_tn(C{1}, r, ar, C{0}, rho_new);
+    la::gemm_tn(cplx{1}, r, ar, cplx{0}, rho_new);
 
-    la::Lu<C> lu_rho(rho);
+    la::Lu<cplx> lu_rho(rho);
     beta = rho_new;
     lu_rho.solve_inplace(beta);
     rho = rho_new;
 
     // P = R + P beta; AP = AR + AP beta.
-    la::Matrix<C> pnew = r;
-    la::gemm_nn(C{1}, p, beta, C{1}, pnew);
+    la::Matrix<cplx> pnew = r;
+    la::gemm_nn(cplx{1}, p, beta, cplx{1}, pnew);
     p = std::move(pnew);
-    la::Matrix<C> apnew = ar;
-    la::gemm_nn(C{1}, ap, beta, C{1}, apnew);
+    la::Matrix<cplx> apnew = ar;
+    la::gemm_nn(cplx{1}, ap, beta, cplx{1}, apnew);
     ap = std::move(apnew);
   }
   return rep;
-}
-
-}  // namespace
-
-SolveReport block_cocr(const BlockOpC& a, const la::Matrix<cplx>& b,
-                       la::Matrix<cplx>& y, const SolverOptions& opts) {
-  if (opts.precision == common::Precision::kMixed && opts.mixed_apply)
-    return mixed_outer_solve(a, opts.mixed_apply, b, y, opts, &block_cocr_f32);
-  return block_cocr_core<cplx>(a, b, y, opts);
-}
-
-SolveReport block_cocr_f32(const BlockOpC32& a, const la::Matrix<la::cplxf>& b,
-                           la::Matrix<la::cplxf>& y,
-                           const SolverOptions& opts) {
-  return block_cocr_core<la::cplxf>(a, b, y, opts);
 }
 
 }  // namespace rsrpa::solver

@@ -14,16 +14,10 @@
 namespace rsrpa::solver {
 
 /// Solve A Y = B, A complex symmetric, with block size s = B.cols().
-/// `y` supplies the initial guess and receives the solution. Dispatches
-/// to the mixed-precision driver exactly like block_cocg (see there),
-/// with block_cocr_f32 as the inner solver.
+/// `y` supplies the initial guess and receives the solution. FP64 only:
+/// opts.precision and opts.mixed_apply are ignored (the recovery ladder
+/// reaches it as a rung-3 swap, where robustness beats speed).
 SolveReport block_cocr(const BlockOpC& a, const la::Matrix<cplx>& b,
                        la::Matrix<cplx>& y, const SolverOptions& opts = {});
-
-/// The same recurrence over FP32 storage — the inner solver of the mixed
-/// path, public for direct testing. Ignores opts.precision.
-SolveReport block_cocr_f32(const BlockOpC32& a, const la::Matrix<la::cplxf>& b,
-                           la::Matrix<la::cplxf>& y,
-                           const SolverOptions& opts = {});
 
 }  // namespace rsrpa::solver

@@ -38,13 +38,13 @@ ChunkRecord solve_chunk(const BlockOpC& a, const la::Matrix<cplx>& b,
     rep.total_matvec_columns += rec.matvec_columns;
     rep.total_matvec_columns_f32 += rec.matvec_columns_f32;
     rep.total_matvec_bytes += static_cast<double>(rec.matvec_columns) *
-                                  opts.solver.matvec_bytes_per_column +
+                                  opts.cost.bytes_per_column +
                               static_cast<double>(rec.matvec_columns_f32) *
-                                  opts.solver.matvec_bytes_per_column_f32;
+                                  opts.cost_f32.bytes_per_column;
     rep.total_matvec_flops += static_cast<double>(rec.matvec_columns) *
-                                  opts.solver.matvec_flops_per_column +
+                                  opts.cost.flops_per_column +
                               static_cast<double>(rec.matvec_columns_f32) *
-                                  opts.solver.matvec_flops_per_column_f32;
+                                  opts.cost_f32.flops_per_column;
     rec.seconds = timer.seconds();
     rep.total_seconds += rec.seconds;
     rep.total_restarts += rec.restarts;

@@ -52,9 +52,9 @@ struct DynamicBlockReport {
   std::vector<ChunkRecord> chunks;
   long total_matvec_columns = 0;
   long total_matvec_columns_f32 = 0;
-  /// Estimated operator traffic/work over all chunks (each precision's
-  /// matvec columns times its SolverOptions per-column cost model; 0
-  /// when no model).
+  /// Modeled operator traffic/work over all chunks: each precision's
+  /// matvec columns times its DynamicBlockOptions cost model (0 when no
+  /// model). The only place column counts become bytes and flops.
   double total_matvec_bytes = 0.0;
   double total_matvec_flops = 0.0;
   double total_seconds = 0.0;
@@ -72,6 +72,12 @@ struct DynamicBlockReport {
 
 struct DynamicBlockOptions {
   SolverOptions solver;
+  /// Per-column cost of one FP64 and one FP32 operator application
+  /// (shifted_apply_cost with elem_bytes 8 and 4); they turn the column
+  /// counts into DynamicBlockReport::total_matvec_bytes/flops. Zero =
+  /// unknown operator.
+  ApplyCostModel cost;
+  ApplyCostModel cost_f32;
   int max_block = 0;  ///< 0 = unlimited; paper caps at n_eig / p
   bool enabled = true;  ///< false = fixed block size fixed_block
   int fixed_block = 1;

@@ -21,7 +21,6 @@ SolveReport mixed_outer_solve(const BlockOpC& a64, const BlockOpC32& a32,
                     "mixed_outer_solve: no FP32 operator bound");
 
   SolveReport rep;
-  MatvecCostScope cost_scope(rep, opts);
   const double bnorm = la::norm_fro(b);
   if (bnorm == 0.0) {
     y.zero();
@@ -36,7 +35,6 @@ SolveReport mixed_outer_solve(const BlockOpC& a64, const BlockOpC32& a32,
   iopts.breakdown_tol = std::max(opts.breakdown_tol, 1e-7);
   iopts.stagnation_window = opts.stagnation_window;
   iopts.stagnation_factor = opts.stagnation_factor;
-  // Accounting is owned here (matvec_columns_f32); no per-column model.
 
   la::Matrix<cplx> w(n, s);
   la::Matrix<la::cplxf> b32(n, s), z32(n, s);

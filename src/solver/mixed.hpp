@@ -27,8 +27,8 @@ namespace rsrpa::solver {
 /// sqrt(eps_f32) ~ 3.45e-4.
 [[nodiscard]] double f32_tol_floor();
 
-/// The FP32 inner solver the outer loop restarts (block_cocg_f32 or
-/// block_cocr_f32 — same recurrence as the FP64 solver it stands in for).
+/// The FP32 inner solver the outer loop restarts (block_cocg_f32 — same
+/// recurrence as the FP64 solver it stands in for).
 using InnerSolverF32 = SolveReport (*)(const BlockOpC32&,
                                        const la::Matrix<la::cplxf>&,
                                        la::Matrix<la::cplxf>&,

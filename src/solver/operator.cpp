@@ -1,6 +1,5 @@
 #include "solver/operator.hpp"
 
-#include "common/timer.hpp"
 #include "hamiltonian/hamiltonian.hpp"
 
 namespace rsrpa::solver {
@@ -33,34 +32,16 @@ ApplyCostModel shifted_apply_cost(const ham::Hamiltonian& h,
 
 ShiftedHamiltonianOp::ShiftedHamiltonianOp(const ham::Hamiltonian& h,
                                            double lambda, double omega)
-    : h_(&h),
-      lambda_(lambda),
-      omega_(omega),
-      cost_(shifted_apply_cost(h)),
-      cost_f32_(shifted_apply_cost(h, 4.0)) {}
+    : h_(&h), lambda_(lambda), omega_(omega) {}
 
 void ShiftedHamiltonianOp::apply(const la::Matrix<cplx>& in,
                                  la::Matrix<cplx>& out) const {
-  WallTimer timer;
   h_->apply_shifted_block(in, out, lambda_, omega_);
-  const auto cols = static_cast<long>(in.cols());
-  counters_.applies += 1;
-  counters_.columns += cols;
-  counters_.bytes += cost_.bytes_per_column * static_cast<double>(cols);
-  counters_.flops += cost_.flops_per_column * static_cast<double>(cols);
-  counters_.seconds += timer.seconds();
 }
 
 void ShiftedHamiltonianOp::apply_f32(const la::Matrix<la::cplxf>& in,
                                      la::Matrix<la::cplxf>& out) const {
-  WallTimer timer;
   h_->apply_shifted_block(in, out, lambda_, omega_);
-  const auto cols = static_cast<long>(in.cols());
-  counters_.applies += 1;
-  counters_.columns_f32 += cols;
-  counters_.bytes += cost_f32_.bytes_per_column * static_cast<double>(cols);
-  counters_.flops += cost_f32_.flops_per_column * static_cast<double>(cols);
-  counters_.seconds += timer.seconds();
 }
 
 }  // namespace rsrpa::solver

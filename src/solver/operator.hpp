@@ -41,12 +41,6 @@ struct SolverOptions {
   /// (solver/resilience.hpp) instead of spinning to max_iter. 0 = off.
   int stagnation_window = 0;
   double stagnation_factor = 0.99;  ///< required improvement per window
-  /// Per-column cost model of the coefficient operator (bytes moved /
-  /// flops per single-vector application). Filled by callers that know
-  /// their operator (e.g. from ShiftedHamiltonianOp) so SolveReport can
-  /// expose achieved arithmetic intensity; 0 = unknown.
-  double matvec_bytes_per_column = 0.0;
-  double matvec_flops_per_column = 0.0;
   /// Precision policy. kMixed runs the Krylov recurrence in FP32 through
   /// `mixed_apply` with FP64 residual replacement on the outer loop
   /// (solver/mixed.hpp); requires mixed_apply to be set, otherwise the
@@ -57,10 +51,6 @@ struct SolverOptions {
   /// FP32 application of the same coefficient operator (inner kernel of
   /// the mixed path). Unset = mixed unavailable.
   BlockOpC32 mixed_apply;
-  /// Cost model of one FP32 column application (4-byte words; see
-  /// shifted_apply_cost elem_bytes). 0 = unknown.
-  double matvec_bytes_per_column_f32 = 0.0;
-  double matvec_flops_per_column_f32 = 0.0;
 };
 
 struct SolveReport {
@@ -69,67 +59,15 @@ struct SolveReport {
   bool converged = false;
   long matvec_columns = 0;  ///< # of FP64 single-vector operator applications
   long matvec_columns_f32 = 0;  ///< # of FP32 inner-iteration applications
-  /// Estimated operator traffic/work: each precision's column count times
-  /// its per-column cost model in SolverOptions (0 when not provided).
-  double matvec_bytes = 0.0;
-  double matvec_flops = 0.0;
   std::vector<double> history;  ///< per-iteration relres if recorded
-};
-
-/// Fills SolveReport::matvec_bytes/matvec_flops from matvec_columns and
-/// the per-column cost model on every exit path (including throws, where
-/// the ladder folds partially filled reports). One per solver function.
-class MatvecCostScope {
- public:
-  MatvecCostScope(SolveReport& rep, const SolverOptions& opts)
-      : rep_(rep), opts_(opts) {}
-  ~MatvecCostScope() {
-    rep_.matvec_bytes =
-        static_cast<double>(rep_.matvec_columns) *
-            opts_.matvec_bytes_per_column +
-        static_cast<double>(rep_.matvec_columns_f32) *
-            opts_.matvec_bytes_per_column_f32;
-    rep_.matvec_flops =
-        static_cast<double>(rep_.matvec_columns) *
-            opts_.matvec_flops_per_column +
-        static_cast<double>(rep_.matvec_columns_f32) *
-            opts_.matvec_flops_per_column_f32;
-  }
-  MatvecCostScope(const MatvecCostScope&) = delete;
-  MatvecCostScope& operator=(const MatvecCostScope&) = delete;
-
- private:
-  SolveReport& rep_;
-  const SolverOptions& opts_;
-};
-
-/// Running totals over operator applications (single-owner, like
-/// KernelTimers: one thread drives a given op instance).
-struct ApplyCounters {
-  long applies = 0;    ///< block applications
-  long columns = 0;    ///< FP64 single-vector applications
-  long columns_f32 = 0;  ///< FP32 inner-iteration applications
-  double bytes = 0.0;  ///< estimated bytes moved (cost model x columns)
-  double flops = 0.0;  ///< estimated flops (cost model x columns)
-  double seconds = 0.0;  ///< measured wall time inside the operator
-
-  void merge(const ApplyCounters& o) {
-    applies += o.applies;
-    columns += o.columns;
-    columns_f32 += o.columns_f32;
-    bytes += o.bytes;
-    flops += o.flops;
-    seconds += o.seconds;
-  }
-  [[nodiscard]] double arithmetic_intensity() const {
-    return bytes > 0.0 ? flops / bytes : 0.0;
-  }
 };
 
 /// Estimated per-column memory traffic and flops of one application of
 /// (H - lambda I + i omega I) to a complex vector by the fused
 /// single-sweep pipeline. The sweep counting follows the paper's SS III-C fast-memory model:
 /// stencil neighbors hit in cache, so each sweep reads its operands once.
+/// solve_dynamic_block is the one place that turns applied column counts
+/// into modeled bytes and flops with it (DynamicBlockOptions::cost).
 struct ApplyCostModel {
   double bytes_per_column = 0.0;
   double flops_per_column = 0.0;
@@ -145,8 +83,7 @@ struct ApplyCostModel {
 /// The Sternheimer coefficient operator A_{j,k} = H - lambda_j I
 /// + i omega_k I as a first-class block operator: chi0 binds this (rather
 /// than a per-column lambda) so every solve goes through the fused
-/// single-sweep pipeline and per-apply bytes/flops/seconds accumulate in
-/// one place. Convertible to BlockOpC by reference capture.
+/// single-sweep pipeline. Convertible to BlockOpC by reference capture.
 class ShiftedHamiltonianOp {
  public:
   ShiftedHamiltonianOp(const ham::Hamiltonian& h, double lambda, double omega);
@@ -157,36 +94,17 @@ class ShiftedHamiltonianOp {
   }
 
   /// FP32 application of the same shifted operator (the mixed-precision
-  /// inner kernel). Shares this op's counters — FP32 columns land in
-  /// ApplyCounters::columns_f32 with the elem_bytes = 4 cost model.
+  /// inner kernel).
   void apply_f32(const la::Matrix<la::cplxf>& in,
                  la::Matrix<la::cplxf>& out) const;
 
   [[nodiscard]] double lambda() const { return lambda_; }
   [[nodiscard]] double omega() const { return omega_; }
-  [[nodiscard]] double bytes_per_column() const {
-    return cost_.bytes_per_column;
-  }
-  [[nodiscard]] double flops_per_column() const {
-    return cost_.flops_per_column;
-  }
-  [[nodiscard]] double bytes_per_column_f32() const {
-    return cost_f32_.bytes_per_column;
-  }
-  [[nodiscard]] double flops_per_column_f32() const {
-    return cost_f32_.flops_per_column;
-  }
-  /// Accumulated telemetry (single-owner; reset between measurements).
-  [[nodiscard]] const ApplyCounters& counters() const { return counters_; }
-  void reset_counters() const { counters_ = ApplyCounters{}; }
 
  private:
   const ham::Hamiltonian* h_;
   double lambda_ = 0.0;
   double omega_ = 0.0;
-  ApplyCostModel cost_;
-  ApplyCostModel cost_f32_;
-  mutable ApplyCounters counters_;
 };
 
 }  // namespace rsrpa::solver

@@ -18,7 +18,6 @@ SolveReport qmr_sym(const BlockOpC& a, std::span<const cplx> b,
   RSRPA_REQUIRE(y.size() == n);
 
   SolveReport rep;
-  MatvecCostScope cost_scope(rep, opts);
   const double bnorm = la::nrm2(b);
   if (bnorm == 0.0) {
     std::fill(y.begin(), y.end(), cplx{});

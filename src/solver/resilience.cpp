@@ -125,14 +125,11 @@ enum class SwapSolver { kBlockCocr = 0, kQmrSym = 1, kGmres = 2 };
 SolveReport run_swap(LadderCtx& ctx, SwapSolver which,
                      const la::Matrix<cplx>& b, la::Matrix<cplx>& y) {
   switch (which) {
-    case SwapSolver::kBlockCocr: {
+    case SwapSolver::kBlockCocr:
       // Deep in recovery, robustness beats speed: if the mixed path was
-      // active it may well be what broke down, so the swap runs COCR at
-      // full FP64 rather than re-entering the FP32 inner loop.
-      SolverOptions fp64_opts = *ctx.sopts;
-      fp64_opts.precision = common::Precision::kFp64;
-      return block_cocr(*ctx.op, b, y, fp64_opts);
-    }
+      // active it may well be what broke down, so the swap runs COCR,
+      // which is FP64 only, rather than re-entering the FP32 inner loop.
+      return block_cocr(*ctx.op, b, y, *ctx.sopts);
     case SwapSolver::kQmrSym:
       return qmr_sym(*ctx.op, b.col(0), y.col(0), *ctx.sopts);
     case SwapSolver::kGmres: {
@@ -305,12 +302,6 @@ ResilientSolveResult resilient_block_solve(const BlockOpC& a,
   ladder_solve(ctx, b, y, col0);
   out.report.matvec_columns = matvecs;
   out.report.matvec_columns_f32 = matvecs_f32;
-  out.report.matvec_bytes =
-      static_cast<double>(matvecs) * sopts.matvec_bytes_per_column +
-      static_cast<double>(matvecs_f32) * sopts.matvec_bytes_per_column_f32;
-  out.report.matvec_flops =
-      static_cast<double>(matvecs) * sopts.matvec_flops_per_column +
-      static_cast<double>(matvecs_f32) * sopts.matvec_flops_per_column_f32;
   return out;
 }
 

@@ -13,7 +13,6 @@ SolveReport cocg_store_basis(const BlockOpC& a, std::span<const cplx> b,
   RSRPA_REQUIRE(y.size() == n);
 
   SolveReport rep;
-  MatvecCostScope cost_scope(rep, opts);
   basis.directions = la::Matrix<cplx>(n, 0);
   basis.mu.clear();
 

@@ -1,5 +1,8 @@
 #include "svc/job.hpp"
 
+#include <string>
+#include <utility>
+
 namespace rsrpa::svc {
 
 Method method_from_string(const std::string& s) {
@@ -27,11 +30,20 @@ JobSpec parse_job(const Config& cfg) {
   // config should fail in milliseconds, not after a system build.
   // Removed keys fail the same way, so an old config never runs with its
   // setting silently ignored.
-  for (const char* key : {"FUSED_APPLY", "TILE_Y", "TILE_Z"})
+  constexpr const char* kStencil =
+      "the fused single-sweep stencil apply with fixed 32x16 tiles is the "
+      "only schedule";
+  constexpr std::pair<const char*, const char*> kRemoved[] = {
+      {"FUSED_APPLY", kStencil},
+      {"TILE_Y", kStencil},
+      {"TILE_Z", kStencil},
+      {"SSA_REFRESH",
+       "an SSA fallback's converged eigenvectors always become the new "
+       "frozen basis"}};
+  for (const auto& [key, why] : kRemoved)
     if (cfg.has(key))
-      throw Error(std::string(key) +
-                  " was removed: the fused single-sweep stencil apply with "
-                  "fixed 32x16 tiles is the only schedule; delete the key");
+      throw Error(std::string(key) + " was removed: " + why +
+                  "; delete the key");
   spec.method = method_from_string(
       cfg.has("METHOD") ? cfg.get_string("METHOD") : "sternheimer");
   const solver::FaultMode fault_mode = solver::fault_mode_from_string(
@@ -110,7 +122,6 @@ JobSpec parse_job(const Config& cfg) {
   opts.ssa.freeze_after = cfg.get_int_or("SSA_FREEZE_AFTER", 0);
   opts.ssa.residual_tol =
       cfg.get_double_or("SSA_RESIDUAL_TOL", opts.ssa.residual_tol);
-  opts.ssa.refresh = cfg.get_int_or("SSA_REFRESH", 1) != 0;
   RSRPA_REQUIRE_MSG(opts.ssa.freeze_after >= 0,
                     "SSA_FREEZE_AFTER must be >= 0");
   RSRPA_REQUIRE_MSG(opts.ssa.residual_tol > 0.0,

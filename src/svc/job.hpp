@@ -33,8 +33,6 @@
 //                (quadrature-point elision); 0 (default) disables
 //   SSA_RESIDUAL_TOL  a-posteriori projection-residual bound (TOL_EIG
 //                scale); above it the point falls back to a full solve
-//   SSA_REFRESH  1 (default) = a fallback's converged eigenvectors
-//                replace the frozen basis; 0 = the basis stays frozen
 //   PRIORITY     scheduling priority; higher runs first   (default 0)
 //   THREADS      per-job task quota on the shared pool; 0 = uncapped
 //                (sched::TaskQuotaScope semantics — a cap on in-flight

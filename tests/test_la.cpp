@@ -483,7 +483,11 @@ TEST(Lu, PivotRatioDetectsIllConditioning) {
   Rng rng(8);
   Matrix<double> well = random_spd(10, rng);
   Matrix<double> ill = well;
-  for (std::size_t j = 0; j < 10; ++j) ill(9, j) = well(8, j) * (1 + 1e-13);
+  // Row 9 = row 8 plus a 1e-10 share of the old row 9: nearly dependent,
+  // yet far enough from row 8 that the last pivot stays nonzero whether
+  // or not the elimination contracts its multiply-adds into fma.
+  for (std::size_t j = 0; j < 10; ++j)
+    ill(9, j) = well(8, j) + 1e-10 * well(9, j);
   Lu<double> fw(well), fi(ill);
   EXPECT_GT(fw.pivot_ratio(), 1e-6);
   EXPECT_LT(fi.pivot_ratio(), 1e-8);

@@ -16,9 +16,11 @@
 //     cross-resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <filesystem>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -35,8 +37,8 @@
 #include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/block_cocr.hpp"
 #include "solver/chebyshev.hpp"
+#include "solver/dynamic_block.hpp"
 #include "solver/mixed.hpp"
 #include "solver/operator.hpp"
 #include "svc/driver.hpp"
@@ -245,22 +247,39 @@ TEST(ApplyCostModel, PinsBothElementSizes) {
   EXPECT_DOUBLE_EQ(fused4.bytes_per_column, 0.5 * fused8.bytes_per_column);
   EXPECT_DOUBLE_EQ(fused4.flops_per_column, fused8.flops_per_column);
 
-  // The operator object carries both models and routes FP32 columns into
-  // the columns_f32 counter with the 4-byte model.
+  // solve_dynamic_block is the one place column counts become bytes and
+  // flops: a mixed solve on the shifted operator reports exactly each
+  // precision's columns times its model (integer-valued, so exact).
   const solver::ShiftedHamiltonianOp op(h, 0.1, 0.8);
-  EXPECT_DOUBLE_EQ(op.bytes_per_column_f32(),
-                   0.5 * op.bytes_per_column());
-  EXPECT_DOUBLE_EQ(op.flops_per_column_f32(), op.flops_per_column());
-  const std::size_t ng = h.grid().size();
-  Matrix<cplx> in64(ng, 2), out64(ng, 2);
-  Matrix<cplxf> in32(ng, 3), out32(ng, 3);
-  op.apply(in64, out64);
-  op.apply_f32(in32, out32);
-  EXPECT_EQ(op.counters().columns, 2);
-  EXPECT_EQ(op.counters().columns_f32, 3);
-  EXPECT_DOUBLE_EQ(op.counters().bytes,
-                   2.0 * op.bytes_per_column() +
-                       3.0 * op.bytes_per_column_f32());
+  const std::size_t ng = h.grid().size(), s = 3;
+  Matrix<cplx> b(ng, s), y(ng, s);
+  for (std::size_t j = 0; j < s; ++j) {
+    const std::vector<cplx> col = random_input<cplx>(ng, 40 + j);
+    std::copy(col.begin(), col.end(), b.col(j).begin());
+  }
+  y.zero();
+  solver::DynamicBlockOptions dopts;
+  dopts.cost = fused8;
+  dopts.cost_f32 = fused4;
+  dopts.enabled = false;
+  dopts.fixed_block = 2;  // two chunks: the totals sum per chunk
+  dopts.solver.tol = 1e-6;
+  dopts.solver.precision = Precision::kMixed;
+  dopts.solver.mixed_apply = [&op](const Matrix<cplxf>& in,
+                                   Matrix<cplxf>& out) {
+    op.apply_f32(in, out);
+  };
+  const solver::DynamicBlockReport rep =
+      solver::solve_dynamic_block(std::cref(op), b, y, dopts);
+  ASSERT_EQ(rep.chunks.size(), 2u);
+  const auto cols = static_cast<double>(rep.total_matvec_columns);
+  const auto cols_f32 = static_cast<double>(rep.total_matvec_columns_f32);
+  EXPECT_GT(cols, 0.0);
+  EXPECT_GT(cols_f32, 0.0);
+  EXPECT_EQ(rep.total_matvec_bytes, cols * fused8.bytes_per_column +
+                                     cols_f32 * fused4.bytes_per_column);
+  EXPECT_EQ(rep.total_matvec_flops, cols * fused8.flops_per_column +
+                                     cols_f32 * fused4.flops_per_column);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,13 +337,7 @@ double rel_diff(const Matrix<cplx>& a, const Matrix<cplx>& b) {
   return std::sqrt(num / den);
 }
 
-using BlockSolveFn = solver::SolveReport (*)(const solver::BlockOpC&,
-                                             const Matrix<cplx>&,
-                                             Matrix<cplx>&,
-                                             const solver::SolverOptions&);
-
-void expect_mixed_agrees(BlockSolveFn solve, const char* name) {
-  SCOPED_TRACE(name);
+TEST(MixedSolve, BlockCocgAgreesWithFp64AndCountsF32) {
   const std::size_t n = 48, s = 3;
   DenseSymmetric sys(n, 21);
   const Matrix<cplx> b = random_rhs(n, s, 33);
@@ -333,7 +346,7 @@ void expect_mixed_agrees(BlockSolveFn solve, const char* name) {
   opts.tol = 1e-8;
   Matrix<cplx> y64(n, s);
   y64.zero();
-  const solver::SolveReport r64 = solve(sys.op64, b, y64, opts);
+  const solver::SolveReport r64 = solver::block_cocg(sys.op64, b, y64, opts);
   ASSERT_TRUE(r64.converged);
   EXPECT_EQ(r64.matvec_columns_f32, 0);
 
@@ -342,7 +355,7 @@ void expect_mixed_agrees(BlockSolveFn solve, const char* name) {
   mopts.mixed_apply = sys.op32;
   Matrix<cplx> ym(n, s);
   ym.zero();
-  const solver::SolveReport rm = solve(sys.op64, b, ym, mopts);
+  const solver::SolveReport rm = solver::block_cocg(sys.op64, b, ym, mopts);
   ASSERT_TRUE(rm.converged);
   EXPECT_LE(rm.relative_residual, opts.tol);
   // The inner iterations actually ran in FP32 ...
@@ -350,14 +363,6 @@ void expect_mixed_agrees(BlockSolveFn solve, const char* name) {
   // ... and the answer matches the FP64 solve to the requested tolerance
   // (both are within tol of the true solution).
   EXPECT_LT(rel_diff(ym, y64), 10.0 * opts.tol);
-}
-
-TEST(MixedSolve, BlockCocgAgreesWithFp64AndCountsF32) {
-  expect_mixed_agrees(&solver::block_cocg, "block_cocg");
-}
-
-TEST(MixedSolve, BlockCocrAgreesWithFp64AndCountsF32) {
-  expect_mixed_agrees(&solver::block_cocr, "block_cocr");
 }
 
 TEST(MixedSolve, WithoutMixedApplySilentlyStaysFp64) {

@@ -197,9 +197,9 @@ TEST(Ssa, StaleBasisResidualGrowsAwayFromTheFreezePoint) {
 
 TEST(Ssa, TightResidualBoundForcesFallbackAndMatchesBitwise) {
   // With an unreachable residual bound every frozen point falls back to a
-  // full solve; with SSA_REFRESH on, those solves run on the live basis
-  // with untouched RNG state, so eigenvalues and energy must be bitwise
-  // equal to the plain run — the elision attempt is free of side effects.
+  // full solve; those solves run on the live basis with untouched RNG
+  // state, so eigenvalues and energy must be bitwise equal to the plain
+  // run — the elision attempt is free of side effects.
   auto& b = built();
   const rpa::RpaResult full =
       rpa::compute_rpa_energy(b.ks, *b.klap, base_options());
@@ -218,32 +218,6 @@ TEST(Ssa, TightResidualBoundForcesFallbackAndMatchesBitwise) {
     EXPECT_EQ(r.per_omega[k].e_term, full.per_omega[k].e_term) << k;
     EXPECT_EQ(r.per_omega[k].eigenvalues, full.per_omega[k].eigenvalues) << k;
   }
-}
-
-TEST(Ssa, RefreshOffKeepsTheFrozenBasisAcrossAFallback) {
-  // Same forced-fallback sweep with SSA_REFRESH off: the fallback solves
-  // a scratch copy, so every frozen point starts from the same basis and
-  // projects to the same residual scale. The records must still be full
-  // converged solves.
-  auto& b = built();
-  rpa::RpaOptions opts = base_options();
-  opts.ssa.freeze_after = 2;
-  opts.ssa.residual_tol = 1e-300;
-  opts.ssa.refresh = false;
-  const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
-
-  EXPECT_EQ(count_fallback(r), 2);
-  ASSERT_TRUE(std::isfinite(r.e_rpa));
-  for (std::size_t k = 2; k < 4; ++k) {
-    EXPECT_TRUE(r.per_omega[k].fallback);
-    EXPECT_TRUE(r.per_omega[k].converged) << k;
-  }
-  // Against the refresh=true run the energies agree to solver tolerance
-  // (different warm starts for point 3, same converged answer).
-  rpa::RpaOptions refreshed = opts;
-  refreshed.ssa.refresh = true;
-  const rpa::RpaResult rr = rpa::compute_rpa_energy(b.ks, *b.klap, refreshed);
-  EXPECT_NEAR(r.e_rpa_per_atom, rr.e_rpa_per_atom, 1e-4);
 }
 
 TEST(Ssa, ReseedBeforeFreezeTriggersTheResidualGuard) {
@@ -274,7 +248,7 @@ TEST(Ssa, ReseedBeforeFreezeTriggersTheResidualGuard) {
   EXPECT_TRUE(r.per_omega[1].fallback);
   EXPECT_GT(r.per_omega[1].projection_residual, opts.ssa.residual_tol);
   EXPECT_GE(r.events.count(obs::events::kSsaFallback), 1u);
-  // Downstream of the fallback (refresh=true) the basis is converged
+  // Downstream of the fallback the refreshed basis is converged
   // again and the run finishes clean.
   EXPECT_EQ(r.per_omega[2].quarantined_columns, 0);
   EXPECT_EQ(r.per_omega[3].quarantined_columns, 0);
@@ -408,9 +382,6 @@ TEST_F(SsaCheckpointTest, SsaPolicyIsPartOfTheFingerprint) {
   rpa::RpaOptions o2 = opts;
   o2.ssa.residual_tol *= 2;
   EXPECT_NE(io::run_fingerprint(b.ks, o2), base);
-  rpa::RpaOptions o3 = opts;
-  o3.ssa.refresh = false;
-  EXPECT_NE(io::run_fingerprint(b.ks, o3), base);
 }
 
 // ---------------------------------------------------------------------------

@@ -189,6 +189,21 @@ TEST(SvcJob, ParseRejectsRemovedStencilKeys) {
   }
 }
 
+TEST(SvcJob, ParseRejectsRemovedSsaRefreshKey) {
+  // A fallback's eigenvectors always refresh the frozen basis; a config
+  // asking to keep it frozen fails naming the key, whatever its value.
+  for (const std::string value : {"0", "1"}) {
+    try {
+      (void)svc::parse_job(Config::parse("SSA_FREEZE_AFTER: 2\n"
+                                         "SSA_REFRESH: " + value + "\n"));
+      ADD_FAILURE() << "SSA_REFRESH: " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SSA_REFRESH"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Satellite 2: per-job task quotas on the shared pool
 
