@@ -15,14 +15,30 @@
 //     then continues p[k] with A(k+1:, k) . u[k+1:] (a dot), the block's
 //     eight dots running as eight interleaved chains;
 //   - apply the rank-2 update A -= u q^T + q u^T down each column.
-// The accumulation of Q (sym_eig only) dots u with eight columns of the
-// leading block at a time, again as eight interleaved chains, and then
-// updates each column. Every sum is one chain in EISPACK's order, spelled
-// with explicit fma, so the rounding does not depend on the compiler's
-// contraction or vectorization choices. The reduction runs on the calling
-// thread (a fan-out of these O(n^2)-per-step loops over the pool measured
-// slower), so the results are the same at every lane count. sym_eig and
-// sym_eigvals share the one tred2.
+// Every sum is one chain in EISPACK's order, spelled with explicit fma,
+// so the rounding does not depend on the compiler's contraction or
+// vectorization choices. The reduction runs on the calling thread;
+// sym_eig and sym_eigvals share it.
+//
+// The vector phases (sym_eig, tridiag_eig) change only which lane does
+// which operation, never the operations, so the results are bitwise the
+// same at every lane count:
+//   - accumulation of Q: column j of Q is e_j taken through the steps
+//     i > j with h_i != 0 (g = u_i . q[0:i], then q[0:i] -= g v_i), so
+//     columns are independent. Each lane takes a range of whole 8-column
+//     blocks of about equal work; a block's dots run as eight interleaved
+//     chains, then each column takes its axpy. Q overwrites the u_i the
+//     reduction left in z, so they are read from a packed copy, and each
+//     lane forms v_i = u_i / h_i from it exactly as the reduction did;
+//   - tql2: one fork for the whole QL iteration. Every lane replays the
+//     scalar recurrence on its own copy of d and e (the rotations depend
+//     on nothing else) and rotates its own block of rows of Z, held in a
+//     private buffer with line-aligned columns and copied back at the end.
+//     Row blocks of the shared Z would share a cache line at every block
+//     edge of every column, enough to make the fan-out slower than one
+//     lane.
+// Below order 128, and on a one-lane pool, both run as one range in place:
+// no fork and no copies.
 //
 // Eigenvector signs are arbitrary and rounding-sensitive: a last-bit
 // change in T can flip the sign of a converged column in tql2.

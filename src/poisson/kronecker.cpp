@@ -6,10 +6,14 @@
 
 #include "grid/fd.hpp"
 #include "la/eig.hpp"
+#include "sched/parallel_for.hpp"
 
 namespace rsrpa::poisson {
 
 namespace {
+
+// Smallest mode-transform work worth one sched task in a block apply.
+constexpr double kMinFlopsPerTask = 2.5e5;
 
 // Dense periodic 1D FD Laplacian of radius r on n points with spacing h.
 la::Matrix<double> laplacian_1d(std::size_t n, double h, int radius) {
@@ -117,66 +121,94 @@ KroneckerLaplacian::KroneckerLaplacian(const grid::Grid3D& g, int radius)
       }
   neg_max_ = -lam_min;
   neg_min_nz_ = nz_min;
+
+  const double tol = zero_tol_;
+  nu_ = spectral_table([tol](double lam) {
+    return -lam > tol ? 4.0 * M_PI / (-lam) : 0.0;
+  });
+  nu_sqrt_ = spectral_table([tol](double lam) {
+    return -lam > tol ? std::sqrt(4.0 * M_PI / (-lam)) : 0.0;
+  });
+  nu_inv_sqrt_ = spectral_table([tol](double lam) {
+    return -lam > tol ? std::sqrt(-lam / (4.0 * M_PI)) : 0.0;
+  });
 }
 
-void KroneckerLaplacian::forward(std::span<const double> in,
-                                 std::span<double> out) const {
+std::vector<double> KroneckerLaplacian::spectral_table(
+    const std::function<double(double)>& f) const {
   const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  std::vector<double> t1(in.size()), t2(in.size());
+  std::vector<double> scale(grid_.size());
+  for (std::size_t iz = 0; iz < nz; ++iz)
+    for (std::size_t iy = 0; iy < ny; ++iy)
+      for (std::size_t ix = 0; ix < nx; ++ix)
+        scale[grid_.index(ix, iy, iz)] = f(dx_[ix] + dy_[iy] + dz_[iz]);
+  return scale;
+}
+
+void KroneckerLaplacian::apply_scaled(const std::vector<double>& scale,
+                                      std::span<const double> in,
+                                      std::span<double> out,
+                                      std::vector<double>& work) const {
+  RSRPA_REQUIRE(in.size() == grid_.size() && out.size() == grid_.size());
+  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
+  const std::size_t n = grid_.size();
+  work.resize(3 * n);
+  const std::span<double> t1(work.data(), n), t2(work.data() + n, n),
+      hat(work.data() + 2 * n, n);
+  // Forward transforms (Q^T per mode); `in` is read only here.
   mode_x(qx_, /*transpose=*/true, in, t1, nx, ny * nz);
   mode_y(qy_, /*transpose=*/true, t1, t2, nx, ny, nz);
-  mode_z(qz_, /*transpose=*/true, t2, out, nx * ny, nz);
-}
-
-void KroneckerLaplacian::backward(std::span<const double> in,
-                                  std::span<double> out) const {
-  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  std::vector<double> t1(in.size()), t2(in.size());
-  mode_z(qz_, /*transpose=*/false, in, t1, nx * ny, nz);
+  mode_z(qz_, /*transpose=*/true, t2, hat, nx * ny, nz);
+  for (std::size_t i = 0; i < n; ++i) hat[i] *= scale[i];
+  // Backward transforms (Q per mode); `out` is written only here.
+  mode_z(qz_, /*transpose=*/false, hat, t1, nx * ny, nz);
   mode_y(qy_, /*transpose=*/false, t1, t2, nx, ny, nz);
   mode_x(qx_, /*transpose=*/false, t2, out, nx, ny * nz);
+}
+
+void KroneckerLaplacian::apply_scaled_block(const std::vector<double>& scale,
+                                            la::Matrix<double>& v) const {
+  // Columns are independent: contiguous column ranges go to the lanes,
+  // none smaller than kMinFlopsPerTask of mode transforms.
+  const double col_flops = 4.0 * static_cast<double>(grid_.size()) *
+                           static_cast<double>(grid_.nx() + grid_.ny() +
+                                               grid_.nz());
+  const auto min_cols =
+      static_cast<std::size_t>(std::ceil(kMinFlopsPerTask / col_flops));
+  const auto lanes = static_cast<std::size_t>(sched::global_pool().threads());
+  const std::size_t grain =
+      std::max(min_cols, (v.cols() + lanes - 1) / lanes);
+  sched::parallel_for_range(0, v.cols(), grain,
+                            [&](std::size_t jb, std::size_t je) {
+                              std::vector<double> work;
+                              for (std::size_t j = jb; j < je; ++j)
+                                apply_scaled(scale, v.col(j), v.col(j), work);
+                            });
 }
 
 void KroneckerLaplacian::apply_spectral(const std::function<double(double)>& f,
                                         std::span<const double> in,
                                         std::span<double> out) const {
-  RSRPA_REQUIRE(in.size() == grid_.size() && out.size() == grid_.size());
-  const std::size_t nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-  std::vector<double> hat(grid_.size());
-  forward(in, hat);
-  for (std::size_t iz = 0; iz < nz; ++iz)
-    for (std::size_t iy = 0; iy < ny; ++iy)
-      for (std::size_t ix = 0; ix < nx; ++ix)
-        hat[grid_.index(ix, iy, iz)] *= f(dx_[ix] + dy_[iy] + dz_[iz]);
-  backward(hat, out);
+  std::vector<double> work;
+  apply_scaled(spectral_table(f), in, out, work);
 }
 
 void KroneckerLaplacian::apply_nu(std::span<const double> in,
                                   std::span<double> out) const {
-  const double tol = zero_tol_;
-  apply_spectral(
-      [tol](double lam) { return -lam > tol ? 4.0 * M_PI / (-lam) : 0.0; }, in,
-      out);
+  std::vector<double> work;
+  apply_scaled(nu_, in, out, work);
 }
 
 void KroneckerLaplacian::apply_nu_sqrt(std::span<const double> in,
                                        std::span<double> out) const {
-  const double tol = zero_tol_;
-  apply_spectral(
-      [tol](double lam) {
-        return -lam > tol ? std::sqrt(4.0 * M_PI / (-lam)) : 0.0;
-      },
-      in, out);
+  std::vector<double> work;
+  apply_scaled(nu_sqrt_, in, out, work);
 }
 
 void KroneckerLaplacian::apply_nu_inv_sqrt(std::span<const double> in,
                                            std::span<double> out) const {
-  const double tol = zero_tol_;
-  apply_spectral(
-      [tol](double lam) {
-        return -lam > tol ? std::sqrt(-lam / (4.0 * M_PI)) : 0.0;
-      },
-      in, out);
+  std::vector<double> work;
+  apply_scaled(nu_inv_sqrt_, in, out, work);
 }
 
 void KroneckerLaplacian::apply_laplacian(std::span<const double> in,
@@ -185,27 +217,15 @@ void KroneckerLaplacian::apply_laplacian(std::span<const double> in,
 }
 
 void KroneckerLaplacian::apply_nu_sqrt_block(la::Matrix<double>& v) const {
-  std::vector<double> tmp(v.rows());
-  for (std::size_t j = 0; j < v.cols(); ++j) {
-    apply_nu_sqrt(v.col(j), tmp);
-    std::copy(tmp.begin(), tmp.end(), v.col(j).begin());
-  }
+  apply_scaled_block(nu_sqrt_, v);
 }
 
 void KroneckerLaplacian::apply_nu_block(la::Matrix<double>& v) const {
-  std::vector<double> tmp(v.rows());
-  for (std::size_t j = 0; j < v.cols(); ++j) {
-    apply_nu(v.col(j), tmp);
-    std::copy(tmp.begin(), tmp.end(), v.col(j).begin());
-  }
+  apply_scaled_block(nu_, v);
 }
 
 void KroneckerLaplacian::apply_nu_inv_sqrt_block(la::Matrix<double>& v) const {
-  std::vector<double> tmp(v.rows());
-  for (std::size_t j = 0; j < v.cols(); ++j) {
-    apply_nu_inv_sqrt(v.col(j), tmp);
-    std::copy(tmp.begin(), tmp.end(), v.col(j).begin());
-  }
+  apply_scaled_block(nu_inv_sqrt_, v);
 }
 
 }  // namespace rsrpa::poisson

@@ -48,7 +48,9 @@ class KroneckerLaplacian {
   void apply_laplacian(std::span<const double> in, std::span<double> out) const;
 
   /// In-place column-wise block applications (the shapes used by the RPA
-  /// operator: V <- nu^{1/2} V on an n_d x n_eig block).
+  /// operator: V <- nu^{1/2} V on an n_d x n_eig block). Column ranges run
+  /// on the global pool; each column gets exactly the arithmetic of the
+  /// single-column apply, so the result is the same at every lane count.
   void apply_nu_sqrt_block(la::Matrix<double>& v) const;
   void apply_nu_block(la::Matrix<double>& v) const;
   void apply_nu_inv_sqrt_block(la::Matrix<double>& v) const;
@@ -64,12 +66,22 @@ class KroneckerLaplacian {
   [[nodiscard]] double neg_laplacian_min_nonzero() const { return neg_min_nz_; }
 
  private:
-  void forward(std::span<const double> in, std::span<double> out) const;
-  void backward(std::span<const double> in, std::span<double> out) const;
+  /// f at every eigenvalue of L, in grid order.
+  [[nodiscard]] std::vector<double> spectral_table(
+      const std::function<double(double)>& f) const;
+  /// out = Q diag(scale) Q^T in, with `work` as workspace; `in` is read
+  /// before `out` is written, so the two may alias.
+  void apply_scaled(const std::vector<double>& scale,
+                    std::span<const double> in, std::span<double> out,
+                    std::vector<double>& work) const;
+  /// apply_scaled on every column of v, in place.
+  void apply_scaled_block(const std::vector<double>& scale,
+                          la::Matrix<double>& v) const;
 
   grid::Grid3D grid_;
   la::Matrix<double> qx_, qy_, qz_;
   std::vector<double> dx_, dy_, dz_;
+  std::vector<double> nu_, nu_sqrt_, nu_inv_sqrt_;  ///< spectral_table of each
   double neg_max_ = 0.0, neg_min_nz_ = 0.0;
   double zero_tol_ = 0.0;
 };

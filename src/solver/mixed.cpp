@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "la/blas.hpp"
+#include "solver/block_cocg.hpp"
 
 namespace rsrpa::solver {
 
@@ -14,7 +15,7 @@ double f32_tol_floor() { return std::sqrt(static_cast<double>(FLT_EPSILON)); }
 
 SolveReport mixed_outer_solve(const BlockOpC& a64, const BlockOpC32& a32,
                               const la::Matrix<cplx>& b, la::Matrix<cplx>& y,
-                              const SolverOptions& opts, InnerSolverF32 inner) {
+                              const SolverOptions& opts) {
   const std::size_t n = b.rows(), s = b.cols();
   RSRPA_REQUIRE(y.rows() == n && y.cols() == s && s >= 1);
   RSRPA_REQUIRE_MSG(static_cast<bool>(a32),
@@ -83,7 +84,7 @@ SolveReport mixed_outer_solve(const BlockOpC& a64, const BlockOpC32& a32,
     z32.zero();
     iopts.tol = std::clamp(opts.tol / rep.relative_residual, tol_floor, 0.5);
     iopts.max_iter = static_cast<int>(opts.max_iter - inner_iters);
-    const SolveReport ir = inner(a32, b32, z32, iopts);
+    const SolveReport ir = block_cocg_f32(a32, b32, z32, iopts);
     inner_iters += ir.iterations;
     rep.iterations += ir.iterations;
     rep.matvec_columns_f32 += ir.matvec_columns;

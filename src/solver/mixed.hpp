@@ -27,14 +27,8 @@ namespace rsrpa::solver {
 /// sqrt(eps_f32) ~ 3.45e-4.
 [[nodiscard]] double f32_tol_floor();
 
-/// The FP32 inner solver the outer loop restarts (block_cocg_f32 — same
-/// recurrence as the FP64 solver it stands in for).
-using InnerSolverF32 = SolveReport (*)(const BlockOpC32&,
-                                       const la::Matrix<la::cplxf>&,
-                                       la::Matrix<la::cplxf>&,
-                                       const SolverOptions&);
-
-/// Solve A Y = B with FP32 inner iterations and FP64 residual
+/// Solve A Y = B with FP32 inner iterations (block_cocg_f32, the same
+/// recurrence as the FP64 solver it stands in for) and FP64 residual
 /// replacement. `y` supplies the initial guess on entry and the solution
 /// on exit. FP64 applications count in SolveReport::matvec_columns, FP32
 /// inner applications in matvec_columns_f32. Throws NumericalBreakdown
@@ -42,6 +36,6 @@ using InnerSolverF32 = SolveReport (*)(const BlockOpC32&,
 /// ladder) or when the inner solver breaks down.
 SolveReport mixed_outer_solve(const BlockOpC& a64, const BlockOpC32& a32,
                               const la::Matrix<cplx>& b, la::Matrix<cplx>& y,
-                              const SolverOptions& opts, InnerSolverF32 inner);
+                              const SolverOptions& opts);
 
 }  // namespace rsrpa::solver

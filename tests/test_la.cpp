@@ -5,6 +5,7 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -737,6 +738,74 @@ TEST(SymEig, BitwiseEqualAtOneAndFourLanes) {
   EXPECT_EQ(threaded.values, serial.values);
   EXPECT_EQ(threaded_vals, serial_vals);
   expect_bitwise(threaded.vectors, serial.vectors, "sym_eig vectors", 260, 4);
+}
+
+// sym_eig, sym_eigvals and tridiag_eig (on a's diagonal and first
+// subdiagonal) at one and four lanes: bitwise equal, and eigenpairs of
+// both problems to 1e-12 n.
+void expect_eig_lane_invariant(const Matrix<double>& a, const char* what) {
+  const std::size_t n = a.rows();
+  std::vector<double> d(n), e(n - 1);
+  Matrix<double> t(n, n);
+  for (std::size_t i = 0; i < n; ++i) d[i] = t(i, i) = a(i, i);
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    e[i] = t(i + 1, i) = t(i, i + 1) = a(i + 1, i);
+  sched::set_global_threads(1);
+  const EigResult serial = sym_eig(a);
+  const std::vector<double> serial_vals = sym_eigvals(a);
+  const EigResult serial_t = tridiag_eig(d, e);
+  sched::set_global_threads(4);
+  const EigResult threaded = sym_eig(a);
+  const std::vector<double> threaded_vals = sym_eigvals(a);
+  const EigResult threaded_t = tridiag_eig(d, e);
+  sched::set_global_threads(0);
+  EXPECT_EQ(threaded.values, serial.values) << what;
+  EXPECT_EQ(threaded_vals, serial_vals) << what;
+  EXPECT_EQ(threaded_t.values, serial_t.values) << what;
+  expect_bitwise(threaded.vectors, serial.vectors, what, n, 4);
+  expect_bitwise(threaded_t.vectors, serial_t.vectors, what, n, 4);
+  const double tol = 1e-12 * static_cast<double>(n);
+  expect_eigenpairs(a, threaded, tol, what);
+  expect_eigenpairs(t, threaded_t, tol, what);
+}
+
+TEST(SymEig, OrdersAroundTheForkThresholdAtOneAndFourLanes) {
+  // Either side of the 128 at which the vector phases fork, and orders
+  // that are not multiples of 8 (a cache line, a column block) or of 4.
+  Rng rng(46);
+  for (const std::size_t n : {64, 127, 128, 130, 257})
+    expect_eig_lane_invariant(random_symmetric(n, rng),
+                              ("random n=" + std::to_string(n)).c_str());
+}
+
+TEST(SymEig, NoHouseholderStepsAtOneAndFourLanes) {
+  // A diagonal matrix has zero scale in every row (h_i = 0 throughout);
+  // an already tridiagonal one leaves each step one nonzero entry.
+  Rng rng(47);
+  const std::size_t n = 150;
+  Matrix<double> diag(n, n), tri(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    diag(i, i) = tri(i, i) = rng.uniform(-1, 1);
+  for (std::size_t i = 0; i + 1 < n; ++i)
+    tri(i + 1, i) = tri(i, i + 1) = rng.uniform(-1, 1);
+  expect_eig_lane_invariant(diag, "diagonal n=150");
+  expect_eig_lane_invariant(tri, "tridiagonal n=150");
+}
+
+TEST(SymEig, RepeatedEigenvaluesAtOneAndFourLanes) {
+  // Two copies of one random block: every eigenvalue is double.
+  Rng rng(48);
+  const std::size_t m = 70;
+  const Matrix<double> b = random_symmetric(m, rng);
+  Matrix<double> a(2 * m, 2 * m);
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t i = 0; i < m; ++i) a(i, j) = a(m + i, m + j) = b(i, j);
+  expect_eig_lane_invariant(a, "repeated n=140");
+}
+
+TEST(SymEig, WorkingOrderOf729AtOneAndFourLanes) {
+  Rng rng(49);
+  expect_eig_lane_invariant(random_symmetric(729, rng), "random n=729");
 }
 
 TEST(SymEigGen, ReducesToStandardWhenBIsIdentity) {

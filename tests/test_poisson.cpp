@@ -9,6 +9,7 @@
 #include "grid/stencil.hpp"
 #include "poisson/cg_poisson.hpp"
 #include "poisson/kronecker.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace rsrpa::poisson {
 namespace {
@@ -124,6 +125,47 @@ TEST(Kronecker, BlockApplyMatchesVectorApply) {
     for (std::size_t i = 0; i < g.size(); ++i)
       EXPECT_NEAR(v(i, j), out[i], 1e-12);
   }
+}
+
+// A block apply at one and four lanes against its single-column apply,
+// bit for bit, on the 729-point bench grid with enough columns to fork.
+using BlockApply = void (KroneckerLaplacian::*)(la::Matrix<double>&) const;
+using ColumnApply = void (KroneckerLaplacian::*)(std::span<const double>,
+                                                 std::span<double>) const;
+void expect_block_is_column_apply(BlockApply block, ColumnApply column) {
+  Grid3D g = Grid3D::cubic(9, 4.5);
+  KroneckerLaplacian klap(g, 4);
+  Rng rng(48);
+  la::Matrix<double> v(g.size(), 37);
+  for (std::size_t j = 0; j < v.cols(); ++j) rng.fill_uniform(v.col(j));
+  std::vector<double> out(g.size());
+  for (int threads : {1, 4}) {
+    sched::set_global_threads(threads);
+    la::Matrix<double> b = v;
+    (klap.*block)(b);
+    for (std::size_t j = 0; j < v.cols(); ++j) {
+      (klap.*column)(v.col(j), out);
+      for (std::size_t i = 0; i < g.size(); ++i)
+        ASSERT_EQ(b(i, j), out[i])
+            << "threads=" << threads << " i=" << i << " j=" << j;
+    }
+  }
+  sched::set_global_threads(0);
+}
+
+TEST(Kronecker, NuBlockOfNuAtOneAndFourLanes) {
+  expect_block_is_column_apply(&KroneckerLaplacian::apply_nu_block,
+                               &KroneckerLaplacian::apply_nu);
+}
+
+TEST(Kronecker, NuBlockOfNuSqrtAtOneAndFourLanes) {
+  expect_block_is_column_apply(&KroneckerLaplacian::apply_nu_sqrt_block,
+                               &KroneckerLaplacian::apply_nu_sqrt);
+}
+
+TEST(Kronecker, NuBlockOfNuInvSqrtAtOneAndFourLanes) {
+  expect_block_is_column_apply(&KroneckerLaplacian::apply_nu_inv_sqrt_block,
+                               &KroneckerLaplacian::apply_nu_inv_sqrt);
 }
 
 TEST(PoissonCg, AgreesWithSpectralSolver) {
