@@ -12,8 +12,8 @@
 #include "rpa/presets.hpp"
 #include "rpa/quadrature.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/cocr.hpp"
 #include "solver/gmres.hpp"
+#include "support/cocr.hpp"
 
 int main() {
   using namespace rsrpa;

@@ -14,12 +14,12 @@
 #include "bench_util.hpp"
 #include "common/timer.hpp"
 #include "direct/direct_rpa.hpp"
+#include "la/blas.hpp"
 #include "rpa/presets.hpp"
 #include "rpa/quadrature.hpp"
 #include "rpa/trace_est.hpp"
-#include "la/blas.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/preconditioner.hpp"
+#include "support/preconditioner.hpp"
 
 int main() {
   using namespace rsrpa;

@@ -13,7 +13,7 @@
 #include "rpa/presets.hpp"
 #include "rpa/quadrature.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/seed_projection.hpp"
+#include "support/seed_projection.hpp"
 
 namespace {
 

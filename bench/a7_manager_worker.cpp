@@ -14,9 +14,9 @@
 
 #include "bench_util.hpp"
 #include "common/timer.hpp"
-#include "par/load_balance.hpp"
 #include "rpa/presets.hpp"
 #include "rpa/quadrature.hpp"
+#include "support/load_balance.hpp"
 
 int main() {
   using namespace rsrpa;

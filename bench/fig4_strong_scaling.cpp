@@ -1,7 +1,6 @@
 // E5 / Fig. 4: strong scaling of the RPA computation across rank counts:
-// compute_rpa_energy on n_ranks column slices, with the modeled p-rank
-// wall clock of par/kernel_breakdown.hpp (see DESIGN.md for the
-// substitution).
+// run_ranked on p column slices, with the modeled p-rank wall clock of
+// support/kernel_breakdown.hpp (see DESIGN.md for the substitution).
 //
 // Expected shape (paper Fig. 4): good parallel efficiency at moderate p,
 // degrading at high p from Sternheimer load imbalance and collective
@@ -10,9 +9,9 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
+#include "support/kernel_breakdown.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -54,14 +53,11 @@ int main() {
     double prev_t = 1e300;
     obs::Json points = obs::Json::array();
     for (std::size_t p = 1; p * 4 <= preset.n_eig(); p *= 2) {
-      rpa::RpaOptions opts = base;
-      opts.n_ranks = p;
       const sched::PoolStats pool0 = sched::global_pool().stats();
-      const rpa::RpaResult res =
-          rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+      const par::RankedRun run = par::run_ranked(sys.ks, *sys.klap, base, p);
       obs::Json rec = par::scaling_report(
-          res, p, net, sched::global_pool().stats().since(pool0));
-      const par::KernelBreakdown k = par::modeled_breakdown(res, p, net);
+          run, net, sched::global_pool().stats().since(pool0));
+      const par::KernelBreakdown k = par::modeled_breakdown(run, net);
       if (p == 1) t1 = k.total();
       const double speedup = t1 / k.total();
       const double eff = speedup / static_cast<double>(p);

@@ -1,6 +1,6 @@
 // E6 / Fig. 5: per-kernel timing breakdown vs rank count for the largest
-// default system: compute_rpa_energy on n_ranks column slices, with the
-// modeled p-rank wall clock of par/kernel_breakdown.hpp.
+// default system: run_ranked on p column slices, with the modeled p-rank
+// wall clock of support/kernel_breakdown.hpp.
 //
 // Expected shape (paper Fig. 5): the nu^{1/2} chi0 nu^{1/2} kernel
 // dominates and scales well; matmult and eigensolve scale poorly and grow
@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
+#include "support/kernel_breakdown.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -52,12 +52,11 @@ int main() {
   obs::Json points = obs::Json::array();
 
   for (std::size_t p = 1; p * 4 <= preset.n_eig() && p <= 64; p *= 2) {
-    rpa::RpaOptions opts = base;
-    opts.n_ranks = p;
     const sched::PoolStats pool0 = sched::global_pool().stats();
-    const rpa::RpaResult res = rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+    const par::RankedRun run = par::run_ranked(sys.ks, *sys.klap, base, p);
+    const rpa::RpaResult& res = run.result;
     const sched::PoolStats pool = sched::global_pool().stats().since(pool0);
-    const par::KernelBreakdown k = par::modeled_breakdown(res, p, net);
+    const par::KernelBreakdown k = par::modeled_breakdown(run, net);
     const double share = k.nu_chi0 / k.total();
     std::printf("%-6zu %-12.3f %-12.3f %-12.4f %-12.4f %-12.3f %-10.2f\n", p,
                 k.nu_chi0, k.eval_error, k.matmult, k.eigensolve, k.total(),
@@ -65,7 +64,7 @@ int main() {
     obs::Json pt = obs::Json::object();
     pt["p"] = obs::Json(p);
     pt["chi0_share"] = obs::Json(share);
-    pt["result"] = par::scaling_report(res, p, net, pool);
+    pt["result"] = par::scaling_report(run, net, pool);
     points.push_back(std::move(pt));
     if (p == 1) {
       chi0_share_first = share;

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
+#include "support/kernel_breakdown.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -37,9 +37,9 @@ int main() {
     opts.tol_eig = {1e-30};
     opts.max_filter_iter = 2;
     const sched::PoolStats pool0 = sched::global_pool().stats();
-    const rpa::RpaResult res = rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+    const par::RankedRun run = par::run_ranked(sys.ks, *sys.klap, opts, 1);
     const par::CollectiveModel net;
-    const double t = par::modeled_breakdown(res, 1, net).total();
+    const double t = par::modeled_breakdown(run, net).total();
 
     nds.push_back(static_cast<double>(preset.n_grid()));
     times.push_back(t);
@@ -50,7 +50,7 @@ int main() {
     pt["system"] = obs::Json(preset.name);
     pt["n_d"] = obs::Json(preset.n_grid());
     pt["result"] = par::scaling_report(
-        res, 1, net, sched::global_pool().stats().since(pool0));
+        run, net, sched::global_pool().stats().since(pool0));
     points.push_back(std::move(pt));
   }
 

@@ -8,9 +8,9 @@
 #include <map>
 
 #include "bench_util.hpp"
-#include "par/kernel_breakdown.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
+#include "support/kernel_breakdown.hpp"
 
 int main() {
   using namespace rsrpa;
@@ -33,10 +33,10 @@ int main() {
 
     // Emulate the paper's per-processor view: partition columns over a few
     // ranks so the n_eig/p block cap is active, as on the cluster.
-    rpa::RpaOptions opts = sys.default_rpa_options();
-    opts.n_ranks = 4;
     const sched::PoolStats pool0 = sched::global_pool().stats();
-    const rpa::RpaResult res = rpa::compute_rpa_energy(sys.ks, *sys.klap, opts);
+    const par::RankedRun run =
+        par::run_ranked(sys.ks, *sys.klap, sys.default_rpa_options(), 4);
+    const rpa::RpaResult& res = run.result;
 
     names.push_back(preset.name);
     histograms.push_back(res.stern.block_size_chunks);
@@ -54,8 +54,7 @@ int main() {
     sysrec["system"] = obs::Json(preset.name);
     sysrec["s1_fraction"] = obs::Json(s1_fraction.back());
     sysrec["result"] = par::scaling_report(
-        res, opts.n_ranks, par::CollectiveModel{},
-        sched::global_pool().stats().since(pool0));
+        run, par::CollectiveModel{}, sched::global_pool().stats().since(pool0));
     systems.push_back(std::move(sysrec));
   }
 

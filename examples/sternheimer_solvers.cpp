@@ -11,9 +11,9 @@
 #include "rpa/presets.hpp"
 #include "rpa/quadrature.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/cocr.hpp"
 #include "solver/galerkin_guess.hpp"
 #include "solver/gmres.hpp"
+#include "support/cocr.hpp"
 
 int main() {
   using namespace rsrpa;

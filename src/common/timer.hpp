@@ -8,9 +8,8 @@
 // Threading contract: WallTimer, KernelTimers and ScopedKernelTimer are
 // SINGLE-OWNER — one thread constructs, accumulates and reads; sharing an
 // instance across concurrent sched tasks is a data race. Concurrent code
-// either gives each task its own instance and merges afterwards (the
-// per-rank pattern in rpa/erpa.cpp) or accumulates through WallClock,
-// whose atomic bucket many tasks may share.
+// either gives each task its own instance and merges afterwards, or
+// accumulates through WallClock, whose atomic bucket many tasks may share.
 #pragma once
 
 #include <atomic>
@@ -62,7 +61,7 @@ class WallClock {
 };
 
 /// Named accumulator of kernel times. Not thread-safe by design: each
-/// simulated rank owns its own instance and results are merged afterwards.
+/// concurrent task owns its own instance and results are merged afterwards.
 class KernelTimers {
  public:
   /// Add `seconds` to the bucket `name`, creating it if needed.

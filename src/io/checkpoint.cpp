@@ -64,13 +64,6 @@ obs::Json payload_json(const RunCheckpoint& ck) {
   j["sternheimer"] = obs::to_json(ck.stern);
   j["timers"] = obs::to_json(ck.timers);
   j["events"] = obs::to_json(ck.events);
-  if (!ck.rank_apply_seconds.empty()) {
-    obs::Json ra = obs::Json::array(), re = obs::Json::array();
-    for (double s : ck.rank_apply_seconds) ra.push_back(s);
-    for (double s : ck.rank_error_seconds) re.push_back(s);
-    j["rank_apply_seconds"] = std::move(ra);
-    j["rank_error_seconds"] = std::move(re);
-  }
   return j;
 }
 
@@ -95,12 +88,6 @@ RunCheckpoint payload_from_json(const obs::Json& j) {
   ck.stern = obs::sternheimer_stats_from_json(j.at("sternheimer"));
   ck.timers = obs::kernel_timers_from_json(j.at("timers"));
   ck.events = obs::event_log_from_json(j.at("events"));
-  if (const obs::Json* ra = j.find("rank_apply_seconds")) {
-    for (const obs::Json& s : ra->as_array())
-      ck.rank_apply_seconds.push_back(s.as_double());
-    for (const obs::Json& s : j.at("rank_error_seconds").as_array())
-      ck.rank_error_seconds.push_back(s.as_double());
-  }
   RSRPA_REQUIRE_MSG(
       ck.completed_points >= 1 && ck.completed_points <= ck.ell &&
           ck.per_omega.size() ==
@@ -185,7 +172,9 @@ std::uint64_t run_fingerprint(const dft::KsSystem& sys,
   f.i64(opts.ssa.freeze_after);
   f.f64(opts.ssa.residual_tol);
   hash_sternheimer_options(f, opts.stern);
-  f.u64(opts.n_ranks);
+  // A hook (a column-sliced apply, say) may block the Sternheimer solves
+  // differently; its block-size cap is stern.max_block, hashed above.
+  f.b(static_cast<bool>(opts.apply_hook));
   return f.h;
 }
 

@@ -63,12 +63,6 @@ struct RunCheckpoint {
   /// Warm-start subspace after the point; a 1x1 zero for SLQ, which has
   /// none (the matrix stream format rejects empty shapes).
   la::Matrix<double> v;
-
-  /// RpaResult::ranks of a column-partitioned run (n_ranks > 1); empty
-  /// for a serial one. Informational wall clock, not part of the bitwise
-  /// contract.
-  std::vector<double> rank_apply_seconds;
-  std::vector<double> rank_error_seconds;
 };
 
 /// Fingerprint of everything a checkpoint must agree with before resume:

@@ -57,10 +57,6 @@ io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
   ck.timers = result.timers;
   ck.events = result.events;
   ck.v = v;
-  if (result.ranks) {
-    ck.rank_apply_seconds = result.ranks->apply_seconds;
-    ck.rank_error_seconds = result.ranks->error_seconds;
-  }
   return ck;
 }
 
@@ -79,11 +75,6 @@ int restore_checkpoint(const CheckpointOptions& copts,
   RSRPA_REQUIRE_MSG(ck.ell == ell, "checkpoint ell mismatch");
   RSRPA_REQUIRE_MSG(ck.v.rows() == v.rows() && ck.v.cols() == v.cols(),
                     "checkpoint subspace shape mismatch");
-  const std::size_t rank_rows =
-      result.ranks ? result.ranks->apply_seconds.size() : 0;
-  RSRPA_REQUIRE_MSG(ck.rank_apply_seconds.size() == rank_rows &&
-                        ck.rank_error_seconds.size() == rank_rows,
-                    "checkpoint rank count mismatch");
   const int completed = ck.completed_points;
   // Assign into the existing objects: the caller has already handed out
   // pointers to result.events (the solver telemetry sink), so the
@@ -95,10 +86,6 @@ int restore_checkpoint(const CheckpointOptions& copts,
   result.stern = std::move(ck.stern);
   result.timers = std::move(ck.timers);
   result.events = std::move(ck.events);
-  if (result.ranks) {
-    result.ranks->apply_seconds = std::move(ck.rank_apply_seconds);
-    result.ranks->error_seconds = std::move(ck.rank_error_seconds);
-  }
   v = std::move(ck.v);
   rng = Rng::load_state(ck.rng_state);
   if (copts.events != nullptr)

@@ -31,9 +31,8 @@ void reseed_quarantined_columns(la::Matrix<double>& v,
                                 obs::EventLog& events);
 
 /// Snapshot the driver state after `completed_points` of the `ell`
-/// quadrature points into a RunCheckpoint tagged with result.method,
-/// including the per-rank seconds when the result carries them. A driver
-/// without a warm-start subspace (SLQ) passes a 1x1 zero `v`: the
+/// quadrature points into a RunCheckpoint tagged with result.method. A
+/// driver without a warm-start subspace (SLQ) passes a 1x1 zero `v`: the
 /// container's matrix stream rejects empty shapes.
 io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
                                   int completed_points, int ell,
@@ -44,10 +43,9 @@ io::RunCheckpoint make_checkpoint(std::uint64_t fingerprint,
 /// Load copts.path and restore it into the driver state. Refuses, with an
 /// Error, a checkpoint written by another method (checked first and named
 /// both ways, so a cross-method resume says why), one whose fingerprint
-/// differs, and one whose sweep length, subspace shape or per-rank rows
-/// (present exactly when `result` has a rank section) do not match. Emits
-/// run_resumed into the lifecycle sink and returns the index of the first
-/// quadrature point still to run.
+/// differs, and one whose sweep length or subspace shape does not match.
+/// Emits run_resumed into the lifecycle sink and returns the index of the
+/// first quadrature point still to run.
 int restore_checkpoint(const CheckpointOptions& copts,
                        std::uint64_t fingerprint, int ell, RpaResult& result,
                        la::Matrix<double>& v, Rng& rng);

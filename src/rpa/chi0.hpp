@@ -111,8 +111,8 @@ struct SternheimerStats {
 
   void merge(const solver::DynamicBlockReport& rep);
   /// Merge another stats object; `col0` shifts its quarantined column
-  /// indices into this object's column frame (the rank offset when
-  /// compute_rpa_energy merges per-rank slices at n_ranks > 1).
+  /// indices into this object's column frame (the slice offset when a
+  /// column-sliced apply hook merges its slices' stats).
   void merge(const SternheimerStats& other, long col0 = 0);
 };
 
@@ -124,7 +124,8 @@ class Chi0Applier {
   /// orbitals solved concurrently (see the header comment). `stats`
   /// (optional) accumulates solver statistics. `events` (optional)
   /// overrides the options-level event sink for this call — concurrent
-  /// callers (the rank tasks of compute_rpa_energy) pass per-task logs here
+  /// callers (the slice tasks of a column-sliced apply hook, see
+  /// RpaOptions::apply_hook) pass per-task logs here
   /// because EventLog itself is single-owner. The sink receives only the
   /// solvers' recovery-ladder events; operator work lands in `stats` as
   /// matvec_{columns,bytes,flops}, bytes and flops modeled as columns x

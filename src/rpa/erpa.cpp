@@ -7,59 +7,11 @@
 
 #include "io/checkpoint.hpp"
 #include "rpa/checkpoint_driver.hpp"
-#include "rpa/partition.hpp"
 #include "rpa/ssa.hpp"
-#include "sched/task_group.hpp"
 #include "solver/mixed.hpp"
 #include "solver/resilience.hpp"
 
 namespace rsrpa::rpa {
-
-namespace {
-
-// Apply `op` to the full block as one concurrent task per rank's column
-// slice (paper SS III-D), adding each slice's wall time to its rank's
-// entry of `rank_seconds`. Output columns are disjoint, every task
-// accumulates telemetry into its own sinks, and the sinks merge in
-// ascending rank order after the join — so both the numbers and the
-// telemetry stream are identical to sequential rank execution at any
-// thread count. Each rank task runs under a quota of its share of the
-// lanes, max(1, lanes / p) capped by any outer quota, so the orbital
-// fan-out inside chi0 never oversubscribes the p concurrent ranks and a
-// rank's seconds measure one rank's share of the machine.
-void ranked_apply(const NuChi0Operator& op, const ColumnPartition& part,
-                  double omega, const la::Matrix<double>& in,
-                  la::Matrix<double>& out, std::vector<double>& rank_seconds,
-                  SternheimerStats& stats, obs::EventLog& events) {
-  const std::size_t p = part.n_ranks();
-  std::vector<SternheimerStats> rank_stats(p);
-  std::vector<obs::EventLog> rank_events(p);
-  int share =
-      std::max(1, sched::global_pool().threads() / static_cast<int>(p));
-  if (const int outer = sched::current_task_quota(); outer > 0)
-    share = std::min(share, outer);
-  sched::TaskGroup group;
-  for (std::size_t r = 0; r < p; ++r)
-    group.run([&, r] {
-      sched::TaskQuotaScope quota(share);
-      WallTimer t;
-      const std::size_t j0 = part.begin(r), cnt = part.count(r);
-      la::Matrix<double> slice = in.slice_cols(j0, cnt);
-      la::Matrix<double> oslice(in.rows(), cnt);
-      op.apply(slice, oslice, omega, &rank_stats[r], nullptr,
-               &rank_events[r]);
-      out.set_cols(j0, oslice);
-      rank_seconds[r] += t.seconds();  // slot r belongs to this task alone
-    });
-  group.wait();
-  for (std::size_t r = 0; r < p; ++r) {
-    // Rank r's quarantined-column indices are relative to its slice.
-    stats.merge(rank_stats[r], static_cast<long>(part.begin(r)));
-    events.merge(rank_events[r]);
-  }
-}
-
-}  // namespace
 
 double rpa_trace_term(double mu) {
   // ln(1 - mu) is undefined for mu >= 1. The physical spectrum of
@@ -122,35 +74,16 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
                              const RpaOptions& opts) {
   RSRPA_REQUIRE_MSG(opts.n_eig >= 1 && opts.n_eig <= sys.n_grid(),
                     "n_eig must be in [1, n_d]");
-  RSRPA_REQUIRE_MSG(opts.n_ranks >= 1 && opts.n_ranks <= opts.n_eig,
-                    "n_ranks must be in [1, n_eig] (paper SS III-D: every "
-                    "rank owns at least one eigenvector column)");
   RSRPA_REQUIRE(opts.ell >= 1);
 
   WallTimer total;
   RpaResult result;
-  const std::size_t p = opts.n_ranks;
-  const ColumnPartition part(opts.n_eig, p);
   SternheimerOptions stern_opts = opts.stern;
-  if (p == 1) {
-    // Route solver-level telemetry (single-column fallbacks) into the
-    // result's event log for the lifetime of this call.
-    stern_opts.events = &result.events;
-  } else {
-    // Each rank caps its block size at n_eig / p (paper SS III-D). Solver
-    // telemetry lands in per-rank logs that merge into the result log in
-    // rank order after each join, so the options-level sink stays null
-    // and concurrent tasks never share one.
-    const int cap = static_cast<int>(part.max_block_size());
-    if (stern_opts.max_block == 0 || stern_opts.max_block > cap)
-      stern_opts.max_block = cap;
-    stern_opts.events = nullptr;
-    result.ranks.emplace();
-    result.ranks->panel_rows = sys.n_grid();
-    result.ranks->panel_cols = opts.n_eig;
-    result.ranks->apply_seconds.assign(p, 0.0);
-    result.ranks->error_seconds.assign(p, 0.0);
-  }
+  // Route solver-level telemetry (single-column fallbacks) into the
+  // result's event log for the lifetime of this call. A hook receives the
+  // log per call instead: it may apply column slices concurrently, and
+  // concurrent tasks must never share one sink.
+  stern_opts.events = opts.apply_hook ? nullptr : &result.events;
   NuChi0Operator op(sys, klap, stern_opts);
   const std::vector<QuadPoint> quad = rpa_frequency_quadrature(opts.ell);
 
@@ -203,16 +136,15 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       fault_scope.select_for_point(k, opts.fault_omega);
 
     // nu^{1/2} chi0 nu^{1/2} at this omega; every application is charged
-    // to nu_chi0_apply here.
+    // to nu_chi0_apply.
     const SubspaceApply apply = [&](const la::Matrix<double>& in,
                                     la::Matrix<double>& out) {
-      if (p == 1) {
+      if (!opts.apply_hook) {
         op.apply(in, out, q.omega, &result.stern, &result.timers);
         return;
       }
       WallTimer t;
-      ranked_apply(op, part, q.omega, in, out, result.ranks->apply_seconds,
-                   result.stern, result.events);
+      opts.apply_hook(op, q.omega, in, out, result.stern, result.events);
       result.timers.add(kernels::kNuChi0, t.seconds());
     };
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -143,15 +144,22 @@ inline bool ssa_frozen(const SsaOptions& ssa, int k) {
   return ssa.freeze_after > 0 && k >= ssa.freeze_after;
 }
 
+/// An alternative nu^{1/2} chi0 nu^{1/2} block apply for
+/// compute_rpa_energy: out = op(omega) in, accumulating solver statistics
+/// into `stats` and solver telemetry into `events`.
+using ApplyHook = std::function<void(
+    const NuChi0Operator& op, double omega, const la::Matrix<double>& in,
+    la::Matrix<double>& out, SternheimerStats& stats, obs::EventLog& events)>;
+
 struct RpaOptions {
   std::size_t n_eig = 0;  ///< N_NUCHI_EIGS; required
-  /// Simulated processor count of the SS III-D column partition, in
-  /// [1, n_eig]. 1 applies the operator to the whole block. p > 1 splits
-  /// every application into p contiguous column slices run as concurrent
-  /// tasks, caps the Sternheimer block size at n_eig / p, and records
-  /// per-rank seconds in RpaResult::ranks. The rest of the sweep is the
-  /// same code at every p.
-  std::size_t n_ranks = 1;
+  /// Replaces the driver's nu^{1/2} chi0 nu^{1/2} block apply when set
+  /// (C++ API only; no input key reaches it). The driver charges each call
+  /// to kernels::kNuChi0 and hands the hook the result's Sternheimer stats
+  /// and event log; solver telemetry reaches the log only through the
+  /// hook, which may apply column slices concurrently. Whether a hook is
+  /// set enters the config fingerprint.
+  ApplyHook apply_hook;
   int ell = 8;            ///< N_OMEGA
   /// Per-quadrature-point subspace tolerances (TOL_EIG). Padded with the
   /// last entry if shorter than ell.
@@ -255,20 +263,6 @@ struct OmegaRecord {
   std::optional<ProbeStats> probes;
 };
 
-/// Measured per-rank seconds of a column-partitioned run (n_ranks > 1):
-/// rank r's share of the filter, Rayleigh-Ritz and SSA applications. The
-/// panel shape feeds the collective model (par/kernel_breakdown.hpp).
-struct RankSeconds {
-  std::size_t panel_rows = 0;  ///< n_d
-  std::size_t panel_cols = 0;  ///< n_eig
-  std::vector<double> apply_seconds;
-  /// Always 0: the Eq. (7) check reuses the projection's image, so no
-  /// rank-sliced apply is charged to it. Kept so the report key
-  /// ranks.error_seconds and the checkpoint key rank_error_seconds stay
-  /// append-only.
-  std::vector<double> error_seconds;
-};
-
 /// The run record of every E_RPA driver (compute_rpa_energy,
 /// compute_rpa_energy_slq, direct::compute_direct_rpa,
 /// isdf::compute_rpa_energy_isdf); obs::to_json serializes it.
@@ -288,13 +282,10 @@ struct RpaResult {
   SternheimerStats stern;       ///< Table IV statistics (Sternheimer only)
   obs::EventLog events;         ///< fallbacks, collapses, domain violations
   double total_seconds = 0.0;
-  /// Present only when the run used n_ranks > 1.
-  std::optional<RankSeconds> ranks;
 };
 
 /// Compute E_RPA for the given Kohn-Sham system. `klap` must discretize
 /// the same grid with the same stencil radius as the system Hamiltonian.
-/// Throws Error unless 1 <= n_ranks <= n_eig.
 RpaResult compute_rpa_energy(const dft::KsSystem& sys,
                              const poisson::KroneckerLaplacian& klap,
                              const RpaOptions& opts);

@@ -33,7 +33,7 @@ class NuChi0Operator {
 
   /// out = nu^{1/2} chi0(i omega) nu^{1/2} in (Algorithm 7). `events`
   /// optionally overrides the options-level event sink for this call
-  /// (the per-rank logs of compute_rpa_energy's column-sliced apply; see
+  /// (the per-slice logs of a column-sliced apply hook; see
   /// Chi0Applier::apply).
   void apply(const la::Matrix<double>& in, la::Matrix<double>& out,
              double omega, SternheimerStats* stats = nullptr,

@@ -41,8 +41,7 @@ struct SsaProjection {
 
 /// Evaluate the projected pencil of the frozen basis `basis` at one
 /// frequency. `apply` applies nu^{1/2} chi0(i omega) nu^{1/2} at that
-/// frequency (the caller owns omega, telemetry sinks, and rank slicing —
-/// the serial and parallel drivers wire their own closures). `basis` is
+/// frequency (the caller owns omega and the telemetry sinks). `basis` is
 /// never modified: the whole point of the freeze is that elided points
 /// leave the subspace bitwise untouched. On an eigensolve breakdown the
 /// function emits eigensolve_collapse into `events` (when non-null) and

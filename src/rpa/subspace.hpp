@@ -32,9 +32,8 @@ struct SubspaceResult {
 /// frequency — the same closure shape ssa_project takes. subspace_iteration
 /// calls it once per Rayleigh-Ritz projection and cheb_degree times per
 /// filter pass; the Eq. (7) check reuses the projection's image and
-/// applies nothing. The closure owns the Sternheimer telemetry sinks, the
-/// nu_chi0_apply timer and, in the driver, the column partition across
-/// ranks.
+/// applies nothing. The closure owns the Sternheimer telemetry sinks and
+/// the nu_chi0_apply timer.
 using SubspaceApply = solver::BlockOpR;
 
 /// Run Algorithm 5 at frequency `omega`. `v` holds the initial subspace on

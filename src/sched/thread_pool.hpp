@@ -1,8 +1,8 @@
 // Fixed-size thread pool with per-worker work-stealing deques — the
 // execution substrate behind sched::TaskGroup / parallel_for and,
 // through them, the concurrent stages of the RPA
-// drivers (rpa/erpa rank slices, the occupied-orbital Sternheimer solves
-// of one rpa/chi0 apply, la/blas tiled GEMM).
+// drivers (the occupied-orbital Sternheimer solves of one rpa/chi0 apply,
+// la/blas tiled GEMM).
 //
 // Lane model: a pool configured for `threads` lanes spawns `threads - 1`
 // worker threads; the caller thread is the last lane and participates by

@@ -20,7 +20,6 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <set>
 #include <string>
 
 #include "common/rng.hpp"
@@ -29,38 +28,11 @@
 #include "rpa/erpa.hpp"
 #include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
+#include "strip_timing.hpp"
+#include "support/ranked.hpp"
 
 namespace rsrpa {
 namespace {
-
-// Timing and wall-clock-derived fields: legitimately different between a
-// straight-through and a killed+resumed run, stripped before the JSON
-// comparison. Everything else must match byte for byte.
-bool timing_key(const std::string& k) {
-  static const std::set<std::string> kStrip = {
-      "seconds",        "total_seconds",
-      "timers",         "arithmetic_intensity",
-      "sched",          "modeled",
-      "modeled_total_seconds", "apply_work_seconds",
-      "rank_apply_seconds",    "rank_error_seconds",
-      "rank_timers"};
-  return kStrip.count(k) > 0;
-}
-
-obs::Json strip_timing(const obs::Json& j) {
-  if (j.is_object()) {
-    obs::Json out = obs::Json::object();
-    for (const auto& [key, value] : j.as_object())
-      if (!timing_key(key)) out[key] = strip_timing(value);
-    return out;
-  }
-  if (j.is_array()) {
-    obs::Json out = obs::Json::array();
-    for (const obs::Json& v : j.as_array()) out.push_back(strip_timing(v));
-    return out;
-  }
-  return j;
-}
 
 // Copy checkpoint `src` to `dst` with its JSON payload changed by `edit`
 // (the container: magic, u64 payload length, payload, V, trailer).
@@ -195,8 +167,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   Rng vr(7);
   ck.v = la::Matrix<double>(13, 4);
   for (std::size_t j = 0; j < 4; ++j) vr.fill_uniform(ck.v.col(j));
-  ck.rank_apply_seconds = {1.0, 2.0};
-  ck.rank_error_seconds = {0.125, 0.5};
 
   io::save_run_checkpoint(path("rt.ckpt"), ck);
   io::RunCheckpoint r =
@@ -222,8 +192,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   ASSERT_EQ(r.v.cols(), 4u);
   for (std::size_t j = 0; j < 4; ++j)
     for (std::size_t i = 0; i < 13; ++i) EXPECT_EQ(r.v(i, j), ck.v(i, j));
-  EXPECT_EQ(r.rank_apply_seconds, ck.rank_apply_seconds);
-  EXPECT_EQ(r.rank_error_seconds, ck.rank_error_seconds);
 }
 
 TEST_F(CheckpointTest, FingerprintSeparatesRunsThatMustNotResume) {
@@ -241,9 +209,12 @@ TEST_F(CheckpointTest, FingerprintSeparatesRunsThatMustNotResume) {
   rpa::RpaOptions o4 = opts;
   o4.stern.tol *= 2;
   EXPECT_NE(io::run_fingerprint(b.ks, o4), base);
-  // Same options, different rank count (serial vs 2 ranks).
+  // Same options through an apply hook (the plain apply vs ranked
+  // slices, say).
   rpa::RpaOptions o6 = opts;
-  o6.n_ranks = 2;
+  o6.apply_hook = [](const rpa::NuChi0Operator&, double,
+                     const la::Matrix<double>&, la::Matrix<double>&,
+                     rpa::SternheimerStats&, obs::EventLog&) {};
   EXPECT_NE(io::run_fingerprint(b.ks, o6), base);
   // The checkpoint policy itself must NOT move the fingerprint.
   rpa::RpaOptions o5 = opts;
@@ -408,29 +379,24 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedConfiguration) {
   other.checkpoint.resume = true;
   EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, other), Error);
 
-  // A serial checkpoint cannot seed a ranked run either (the rank count
+  // A serial checkpoint cannot seed a ranked run either (the apply hook
   // is part of the fingerprint)...
   rpa::RpaOptions ranked = base_options();
   ranked.checkpoint.path = path("m.ckpt");
   ranked.checkpoint.resume = true;
-  ranked.n_ranks = 2;
-  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, ranked), Error);
+  EXPECT_THROW(par::run_ranked(b.ks, *b.klap, ranked, 2), Error);
 
-  // ...and a 2-rank checkpoint seeds neither a serial nor a 4-rank run.
+  // ...and a 2-rank checkpoint seeds neither a serial nor a 4-rank run
+  // (the block-size cap n_eig / p is part of it too).
   rpa::RpaOptions killed2 = base_options();
-  killed2.n_ranks = 2;
   killed2.checkpoint.path = path("m2.ckpt");
   killed2.checkpoint.halt_after_point = 0;
-  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed2),
-               rpa::RunHalted);
-  for (std::size_t p : {1u, 4u}) {
-    SCOPED_TRACE("resume at p = " + std::to_string(p));
-    rpa::RpaOptions other_p = base_options();
-    other_p.n_ranks = p;
-    other_p.checkpoint.path = path("m2.ckpt");
-    other_p.checkpoint.resume = true;
-    EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, other_p), Error);
-  }
+  EXPECT_THROW(par::run_ranked(b.ks, *b.klap, killed2, 2), rpa::RunHalted);
+  rpa::RpaOptions other_p = base_options();
+  other_p.checkpoint.path = path("m2.ckpt");
+  other_p.checkpoint.resume = true;
+  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, other_p), Error);
+  EXPECT_THROW(par::run_ranked(b.ks, *b.klap, other_p, 4), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,9 +404,9 @@ TEST_F(CheckpointTest, ResumeRefusesAMismatchedConfiguration) {
 
 TEST_F(CheckpointTest, ParallelKillAndResumeIsBitwiseIdentical) {
   auto& b = built();
-  rpa::RpaOptions base = base_options();
-  base.n_ranks = 2;
-  const rpa::RpaResult straight = rpa::compute_rpa_energy(b.ks, *b.klap, base);
+  const rpa::RpaOptions base = base_options();
+  const rpa::RpaResult straight =
+      par::run_ranked(b.ks, *b.klap, base, 2).result;
   ASSERT_TRUE(std::isfinite(straight.e_rpa));
 
   for (int halt : {0, 1, 2}) {
@@ -451,20 +417,18 @@ TEST_F(CheckpointTest, ParallelKillAndResumeIsBitwiseIdentical) {
     rpa::RpaOptions killed = base;
     killed.checkpoint.path = ckpt;
     killed.checkpoint.halt_after_point = halt;
-    EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed),
-                 rpa::RunHalted);
+    EXPECT_THROW(par::run_ranked(b.ks, *b.klap, killed, 2), rpa::RunHalted);
 
     obs::EventLog lifecycle;
     rpa::RpaOptions resumed = base;
     resumed.checkpoint.path = ckpt;
     resumed.checkpoint.resume = true;
     resumed.checkpoint.events = &lifecycle;
-    const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, resumed);
+    const par::RankedRun r = par::run_ranked(b.ks, *b.klap, resumed, 2);
 
     EXPECT_EQ(lifecycle.count(obs::events::kRunResumed), 1u);
-    expect_bitwise_equal(straight, r);
-    ASSERT_TRUE(r.ranks.has_value());
-    EXPECT_EQ(r.ranks->apply_seconds.size(), 2u);
+    expect_bitwise_equal(straight, r.result);
+    EXPECT_EQ(r.apply_seconds.size(), 2u);
   }
 }
 

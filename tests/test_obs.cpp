@@ -14,7 +14,6 @@
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
-#include "par/kernel_breakdown.hpp"
 #include "solver/dynamic_block.hpp"
 
 namespace rsrpa::obs {
@@ -428,30 +427,6 @@ TEST(RunReport, RpaResultSerializesAllSections) {
   EXPECT_EQ(j.at("sternheimer").at("matvec_columns").as_int(), 1234);
   EXPECT_DOUBLE_EQ(j.at("timers").at(rpa::kernels::kNuChi0).as_double(), 3.0);
   EXPECT_EQ(j.at("events").size(), 1u);
-}
-
-TEST(RunReport, ParallelResultCarriesPerRankTimers) {
-  rpa::RpaResult res;
-  res.ranks.emplace();
-  res.ranks->apply_seconds = {1.0, 2.0};
-  res.ranks->error_seconds = {0.25, 0.5};
-  par::CollectiveModel free_network;
-  free_network.alpha = 0.0;
-  free_network.beta = 0.0;
-  const Json j =
-      Json::parse(par::scaling_report(res, 2, free_network, {}).dump());
-  EXPECT_EQ(j.at("n_ranks").as_int(), 2);
-  ASSERT_EQ(j.at("ranks").size(), 2u);
-  const Json& r1 = j.at("ranks").as_array()[1];
-  EXPECT_EQ(r1.at("rank").as_int(), 1);
-  EXPECT_DOUBLE_EQ(
-      r1.at("timers").at(rpa::kernels::kNuChi0).as_double(), 2.0);
-  EXPECT_DOUBLE_EQ(
-      r1.at("timers").at(rpa::kernels::kEvalError).as_double(), 0.5);
-  // Free collectives and no dense work: the modeled critical path is the
-  // slowest rank's measured seconds alone.
-  EXPECT_DOUBLE_EQ(j.at("modeled").at("total").as_double(), 2.5);
-  EXPECT_DOUBLE_EQ(j.at("apply_work_seconds").as_double(), 3.75);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Tests for the simulated parallel runtime: column partition, collective
-// cost model, and compute_rpa_energy on n_ranks column slices.
+// Tests for the simulated parallel runtime: the collective cost model,
+// run_ranked on p column slices, the modeled breakdown over its per-rank
+// seconds, and the orbital fan-out of the chi0 apply.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,49 +9,17 @@
 
 #include "common/rng.hpp"
 #include "obs/event_log.hpp"
-#include "par/kernel_breakdown.hpp"
+#include "obs/json.hpp"
 #include "rpa/chi0.hpp"
 #include "rpa/erpa.hpp"
-#include "rpa/partition.hpp"
 #include "rpa/presets.hpp"
 #include "sched/thread_pool.hpp"
 #include "solver/mixed.hpp"
+#include "support/kernel_breakdown.hpp"
+#include "support/ranked.hpp"
 
 namespace rsrpa::par {
 namespace {
-
-using rpa::ColumnPartition;
-
-TEST(ColumnPartition, CoversAllColumnsWithoutOverlap) {
-  for (std::size_t n : {7u, 16u, 96u}) {
-    for (std::size_t p : {1u, 3u, 7u}) {
-      if (p > n) continue;
-      ColumnPartition part(n, p);
-      std::size_t total = 0, expected_begin = 0;
-      for (std::size_t r = 0; r < p; ++r) {
-        EXPECT_EQ(part.begin(r), expected_begin);
-        total += part.count(r);
-        expected_begin += part.count(r);
-      }
-      EXPECT_EQ(total, n);
-    }
-  }
-}
-
-TEST(ColumnPartition, BalancedToWithinOne) {
-  ColumnPartition part(17, 5);
-  std::size_t mn = 17, mx = 0;
-  for (std::size_t r = 0; r < 5; ++r) {
-    mn = std::min(mn, part.count(r));
-    mx = std::max(mx, part.count(r));
-  }
-  EXPECT_LE(mx - mn, 1u);
-  EXPECT_EQ(part.max_block_size(), 3u);  // floor(17/5)
-}
-
-TEST(ColumnPartition, RejectsMoreRanksThanColumns) {
-  EXPECT_THROW(ColumnPartition(4, 5), Error);
-}
 
 TEST(CollectiveModel, AllreduceGrowsWithPAndBytes) {
   CollectiveModel net;
@@ -119,24 +88,29 @@ class ParallelRpaTest : public ::testing::Test {
     return opts;
   }
 
-  static rpa::RpaResult run(rpa::RpaOptions opts, std::size_t p) {
-    opts.n_ranks = p;
-    return rpa::compute_rpa_energy(built().ks, *built().klap, opts);
+  static RankedRun run(const rpa::RpaOptions& opts, std::size_t p) {
+    return run_ranked(built().ks, *built().klap, opts, p);
   }
 
-  static void expect_same_bits(const rpa::RpaResult& a,
-                               const rpa::RpaResult& b) {
-    EXPECT_EQ(a.e_rpa, b.e_rpa);
-    ASSERT_EQ(a.per_omega.size(), b.per_omega.size());
-    for (std::size_t k = 0; k < a.per_omega.size(); ++k)
-      EXPECT_EQ(a.per_omega[k].eigenvalues, b.per_omega[k].eigenvalues)
-          << "omega " << k;
+  // run_ranked refuses p outside [1, n_eig], naming both.
+  static void expect_rank_count_refused(std::size_t p) {
+    try {
+      run(base_options(), p);
+      FAIL() << "p = " << p << " accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("p must be in [1, n_eig]"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("p = " + std::to_string(p) + ", n_eig = 16"),
+                std::string::npos)
+          << what;
+    }
   }
 };
 
 TEST_F(ParallelRpaTest, EnergyIndependentOfRankCount) {
-  const rpa::RpaResult r1 = run(base_options(), 1);
-  const rpa::RpaResult r4 = run(base_options(), 4);
+  const rpa::RpaResult r1 = run(base_options(), 1).result;
+  const rpa::RpaResult r4 = run(base_options(), 4).result;
   EXPECT_TRUE(r1.converged);
   EXPECT_TRUE(r4.converged);
   EXPECT_LT(r1.e_rpa, 0.0);
@@ -145,85 +119,53 @@ TEST_F(ParallelRpaTest, EnergyIndependentOfRankCount) {
   EXPECT_NEAR(r1.e_rpa, r4.e_rpa, 5e-3 * std::abs(r1.e_rpa));
 }
 
-TEST_F(ParallelRpaTest, MatchesSerialDriverEnergy) {
-  // With fixed one-column blocking the partition only decides which task
-  // applies which column: E_RPA and every Ritz value are bitwise those of
-  // the serial run, with SSA elision off and on.
-  for (int freeze : {0, 2}) {
-    SCOPED_TRACE("ssa freeze_after " + std::to_string(freeze));
-    rpa::RpaOptions opts = column_options();
-    opts.ssa.freeze_after = freeze;
-    opts.ssa.residual_tol = 0.1;
-    const rpa::RpaResult serial = run(opts, 1);
-    EXPECT_FALSE(serial.ranks.has_value());
-    for (std::size_t p : {2u, 4u}) {
-      SCOPED_TRACE("p = " + std::to_string(p));
-      const rpa::RpaResult ranked = run(opts, p);
-      ASSERT_TRUE(ranked.ranks.has_value());
-      expect_same_bits(serial, ranked);
-      if (freeze > 0) {
-        EXPECT_TRUE(ranked.per_omega[2].elided);
-      }
-    }
-  }
-}
-
 TEST_F(ParallelRpaTest, RecordsPerRankTimings) {
-  const rpa::RpaResult res = run(base_options(), 4);
-  ASSERT_TRUE(res.ranks.has_value());
-  ASSERT_EQ(res.ranks->apply_seconds.size(), 4u);
-  ASSERT_EQ(res.ranks->error_seconds.size(), 4u);
+  const RankedRun run4 = run(base_options(), 4);
+  ASSERT_EQ(run4.apply_seconds.size(), 4u);
+  EXPECT_EQ(run4.panel_rows, built().ks.n_grid());
+  EXPECT_EQ(run4.panel_cols, 16u);
   double work = 0.0;
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_GT(res.ranks->apply_seconds[r], 0.0);
-    work += res.ranks->apply_seconds[r] + res.ranks->error_seconds[r];
+  for (double seconds : run4.apply_seconds) {
+    EXPECT_GT(seconds, 0.0);
+    work += seconds;
   }
   // Critical path >= average (load imbalance is non-negative).
-  const KernelBreakdown modeled = modeled_breakdown(res, 4, CollectiveModel{});
-  EXPECT_GE(modeled.nu_chi0 + modeled.eval_error, work / 4.0 * 0.99);
+  const KernelBreakdown modeled = modeled_breakdown(run4, CollectiveModel{});
+  EXPECT_GE(modeled.nu_chi0, work / 4.0 * 0.99);
   EXPECT_GT(modeled.total(), 0.0);
   // The result's own timers stay measured: nothing modeled leaks in.
-  EXPECT_GT(res.timers.get(rpa::kernels::kNuChi0), 0.0);
-  EXPECT_THROW(modeled_breakdown(res, 2, CollectiveModel{}), Error);
+  EXPECT_GT(run4.result.timers.get(rpa::kernels::kNuChi0), 0.0);
 }
 
 TEST_F(ParallelRpaTest, BlockSizeCapFollowsPartition) {
-  const rpa::RpaResult res = run(base_options(), 8);  // cap = 16 / 8 = 2
+  // cap = 16 / 8 = 2
+  const rpa::RpaResult res = run(base_options(), 8).result;
   for (const auto& [size, count] : res.stern.block_size_chunks)
     EXPECT_LE(size, 2);
 }
 
 TEST_F(ParallelRpaTest, RejectsRankCountZero) {
-  try {
-    run(base_options(), 0);
-    FAIL() << "n_ranks = 0 accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("n_ranks must be in [1, n_eig]"),
-              std::string::npos)
-        << e.what();
-  }
+  expect_rank_count_refused(0);
 }
 
 TEST_F(ParallelRpaTest, RejectsMoreRanksThanEigenvectors) {
-  try {
-    run(base_options(), 17);  // n_eig = 16
-    FAIL() << "n_ranks > n_eig accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("n_ranks must be in [1, n_eig]"),
-              std::string::npos)
-        << e.what();
-  }
+  expect_rank_count_refused(17);  // n_eig = 16
 }
 
 TEST_F(ParallelRpaTest, HonoursColdStartAtTwoRanks) {
   // warm_start = false restarts every point from a fresh random block, at
-  // any rank count.
+  // any rank count: with one column per solve, bitwise the serial run.
   rpa::RpaOptions cold = column_options();
   cold.warm_start = false;
-  const rpa::RpaResult cold1 = run(cold, 1);
-  const rpa::RpaResult cold2 = run(cold, 2);
-  expect_same_bits(cold1, cold2);
-  const rpa::RpaResult warm2 = run(column_options(), 2);
+  const rpa::RpaResult cold1 =
+      rpa::compute_rpa_energy(built().ks, *built().klap, cold);
+  const rpa::RpaResult cold2 = run(cold, 2).result;
+  EXPECT_EQ(cold1.e_rpa, cold2.e_rpa);
+  ASSERT_EQ(cold1.per_omega.size(), cold2.per_omega.size());
+  for (std::size_t k = 0; k < cold1.per_omega.size(); ++k)
+    EXPECT_EQ(cold1.per_omega[k].eigenvalues, cold2.per_omega[k].eigenvalues)
+        << "omega " << k;
+  const rpa::RpaResult warm2 = run(column_options(), 2).result;
   EXPECT_NE(cold2.per_omega[1].eigenvalues, warm2.per_omega[1].eigenvalues);
 }
 
@@ -232,12 +174,12 @@ TEST_F(ParallelRpaTest, EmitsPrecisionClampOnceAtTwoRanks) {
   opts.ell = 2;
   opts.stern.precision = common::Precision::kMixed;
   opts.stern.tol = 0.5 * solver::f32_tol_floor();
-  const rpa::RpaResult res = run(opts, 2);
+  const rpa::RpaResult res = run(opts, 2).result;
   EXPECT_EQ(res.events.count(obs::events::kPrecisionClamped), 1u);
 }
 
 TEST_F(ParallelRpaTest, PerPointMatvecWorkSumsToTotalsAtTwoRanks) {
-  const rpa::RpaResult res = run(base_options(), 2);
+  const rpa::RpaResult res = run(base_options(), 2).result;
   double bytes = 0.0, flops = 0.0;
   for (const rpa::OmegaRecord& rec : res.per_omega) {
     EXPECT_GT(rec.matvec_bytes, 0.0);
@@ -271,27 +213,25 @@ TEST(ThreadDeterminism, BitwiseIdenticalEnergiesAtAnyThreadCount) {
     // never run-to-run reproducible, even serially). Pin the block size so
     // the comparison isolates the runtime's determinism.
     opts.stern.dynamic_block = false;
-    rpa::RpaOptions ranked = opts;
-    ranked.n_ranks = 4;
 
-    // Ranked run plus the pool's activity across it.
+    // Run on 4 ranks, plus the pool's activity across it.
     struct Run {
       double e_rpa;
       sched::PoolStats pool;
     };
-    const auto run_ranked = [&] {
+    const auto run_4_ranks = [&] {
       const sched::PoolStats pool0 = sched::global_pool().stats();
-      const double e = rpa::compute_rpa_energy(b.ks, *b.klap, ranked).e_rpa;
+      const double e = run_ranked(b.ks, *b.klap, opts, 4).result.e_rpa;
       return Run{e, sched::global_pool().stats().since(pool0)};
     };
 
     sched::set_global_threads(1);
     const double serial_1 = rpa::compute_rpa_energy(b.ks, *b.klap, opts).e_rpa;
-    const Run par_1 = run_ranked();
+    const Run par_1 = run_4_ranks();
 
     sched::set_global_threads(4);
     const double serial_4 = rpa::compute_rpa_energy(b.ks, *b.klap, opts).e_rpa;
-    const Run par_4 = run_ranked();
+    const Run par_4 = run_4_ranks();
     sched::set_global_threads(1);
 
     EXPECT_EQ(std::memcmp(&serial_1, &serial_4, sizeof(double)), 0)
@@ -517,13 +457,33 @@ TEST_F(ParallelRpaTest, ModeledNuChi0TimeShrinksWithRanks) {
   // not fan its orbital solves out over lanes the ranks of the p = 4 run
   // do not get.
   sched::TaskQuotaScope one_lane_per_rank(1);
-  const rpa::RpaResult r1 = run(base_options(), 1);
-  const rpa::RpaResult r4 = run(base_options(), 4);
+  const RankedRun r1 = run(base_options(), 1);
+  const RankedRun r4 = run(base_options(), 4);
   // The embarrassingly parallel kernel must show real speedup in the
   // modeled time (max over ranks shrinks as columns spread out).
   const CollectiveModel net;
-  EXPECT_LT(modeled_breakdown(r4, 4, net).nu_chi0,
-            modeled_breakdown(r1, 1, net).nu_chi0);
+  EXPECT_LT(modeled_breakdown(r4, net).nu_chi0,
+            modeled_breakdown(r1, net).nu_chi0);
+}
+
+TEST(RunReport, ParallelResultCarriesPerRankTimers) {
+  RankedRun run;
+  run.apply_seconds = {1.0, 2.0};
+  CollectiveModel free_network;
+  free_network.alpha = 0.0;
+  free_network.beta = 0.0;
+  const obs::Json j =
+      obs::Json::parse(scaling_report(run, free_network, {}).dump());
+  EXPECT_EQ(j.at("n_ranks").as_int(), 2);
+  ASSERT_EQ(j.at("ranks").size(), 2u);
+  const obs::Json& r1 = j.at("ranks").as_array()[1];
+  EXPECT_EQ(r1.at("rank").as_int(), 1);
+  EXPECT_DOUBLE_EQ(
+      r1.at("timers").at(rpa::kernels::kNuChi0).as_double(), 2.0);
+  // Free collectives and no dense work: the modeled critical path is the
+  // slowest rank's measured seconds alone.
+  EXPECT_DOUBLE_EQ(j.at("modeled").at("total").as_double(), 2.0);
+  EXPECT_DOUBLE_EQ(j.at("apply_work_seconds").as_double(), 3.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <complex>
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -15,9 +16,12 @@
 #include "la/lu.hpp"
 #include "la/qr.hpp"
 #include "poisson/kronecker.hpp"
+#include "rpa/erpa.hpp"
+#include "rpa/presets.hpp"
 #include "rpa/quadrature.hpp"
 #include "solver/block_cocg.hpp"
 #include "solver/chebyshev.hpp"
+#include "support/ranked.hpp"
 
 namespace rsrpa {
 namespace {
@@ -266,6 +270,50 @@ TEST_P(LuConditioning, SolveErrorScalesWithCondition) {
 
 INSTANTIATE_TEST_SUITE_P(Conditions, LuConditioning,
                          ::testing::Values(1e1, 1e4, 1e7));
+
+// ---------- Serial vs ranked driver ----------
+
+// With one column per Sternheimer solve, the column partition only decides
+// which task applies which column: E_RPA and every Ritz value of a run on
+// p simulated ranks are bitwise those of the plain driver. Each seed draws
+// n_eig, p in [1, n_eig] and the SSA freeze point (0 = off, or 2 with a
+// guard loose enough that the frozen point elides).
+TEST(ParallelRpaTest, MatchesSerialDriverEnergy) {
+  rpa::SystemPreset preset = rpa::make_si_preset(1, false);
+  preset.grid_per_cell = 6;
+  preset.n_eig_per_atom = 2;
+  preset.fd_radius = 2;
+  const rpa::BuiltSystem b = rpa::build_system(preset);
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    rpa::RpaOptions opts = b.default_rpa_options();
+    opts.n_eig = 2 + rng.index(15);  // [2, 16]
+    opts.ell = 3;
+    opts.tol_eig = {4e-3, 2e-3, 2e-3};
+    opts.stern.dynamic_block = false;
+    opts.stern.fixed_block = 1;
+    opts.ssa.freeze_after = rng.index(2) == 0 ? 0 : 2;
+    opts.ssa.residual_tol = 0.1;
+    const std::size_t p = 1 + rng.index(opts.n_eig);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": n_eig " +
+                 std::to_string(opts.n_eig) + ", p " + std::to_string(p) +
+                 ", freeze_after " + std::to_string(opts.ssa.freeze_after));
+
+    const rpa::RpaResult serial = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
+    const rpa::RpaResult ranked =
+        par::run_ranked(b.ks, *b.klap, opts, p).result;
+    EXPECT_EQ(serial.e_rpa, ranked.e_rpa);
+    ASSERT_EQ(serial.per_omega.size(), ranked.per_omega.size());
+    for (std::size_t k = 0; k < serial.per_omega.size(); ++k)
+      EXPECT_EQ(serial.per_omega[k].eigenvalues,
+                ranked.per_omega[k].eigenvalues)
+          << "omega " << k;
+    if (opts.ssa.freeze_after > 0) {
+      EXPECT_TRUE(ranked.per_omega[2].elided);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace rsrpa

@@ -21,6 +21,7 @@
 #include "solver/block_cocg.hpp"
 #include "solver/dynamic_block.hpp"
 #include "solver/resilience.hpp"
+#include "support/ranked.hpp"
 
 namespace rsrpa::solver {
 namespace {
@@ -534,10 +535,9 @@ TEST_F(FaultDrillTest, RunRpaSurvivesAFaultyQuadraturePoint) {
 TEST_F(FaultDrillTest, RunParallelRpaSurvivesAFaultyQuadraturePoint) {
   auto& b = built();
   rpa::RpaOptions opts = base_options();
-  opts.n_ranks = 2;
   add_point_fault(opts);
 
-  rpa::RpaResult res = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
+  const rpa::RpaResult res = par::run_ranked(b.ks, *b.klap, opts, 2).result;
 
   EXPECT_TRUE(std::isfinite(res.e_rpa));
   EXPECT_TRUE(res.degraded);

@@ -13,13 +13,13 @@
 #include "obs/event_log.hpp"
 #include "solver/block_cocg.hpp"
 #include "solver/block_cocr.hpp"
-#include "solver/cocr.hpp"
 #include "solver/dynamic_block.hpp"
 #include "solver/galerkin_guess.hpp"
 #include "solver/gmres.hpp"
-#include "solver/preconditioner.hpp"
 #include "solver/qmr_sym.hpp"
-#include "solver/seed_projection.hpp"
+#include "support/cocr.hpp"
+#include "support/preconditioner.hpp"
+#include "support/seed_projection.hpp"
 
 namespace rsrpa::solver {
 namespace {

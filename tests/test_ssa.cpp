@@ -22,6 +22,7 @@
 #include "rpa/erpa.hpp"
 #include "rpa/presets.hpp"
 #include "rpa/ssa.hpp"
+#include "support/ranked.hpp"
 
 #include <set>
 
@@ -385,15 +386,15 @@ TEST_F(SsaCheckpointTest, SsaPolicyIsPartOfTheFingerprint) {
 }
 
 // ---------------------------------------------------------------------------
-// Ranked runs (n_ranks = 2).
+// Ranked runs (p = 2).
 
 TEST_F(SsaCheckpointTest, ParallelElisionKillAndResumeIsBitwise) {
   auto& b = built();
   rpa::RpaOptions base = base_options();
   base.ssa.freeze_after = 2;
   base.ssa.residual_tol = 0.1;  // elide both frozen points (see above)
-  base.n_ranks = 2;
-  const rpa::RpaResult straight = rpa::compute_rpa_energy(b.ks, *b.klap, base);
+  const rpa::RpaResult straight =
+      par::run_ranked(b.ks, *b.klap, base, 2).result;
   ASSERT_TRUE(std::isfinite(straight.e_rpa));
   EXPECT_EQ(straight.events.count(obs::events::kSsaBasisFrozen), 1u);
   EXPECT_EQ(count_elided(straight), 2);
@@ -402,12 +403,12 @@ TEST_F(SsaCheckpointTest, ParallelElisionKillAndResumeIsBitwise) {
   rpa::RpaOptions killed = base;
   killed.checkpoint.path = ckpt;
   killed.checkpoint.halt_after_point = 2;  // first frozen point done
-  EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed), rpa::RunHalted);
+  EXPECT_THROW(par::run_ranked(b.ks, *b.klap, killed, 2), rpa::RunHalted);
 
   rpa::RpaOptions resumed = base;
   resumed.checkpoint.path = ckpt;
   resumed.checkpoint.resume = true;
-  const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, resumed);
+  const rpa::RpaResult r = par::run_ranked(b.ks, *b.klap, resumed, 2).result;
 
   EXPECT_EQ(r.e_rpa, straight.e_rpa);
   ASSERT_EQ(r.per_omega.size(), straight.per_omega.size());
@@ -421,14 +422,13 @@ TEST_F(SsaCheckpointTest, ParallelElisionKillAndResumeIsBitwise) {
 
 TEST(Ssa, ParallelElisionTracksTheParallelFullSolve) {
   auto& b = built();
-  rpa::RpaOptions full = ell8_options();
-  full.n_ranks = 2;
-  const rpa::RpaResult plain = rpa::compute_rpa_energy(b.ks, *b.klap, full);
+  const rpa::RpaOptions full = ell8_options();
+  const rpa::RpaResult plain = par::run_ranked(b.ks, *b.klap, full, 2).result;
 
   rpa::RpaOptions elide = full;
   elide.ssa.freeze_after = 5;
   elide.ssa.residual_tol = 1.5e-3;
-  const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, elide);
+  const rpa::RpaResult r = par::run_ranked(b.ks, *b.klap, elide, 2).result;
 
   EXPECT_GE(count_elided(r), 1);
   EXPECT_TRUE(r.per_omega[7].elided);

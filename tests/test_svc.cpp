@@ -16,7 +16,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,41 +24,13 @@
 #include "rpa/presets.hpp"
 #include "sched/parallel_for.hpp"
 #include "sched/thread_pool.hpp"
+#include "strip_timing.hpp"
 #include "svc/service.hpp"
 
 namespace rsrpa {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Timing and wall-clock-derived fields: legitimately different between a
-// standalone and a served (possibly preempted + resumed) run, stripped
-// before the JSON comparison. Everything else must match byte for byte.
-bool timing_key(const std::string& k) {
-  static const std::set<std::string> kStrip = {
-      "seconds",        "total_seconds",
-      "timers",         "arithmetic_intensity",
-      "sched",          "modeled",
-      "modeled_total_seconds", "apply_work_seconds",
-      "rank_apply_seconds",    "rank_error_seconds",
-      "rank_timers"};
-  return kStrip.count(k) > 0;
-}
-
-obs::Json strip_timing(const obs::Json& j) {
-  if (j.is_object()) {
-    obs::Json out = obs::Json::object();
-    for (const auto& [key, value] : j.as_object())
-      if (!timing_key(key)) out[key] = strip_timing(value);
-    return out;
-  }
-  if (j.is_array()) {
-    obs::Json out = obs::Json::array();
-    for (const obs::Json& v : j.as_array()) out.push_back(strip_timing(v));
-    return out;
-  }
-  return j;
-}
 
 void expect_bitwise_equal(const rpa::RpaResult& a, const rpa::RpaResult& b) {
   EXPECT_EQ(a.e_rpa, b.e_rpa);
