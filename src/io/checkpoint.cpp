@@ -50,20 +50,12 @@ obs::Json payload_json(const RunCheckpoint& ck) {
   // As a decimal string: obs::Json integers are signed 64-bit and a
   // fingerprint's top bit is fair game.
   j["fingerprint"] = std::to_string(ck.fingerprint);
-  j["method"] = ck.method;
-  j["completed_points"] = ck.completed_points;
   j["ell"] = ck.ell;
-  j["e_rpa_partial"] = ck.e_rpa_partial;
-  j["degraded"] = ck.degraded;
-  j["converged"] = ck.converged;
   j["rng_state"] = ck.rng_state;
-  obs::Json per_omega = obs::Json::array();
-  for (const rpa::OmegaRecord& rec : ck.per_omega)
-    per_omega.push_back(obs::to_json(rec));
-  j["per_omega"] = std::move(per_omega);
-  j["sternheimer"] = obs::to_json(ck.stern);
-  j["timers"] = obs::to_json(ck.timers);
-  j["events"] = obs::to_json(ck.events);
+  // The run report keys a record by its method, so the method sits
+  // beside the record, not inside it.
+  j["method"] = ck.result.method;
+  j["result"] = obs::to_json(ck.result);
   return j;
 }
 
@@ -76,23 +68,13 @@ RunCheckpoint payload_from_json(const obs::Json& j) {
   RSRPA_REQUIRE_MSG(parse_full_token(j.at("fingerprint").as_string(),
                                      ck.fingerprint),
                     "checkpoint: fingerprint is not an unsigned integer");
-  ck.method = j.at("method").as_string();
-  ck.completed_points = static_cast<int>(j.at("completed_points").as_int());
   ck.ell = static_cast<int>(j.at("ell").as_int());
-  ck.e_rpa_partial = j.at("e_rpa_partial").as_double();
-  ck.degraded = j.at("degraded").as_bool();
-  ck.converged = j.at("converged").as_bool();
   ck.rng_state = j.at("rng_state").as_string();
-  for (const obs::Json& rec : j.at("per_omega").as_array())
-    ck.per_omega.push_back(obs::omega_record_from_json(rec));
-  ck.stern = obs::sternheimer_stats_from_json(j.at("sternheimer"));
-  ck.timers = obs::kernel_timers_from_json(j.at("timers"));
-  ck.events = obs::event_log_from_json(j.at("events"));
-  RSRPA_REQUIRE_MSG(
-      ck.completed_points >= 1 && ck.completed_points <= ck.ell &&
-          ck.per_omega.size() ==
-              static_cast<std::size_t>(ck.completed_points),
-      "checkpoint: inconsistent completed-point count");
+  ck.result =
+      obs::rpa_result_from_json(j.at("result"), j.at("method").as_string());
+  const int completed = ck.completed_points();
+  RSRPA_REQUIRE_MSG(completed >= 1 && completed <= ck.ell,
+                    "checkpoint: inconsistent completed-point count");
   return ck;
 }
 

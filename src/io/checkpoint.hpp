@@ -3,21 +3,23 @@
 // A full E_RPA run is ell subspace iterations, each hiding thousands of
 // Sternheimer solves; PR 3's resilience ladder made individual solves
 // survivable, and this layer gives the same property to the run itself.
-// After every quadrature point the drivers persist a RunCheckpoint — the
-// warm-start subspace V (the eigenvector chain of paper SS III-F, which
-// is exactly the state the next point needs), the partial E_RPA sum, the
-// completed OmegaRecords with their quarantine/degraded flags and matvec
-// counters, the driver RNG state, and a fingerprint of the system +
-// RpaOptions. A killed run resumed from its checkpoint replays the
+// After every quadrature point the sweep (rpa/sweep.hpp) persists a
+// RunCheckpoint — the run record so far (partial E_RPA sum, the completed
+// OmegaRecords with their quarantine/degraded flags and matvec counters,
+// solver statistics, kernel timers, event log), the warm-start subspace V
+// (the eigenvector chain of paper SS III-F, which is exactly the state
+// the next point needs), the driver RNG state, and a fingerprint of the
+// system + options. A killed run resumed from its checkpoint replays the
 // remaining points from identical state, so its E_RPA, per-omega records
 // and run-report JSON are bitwise identical to an uninterrupted run
 // (whenever the computation itself is deterministic; see
 // docs/REPRODUCING.md, "Checkpoint and resume").
 //
-// Container layout (little-endian):
+// Container layout (little-endian), format version 3:
 //   magic "RSRPAC01"
-//   u64 payload_len, then payload_len bytes of JSON (everything except V;
-//       doubles round-trip bitwise through obs::Json)
+//   u64 payload_len, then payload_len bytes of JSON: version, fingerprint,
+//       ell, rng_state, method, and `result` — the run record in its
+//       run-report form (obs::to_json; doubles round-trip bitwise)
 //   the warm-start matrix V in the save_matrix stream format
 //   trailing magic "RSRPAEND" (truncation tripwire)
 // All writes go through io::atomic_write (tmp + fsync + rename), so a
@@ -26,11 +28,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "dft/ks_system.hpp"
 #include "la/matrix.hpp"
-#include "obs/event_log.hpp"
 #include "rpa/erpa.hpp"
 #include "rpa/erpa_slq.hpp"
 
@@ -38,31 +38,29 @@ namespace rsrpa::io {
 
 /// Bump when a field changes meaning; never reuse a name for a different
 /// quantity (same contract as the run-report schema).
-/// Version 2: one record shape and one fingerprint domain for every
-/// checkpointing driver, tagged by `method`.
-inline constexpr std::uint32_t kRunCheckpointVersion = 2;
+/// Version 3: the payload carries the run record itself, in its
+/// run-report form, instead of a copy of its fields.
+inline constexpr std::uint32_t kRunCheckpointVersion = 3;
 
 /// Everything the drivers need to continue a quadrature sweep after the
-/// last completed point, plus the accumulators that keep the final run
-/// report seamless across the restart.
+/// last completed point: the run record so far, which keeps the final run
+/// report seamless across the restart, plus the driver state beside it.
 struct RunCheckpoint {
   std::uint64_t fingerprint = 0;  ///< run_fingerprint() of system + options
-  /// The driver that wrote it (rpa::methods): a driver resumes only its
-  /// own method's checkpoints.
-  std::string method = rpa::methods::kSternheimer;
-  int completed_points = 0;       ///< quadrature points fully accumulated
   int ell = 0;                    ///< total points of the sweep
-  double e_rpa_partial = 0.0;     ///< sum over the completed points
-  bool degraded = false;
-  bool converged = true;          ///< AND over the completed records
   std::string rng_state;          ///< Rng::save_state() of the driver RNG
-  std::vector<rpa::OmegaRecord> per_omega;
-  rpa::SternheimerStats stern;
-  KernelTimers timers;
-  obs::EventLog events;           ///< RpaResult::events so far
+  /// The run record after the completed points, tagged with the method
+  /// of the driver that wrote it: a driver resumes only its own method's
+  /// checkpoints.
+  rpa::RpaResult result;
   /// Warm-start subspace after the point; a 1x1 zero for SLQ, which has
   /// none (the matrix stream format rejects empty shapes).
   la::Matrix<double> v;
+
+  /// Quadrature points fully accumulated.
+  [[nodiscard]] int completed_points() const {
+    return static_cast<int>(result.per_omega.size());
+  }
 };
 
 /// Fingerprint of everything a checkpoint must agree with before resume:

@@ -9,6 +9,7 @@
 #include "isdf/points.hpp"
 #include "rpa/nu_chi0.hpp"
 #include "rpa/quadrature.hpp"
+#include "rpa/sweep.hpp"
 
 namespace rsrpa::isdf {
 
@@ -91,28 +92,18 @@ rpa::RpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
       opts.n_eig == 0 ? nip : std::min<std::size_t>(opts.n_eig, nip);
   info.n_eig = keep;
 
-  for (int k = 0; k < opts.ell; ++k) {
-    rpa::check_run_control(opts.control);
-    const rpa::QuadPoint& q = quad[static_cast<std::size_t>(k)];
-    WallTimer omega_timer;
-
-    std::vector<double> spec = comp.spectrum(q.omega, &result.timers);
+  rpa::Sweep sweep;
+  sweep.ell = opts.ell;
+  sweep.n_atoms = sys.h->crystal().n_atoms();
+  sweep.control = opts.control;
+  rpa::run_sweep(sweep, total, result, [&](int, rpa::OmegaRecord& rec) {
+    std::vector<double> spec = comp.spectrum(rec.omega, &result.timers);
     spec.resize(std::min(spec.size(), keep));  // ascending = most negative
-
-    rpa::OmegaRecord rec;
-    rec.omega = q.omega;
-    rec.weight = q.weight;
     rec.converged = true;
     rec.eigenvalues = std::move(spec);
     rec.matvec_flops = comp.flops_per_freq();
     rec.matvec_bytes = comp.bytes_per_freq();
-    rec.seconds = omega_timer.seconds();
-    rpa::close_point(result, std::move(rec), k);
-  }
-
-  const std::size_t n_atoms = sys.h->crystal().n_atoms();
-  result.e_rpa_per_atom = result.e_rpa / static_cast<double>(n_atoms);
-  result.total_seconds = total.seconds();
+  });
   if (compression != nullptr) *compression = std::move(info);
   return result;
 }

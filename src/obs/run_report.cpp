@@ -286,6 +286,23 @@ rpa::OmegaRecord omega_record_from_json(const Json& j) {
   return rec;
 }
 
+rpa::RpaResult rpa_result_from_json(const Json& j, const std::string& method) {
+  rpa::RpaResult res;
+  res.method = method;
+  res.e_rpa = j.at("e_rpa").as_double();
+  res.e_rpa_per_atom = j.at("e_rpa_per_atom").as_double();
+  res.converged = j.at("converged").as_bool();
+  res.degraded = j.at("degraded").as_bool();
+  res.total_seconds = j.at("total_seconds").as_double();
+  for (const Json& rec : j.at("per_omega").as_array())
+    res.per_omega.push_back(omega_record_from_json(rec));
+  if (const Json* stern = j.find("sternheimer"))
+    res.stern = sternheimer_stats_from_json(*stern);
+  res.timers = kernel_timers_from_json(j.at("timers"));
+  res.events = event_log_from_json(j.at("events"));
+  return res;
+}
+
 RunReport::RunReport(std::string name) : name_(std::move(name)) {
   root_ = Json::object();
   root_["schema"] = kRunReportSchema;

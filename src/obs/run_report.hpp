@@ -52,6 +52,9 @@ Json to_json(const rpa::RpaResult& res,
 KernelTimers kernel_timers_from_json(const Json& j);
 rpa::SternheimerStats sternheimer_stats_from_json(const Json& j);
 rpa::OmegaRecord omega_record_from_json(const Json& j);
+/// The record's `method` is not part of its payload (a run report keys
+/// the payload by it), so the caller passes it back in.
+rpa::RpaResult rpa_result_from_json(const Json& j, const std::string& method);
 
 class RunReport {
  public:

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <limits>
+#include <set>
 
 #include "io/checkpoint.hpp"
-#include "rpa/checkpoint_driver.hpp"
 #include "rpa/ssa.hpp"
-#include "solver/mixed.hpp"
+#include "rpa/sweep.hpp"
 #include "solver/resilience.hpp"
 
 namespace rsrpa::rpa {
@@ -44,14 +43,6 @@ double accumulate_trace_terms(const std::vector<double>& eigenvalues,
   return sum;
 }
 
-void close_point(RpaResult& result, OmegaRecord rec, int k) {
-  if (!rec.probes)
-    accumulate_trace_terms(rec.eigenvalues, k, rec, &result.events);
-  result.e_rpa += rec.weight * rec.e_term / (2.0 * M_PI);
-  result.converged = result.converged && rec.converged;
-  result.per_omega.push_back(std::move(rec));
-}
-
 double tol_for_point(const RpaOptions& opts, int k, obs::EventLog* events,
                      bool* warned) {
   RSRPA_REQUIRE(k >= 0 && k < opts.ell);
@@ -69,6 +60,50 @@ double tol_for_point(const RpaOptions& opts, int k, obs::EventLog* events,
                                opts.tol_eig.size() - 1)];
 }
 
+namespace {
+
+// Sorted, deduplicated V-column indices quarantined since `idx_before`
+// (a cursor into SternheimerStats::quarantined_column_indices taken at
+// the start of the quadrature point).
+std::vector<long> quarantined_columns_since(const SternheimerStats& stern,
+                                            std::size_t idx_before) {
+  const std::vector<long>& all = stern.quarantined_column_indices;
+  if (idx_before >= all.size()) return {};
+  const std::set<long> uniq(
+      all.begin() + static_cast<std::ptrdiff_t>(idx_before), all.end());
+  return {uniq.begin(), uniq.end()};
+}
+
+// Warm-start hygiene: refill the quarantined columns of `v` from
+// decorrelated Rng::derive streams keyed on (quadrature point, column) —
+// never on the engine position or thread identity — and emit a
+// warm_start_reseed event into the result log. Without this the chain of
+// paper SS III-F carries initial-guess garbage from a degraded point into
+// every omega downstream of it.
+void reseed_quarantined_columns(la::Matrix<double>& v,
+                                const std::vector<long>& cols,
+                                const Rng& rng, int omega_index,
+                                obs::EventLog& events) {
+  for (long c : cols) {
+    if (c < 0 || static_cast<std::size_t>(c) >= v.cols()) continue;
+    // Stream id keyed on (point, column) only: the refill is identical
+    // whether the run got here straight through or via a resume, and at
+    // any thread count. omega_index + 1 keeps point 0 distinct from the
+    // plain column streams used elsewhere.
+    const std::uint64_t stream =
+        (static_cast<std::uint64_t>(omega_index) + 1) << 32 |
+        static_cast<std::uint64_t>(c);
+    rng.derive(stream).fill_uniform(v.col(static_cast<std::size_t>(c)));
+  }
+  events.emit(obs::events::kWarmStartReseed,
+              "re-randomized quarantined warm-start columns before the "
+              "next quadrature point",
+              {{"omega_index", static_cast<double>(omega_index)},
+               {"columns", static_cast<double>(cols.size())}});
+}
+
+}  // namespace
+
 RpaResult compute_rpa_energy(const dft::KsSystem& sys,
                              const poisson::KroneckerLaplacian& klap,
                              const RpaOptions& opts) {
@@ -85,53 +120,40 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
   // concurrent tasks must never share one sink.
   stern_opts.events = opts.apply_hook ? nullptr : &result.events;
   NuChi0Operator op(sys, klap, stern_opts);
-  const std::vector<QuadPoint> quad = rpa_frequency_quadrature(opts.ell);
 
   // V carries the subspace across quadrature points (warm start).
   Rng rng(opts.seed);
   la::Matrix<double> v(sys.n_grid(), opts.n_eig);
   for (std::size_t j = 0; j < opts.n_eig; ++j) rng.fill_uniform(v.col(j));
 
-  const CheckpointOptions& copts = opts.checkpoint;
-  const bool checkpointing = !copts.path.empty();
-  const std::uint64_t fingerprint =
-      checkpointing ? io::run_fingerprint(sys, opts) : 0;
-
-  int k0 = 0;
-  bool tol_warned = false;
-  if (checkpointing && copts.resume && std::filesystem::exists(copts.path)) {
-    k0 = detail::restore_checkpoint(copts, fingerprint, opts.ell, result, v,
-                                    rng);
-    // The restored event log already carries point 0's one-time TOL_EIG
-    // warning (if any); don't emit it twice.
-    tol_warned = true;
-  }
-
-  // One-time notice when the requested Sternheimer tolerance is below
-  // single-precision reach: the mixed inner solves clamp their tolerance
-  // at sqrt(eps_f32) (solver/mixed.hpp) and the FP64 residual
-  // replacement carries the remainder, so the request is still met — it
-  // just shifts work to the outer loop. Emitted only on a fresh run
-  // (k0 == 0): a restored event log already carries it.
-  if (k0 == 0 && stern_opts.precision == common::Precision::kMixed &&
-      stern_opts.tol < solver::f32_tol_floor())
-    result.events.emit(
-        obs::events::kPrecisionClamped,
-        "TOL below single-precision reach; FP32 inner tolerance clamped at "
-        "sqrt(eps_f32), FP64 residual replacement carries the remainder",
-        {{"requested_tol", stern_opts.tol},
-         {"clamped_tol", solver::f32_tol_floor()}});
+  Sweep sweep;
+  sweep.ell = opts.ell;
+  sweep.n_atoms = sys.h->crystal().n_atoms();
+  sweep.control = opts.control;
+  sweep.stern = &stern_opts;
+  sweep.checkpoint = &opts.checkpoint;
+  if (!opts.checkpoint.path.empty())
+    sweep.fingerprint = io::run_fingerprint(sys, opts);
+  sweep.v = &v;
+  sweep.rng = &rng;
+  // Warm-start hygiene: a quarantined column's content is whatever the
+  // recovery ladder froze it at — re-randomize before it seeds the next
+  // point. Done before the checkpoint write so the persisted V already
+  // includes the refill (resume needs no replay).
+  sweep.after_close = [&](int k) {
+    const std::vector<long>& quarantined =
+        result.per_omega.back().quarantined_column_indices;
+    if (opts.warm_start && k + 1 < opts.ell && !quarantined.empty())
+      reseed_quarantined_columns(v, quarantined, rng, k, result.events);
+  };
 
   // Fault injection can be restricted to one quadrature point; the scope
   // guard owns the per-point toggling of the live operator's fault mode
   // and restores the requested mode on every exit path.
   solver::FaultModeScope fault_scope(op.chi0().options().fault.mode);
 
-  for (int k = k0; k < opts.ell; ++k) {
-    check_run_control(opts.control);
-    const QuadPoint& q = quad[static_cast<std::size_t>(k)];
-    WallTimer omega_timer;
-
+  run_sweep(sweep, total, result, [&](int k, OmegaRecord& rec) {
+    const double omega = rec.omega;
     if (fault_scope.requested() != solver::FaultMode::kNone)
       fault_scope.select_for_point(k, opts.fault_omega);
 
@@ -140,11 +162,11 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
     const SubspaceApply apply = [&](const la::Matrix<double>& in,
                                     la::Matrix<double>& out) {
       if (!opts.apply_hook) {
-        op.apply(in, out, q.omega, &result.stern, &result.timers);
+        op.apply(in, out, omega, &result.stern, &result.timers);
         return;
       }
       WallTimer t;
-      opts.apply_hook(op, q.omega, in, out, result.stern, result.events);
+      opts.apply_hook(op, omega, in, out, result.stern, result.events);
       result.timers.add(kernels::kNuChi0, t.seconds());
     };
 
@@ -164,7 +186,9 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       for (std::size_t j = 0; j < opts.n_eig; ++j) rng.fill_uniform(v.col(j));
 
     SubspaceOptions sopts;
-    sopts.tol = tol_for_point(opts, k, &result.events, &tol_warned);
+    // The one-time TOL_EIG warning belongs to point 0; a resumed run
+    // starts past it, and its restored event log already carries it.
+    sopts.tol = tol_for_point(opts, k, k == 0 ? &result.events : nullptr);
     sopts.max_filter_iter = opts.max_filter_iter;
     sopts.cheb_degree = opts.cheb_degree;
 
@@ -174,10 +198,6 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
     const double bytes_before = result.stern.matvec_bytes;
     const double flops_before = result.stern.matvec_flops;
 
-    OmegaRecord rec;
-    rec.omega = q.omega;
-    rec.weight = q.weight;
-
     bool solve_in_full = !frozen;
     if (frozen) {
       // Projection-only candidate: a handful of fused applies against the
@@ -185,7 +205,7 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       // augmentation target sits a factor under the guard so accepted
       // elisions clear it with margin.
       const SsaProjection proj =
-          ssa_project(apply, v, q.omega, &result.events,
+          ssa_project(apply, v, omega, &result.events,
                       0.25 * opts.ssa.residual_tol);
       result.timers.add(kernels::kMatmult, proj.matmult_seconds);
       result.timers.add(kernels::kEigensolve, proj.eigensolve_seconds);
@@ -221,7 +241,7 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
       // A fallback warm-starts from the frozen basis (the best guess
       // available) and its converged eigenvectors become the new frozen
       // basis, so one fallback re-anchors the remaining tail.
-      SubspaceResult sub = subspace_iteration(apply, q.omega, v, sopts,
+      SubspaceResult sub = subspace_iteration(apply, omega, v, sopts,
                                               &result.timers, &result.events);
       rec.filter_iterations = sub.filter_iterations;
       rec.error = sub.error;
@@ -231,7 +251,7 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
     rec.quarantined_columns =
         result.stern.quarantined_columns - quarantined_before;
     rec.quarantined_column_indices =
-        detail::quarantined_columns_since(result.stern, quarantine_idx_before);
+        quarantined_columns_since(result.stern, quarantine_idx_before);
     rec.matvec_bytes = result.stern.matvec_bytes - bytes_before;
     rec.matvec_flops = result.stern.matvec_flops - flops_before;
     if (rec.quarantined_columns > 0) {
@@ -248,31 +268,7 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
            {"quarantined_columns",
             static_cast<double>(rec.quarantined_columns)}});
     }
-    rec.seconds = omega_timer.seconds();
-    close_point(result, std::move(rec), k);
-
-    // Warm-start hygiene: a quarantined column's content is whatever the
-    // recovery ladder froze it at — re-randomize before it seeds the next
-    // point. Done before the checkpoint write so the persisted V already
-    // includes the refill (resume needs no replay).
-    const std::vector<long>& quarantined =
-        result.per_omega.back().quarantined_column_indices;
-    if (opts.warm_start && k + 1 < opts.ell && !quarantined.empty())
-      detail::reseed_quarantined_columns(v, quarantined, rng, k,
-                                         result.events);
-
-    if (checkpointing) {
-      io::save_run_checkpoint(copts.path,
-                              detail::make_checkpoint(fingerprint, k + 1,
-                                                      opts.ell, result, v,
-                                                      rng));
-      detail::after_checkpoint_write(copts, k);
-    }
-  }
-
-  const std::size_t n_atoms = sys.h->crystal().n_atoms();
-  result.e_rpa_per_atom = result.e_rpa / static_cast<double>(n_atoms);
-  result.total_seconds = total.seconds();
+  });
   return result;
 }
 

@@ -22,7 +22,7 @@
 
 namespace rsrpa::rpa {
 
-/// Thrown by the drivers when CheckpointOptions::halt_after_point fires:
+/// Thrown by the sweep when CheckpointOptions::halt_after_point fires:
 /// the kill-and-resume tests' stand-in for a crash immediately after a
 /// checkpoint reaches disk.
 struct RunHalted : Error {
@@ -45,12 +45,13 @@ struct RunPreempted : Error {
   using Error::Error;
 };
 
-/// Cooperative run control, polled by both drivers at quadrature-point
-/// boundaries — the only places the run state is a small consistent cut
-/// (and where a checkpoint has just been written). Requests are sticky
-/// until reset; a cancel is never downgraded to a preempt. request_cancel
-/// is async-signal-safe (one lock-free atomic store), so rpacalc calls it
-/// straight from its SIGINT/SIGTERM handler.
+/// Cooperative run control, polled by the quadrature sweep
+/// (rpa/sweep.hpp) at point boundaries — the only places the run state
+/// is a small consistent cut (and where a checkpoint has just been
+/// written). Requests are sticky until reset; a cancel is never
+/// downgraded to a preempt. request_cancel is async-signal-safe (one
+/// lock-free atomic store), so rpacalc calls it straight from its
+/// SIGINT/SIGTERM handler.
 class RunControl {
  public:
   enum Request : int { kNone = 0, kPreempt = 1, kCancel = 2 };
@@ -75,9 +76,9 @@ class RunControl {
   std::atomic<int> request_{kNone};
 };
 
-/// The drivers' boundary poll: throw the matching control exception, or
+/// The sweep's boundary poll: throw the matching control exception, or
 /// return immediately when `control` is null / nothing is pending. Called
-/// at the top of each quadrature-point iteration, so the previous point's
+/// at the top of each quadrature point, so the previous point's
 /// checkpoint (when enabled) is already on disk when this fires.
 inline void check_run_control(const RunControl* control) {
   if (control == nullptr) return;
@@ -92,12 +93,11 @@ inline void check_run_control(const RunControl* control) {
 }
 
 /// Run-granularity crash recovery (io/checkpoint.hpp). With `path` set,
-/// the drivers persist a versioned RunCheckpoint after every quadrature
-/// point — warm-start subspace, partial E_RPA sum, completed per-omega
-/// records, RNG state, config fingerprint — and, with `resume`, pick the
-/// run back up from that file instead of starting over. Writes are
-/// atomic (io::atomic_write), so a crash can never leave a torn
-/// checkpoint behind.
+/// the sweep persists a versioned RunCheckpoint after every quadrature
+/// point — the run record so far, warm-start subspace, RNG state, config
+/// fingerprint — and, with `resume`, picks the run back up from that
+/// file instead of starting over. Writes are atomic (io::atomic_write),
+/// so a crash can never leave a torn checkpoint behind.
 struct CheckpointOptions {
   std::string path;     ///< empty = checkpointing disabled
   /// Load `path` before the first point when it exists; a missing file
@@ -269,8 +269,7 @@ struct OmegaRecord {
 struct RpaResult {
   std::string method = methods::kSternheimer;  ///< the driver that ran
   double e_rpa = 0.0;           ///< total correlation energy (Ha)
-  double e_rpa_per_atom = 0.0;  ///< e_rpa / n_atoms, filled by the driver
-                                ///< (all four backends populate it)
+  double e_rpa_per_atom = 0.0;  ///< e_rpa / n_atoms, filled by the sweep
   bool converged = true;        ///< all quadrature points converged
   /// Any quadrature point had quarantined Sternheimer columns; E_RPA is
   /// finite but carries the degraded points' approximation error.
@@ -305,14 +304,6 @@ double rpa_trace_term(double mu);
 double accumulate_trace_terms(const std::vector<double>& eigenvalues,
                               int omega_index, OmegaRecord& rec,
                               obs::EventLog* events);
-
-/// Close quadrature point `k`, the one step every driver ends a point
-/// with: unless `rec` carries probe statistics (an SLQ estimate, whose
-/// e_term is already the probe mean), sum the trace terms of
-/// rec.eigenvalues into rec.e_term (accumulate_trace_terms, events into
-/// result.events); then add w_k / (2 pi) * e_term to result.e_rpa, fold
-/// rec.converged into result.converged and append `rec` to per_omega.
-void close_point(RpaResult& result, OmegaRecord rec, int k);
 
 /// Resolve TOL_EIG for quadrature point `k`: an empty vector falls back
 /// to 5e-4, a vector shorter than ell is padded with its last entry, and

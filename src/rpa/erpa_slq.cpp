@@ -1,14 +1,11 @@
 #include "rpa/erpa_slq.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <filesystem>
 
 #include "io/checkpoint.hpp"
-#include "rpa/checkpoint_driver.hpp"
-#include "rpa/erpa.hpp"
-#include "rpa/quadrature.hpp"
+#include "rpa/sweep.hpp"
 #include "rpa/trace_est.hpp"
-#include "solver/mixed.hpp"
 
 namespace rsrpa::rpa {
 
@@ -22,7 +19,6 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
   RpaResult out;
   out.method = methods::kSlq;
   NuChi0Operator op(sys, klap, opts.stern);
-  const auto quad = rpa_frequency_quadrature(opts.ell);
   Rng rng(opts.seed);
 
   // Probe budget per point: fixed n_probes, or — with the adaptive CI
@@ -32,38 +28,25 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
       adaptive ? (opts.max_probes > 0 ? opts.max_probes : 8 * opts.n_probes)
                : opts.n_probes;
 
-  const CheckpointOptions& copts = opts.checkpoint;
-  const bool checkpointing = !copts.path.empty();
-  const std::uint64_t fingerprint =
-      checkpointing ? io::run_fingerprint(sys, opts) : 0;
   // No warm-start subspace: the checkpoint's V slot holds a 1x1 zero.
   la::Matrix<double> no_subspace(1, 1);
+  Sweep sweep;
+  sweep.ell = opts.ell;
+  sweep.n_atoms = sys.h->crystal().n_atoms();
+  sweep.control = opts.control;
+  sweep.stern = &opts.stern;
+  sweep.checkpoint = &opts.checkpoint;
+  if (!opts.checkpoint.path.empty())
+    sweep.fingerprint = io::run_fingerprint(sys, opts);
+  sweep.v = &no_subspace;
+  sweep.rng = &rng;
 
-  int k0 = 0;
-  if (checkpointing && copts.resume && std::filesystem::exists(copts.path))
-    k0 = detail::restore_checkpoint(copts, fingerprint, opts.ell, out,
-                                    no_subspace, rng);
-
-  // Same one-time notice as compute_rpa_energy: a Sternheimer tolerance
-  // below single-precision reach is clamped in the FP32 inner solves and
-  // finished by FP64 residual replacement. Fresh runs only (k0 == 0).
-  if (k0 == 0 && opts.stern.precision == common::Precision::kMixed &&
-      opts.stern.tol < solver::f32_tol_floor())
-    out.events.emit(
-        obs::events::kPrecisionClamped,
-        "TOL below single-precision reach; FP32 inner tolerance clamped at "
-        "sqrt(eps_f32), FP64 residual replacement carries the remainder",
-        {{"requested_tol", opts.stern.tol},
-         {"clamped_tol", solver::f32_tol_floor()}});
-
-  for (int k = k0; k < opts.ell; ++k) {
-    check_run_control(opts.control);
-    const QuadPoint& q = quad[static_cast<std::size_t>(k)];
-    WallTimer omega_timer;
+  run_sweep(sweep, total, out, [&](int k, OmegaRecord& rec) {
+    const double omega = rec.omega;
     long applies = 0;
-    solver::BlockOpR mop = [&op, &q, &applies](const la::Matrix<double>& in,
-                                               la::Matrix<double>& o) {
-      op.apply(in, o, q.omega, nullptr, nullptr);
+    solver::BlockOpR mop = [&op, omega, &applies](const la::Matrix<double>& in,
+                                                  la::Matrix<double>& o) {
+      op.apply(in, o, omega, nullptr, nullptr);
       applies += static_cast<long>(in.cols());
     };
 
@@ -106,9 +89,6 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
         break;
     }
 
-    OmegaRecord rec;
-    rec.omega = q.omega;
-    rec.weight = q.weight;
     rec.e_term = e_term;
     rec.converged = true;
     ProbeStats& p = rec.probes.emplace();
@@ -118,30 +98,17 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
     p.ci_halfwidth = ci_halfwidth;
     p.rel_ci = e_term != 0.0 ? ci_halfwidth / std::abs(e_term) : 0.0;
     p.matvec_columns = applies;
-    rec.seconds = omega_timer.seconds();
     out.events.emit(obs::events::kSlqOmegaEstimate,
                     "stochastic trace estimate",
                     {{"omega_index", static_cast<double>(k)},
-                     {"omega", q.omega},
+                     {"omega", omega},
                      {"e_term", e_term},
                      {"probe_stddev", p.probe_stddev},
                      {"n_probes", static_cast<double>(p.n_probes)},
                      {"ci_halfwidth", p.ci_halfwidth},
                      {"rel_ci", p.rel_ci},
                      {"matvec_columns", static_cast<double>(applies)}});
-    close_point(out, std::move(rec), k);
-
-    if (checkpointing) {
-      io::save_run_checkpoint(copts.path,
-                              detail::make_checkpoint(fingerprint, k + 1,
-                                                      opts.ell, out,
-                                                      no_subspace, rng));
-      detail::after_checkpoint_write(copts, k);
-    }
-  }
-
-  out.e_rpa_per_atom = out.e_rpa / static_cast<double>(sys.h->crystal().n_atoms());
-  out.total_seconds = total.seconds();
+  });
   return out;
 }
 

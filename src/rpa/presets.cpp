@@ -59,10 +59,6 @@ BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
 RpaOptions BuiltSystem::default_rpa_options() const {
   RpaOptions opts;
   opts.n_eig = preset.n_eig();
-  opts.ell = 8;
-  opts.stern.tol = 1e-2;
-  opts.cheb_degree = 2;
-  opts.max_filter_iter = 10;
   return opts;
 }
 

@@ -61,7 +61,7 @@ struct BuiltSystem {
   std::shared_ptr<poisson::KroneckerLaplacian> klap;
   dft::KsSystem ks;
 
-  /// RpaOptions prefilled with the preset's Table I analogues.
+  /// RpaOptions' defaults (the Table I analogues) with the preset's n_eig.
   [[nodiscard]] RpaOptions default_rpa_options() const;
 };
 

@@ -7,12 +7,14 @@
 // rpacalc and the job service both dispatch through here, so a config
 // means the same thing standalone or submitted to a server.
 //
-// Checkpoint/resume is a Sternheimer + SLQ capability (stern_opts's
-// checkpoint policy is forwarded into the SLQ options here): direct and
-// isdf recompute from scratch, so service preemption of those jobs
-// re-queues them at zero saved work (documented in DESIGN.md "Preemption
-// boundaries"). All four backends poll RunControl at quadrature-point
-// boundaries, so cancel/preempt latency is one point for every method.
+// All four drivers run one quadrature sweep (rpa/sweep.hpp), which polls
+// RunControl at every quadrature-point boundary, so cancel/preempt
+// latency is one point for every method. Checkpoint/resume is a
+// Sternheimer + SLQ capability (stern_opts's checkpoint policy is
+// forwarded into the SLQ options here): direct and isdf hand the sweep
+// no checkpoint policy and recompute from scratch, so service preemption
+// of those jobs re-queues them at zero saved work (documented in
+// DESIGN.md "Preemption boundaries").
 #pragma once
 
 #include "obs/run_report.hpp"

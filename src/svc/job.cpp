@@ -72,15 +72,10 @@ JobSpec parse_job(const Config& cfg) {
       cfg.has("PRECISION") ? cfg.get_string("PRECISION") : "fp64");
   preset.precision = precision;
 
+  // RpaOptions' own defaults, with n_eig resolved from the preset alone
+  // (no system build needed to know what a job will do).
   rpa::RpaOptions& opts = spec.options;
-  // Keep in lockstep with BuiltSystem::default_rpa_options: same defaults,
-  // but resolvable from the preset alone (no system build needed to know
-  // what a job will do).
   opts.n_eig = preset.n_eig();
-  opts.ell = 8;
-  opts.stern.tol = 1e-2;
-  opts.cheb_degree = 2;
-  opts.max_filter_iter = 10;
 
   if (cfg.has("N_NUCHI_EIGS"))
     opts.n_eig = static_cast<std::size_t>(cfg.get_int("N_NUCHI_EIGS"));

@@ -82,9 +82,9 @@ struct JobSpec {
   bool resume = false;         ///< RESUME key
 };
 
-/// Map a parsed .rpa config onto a JobSpec. Defaults mirror
-/// BuiltSystem::default_rpa_options so an empty config reproduces the
-/// preset run exactly. Throws Error on malformed values (e.g. an unknown
+/// Map a parsed .rpa config onto a JobSpec. An empty config resolves to
+/// BuiltSystem::default_rpa_options, so it reproduces the preset run
+/// exactly. Throws Error on malformed values (e.g. an unknown
 /// FAULT_MODE) — validation happens here, before any system is built.
 JobSpec parse_job(const Config& cfg);
 

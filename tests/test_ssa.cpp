@@ -22,35 +22,11 @@
 #include "rpa/erpa.hpp"
 #include "rpa/presets.hpp"
 #include "rpa/ssa.hpp"
+#include "strip_timing.hpp"
 #include "support/ranked.hpp"
-
-#include <set>
 
 namespace rsrpa {
 namespace {
-
-// Wall-clock fields legitimately differ between a straight-through and a
-// killed+resumed run; stripped before JSON comparisons (the
-// test_checkpoint idiom).
-bool timing_key(const std::string& k) {
-  static const std::set<std::string> kStrip = {"seconds", "total_seconds"};
-  return kStrip.count(k) > 0;
-}
-
-obs::Json strip_timing(const obs::Json& j) {
-  if (j.is_object()) {
-    obs::Json out = obs::Json::object();
-    for (const auto& [key, value] : j.as_object())
-      if (!timing_key(key)) out[key] = strip_timing(value);
-    return out;
-  }
-  if (j.is_array()) {
-    obs::Json out = obs::Json::array();
-    for (const obs::Json& v : j.as_array()) out.push_back(strip_timing(v));
-    return out;
-  }
-  return j;
-}
 
 rpa::BuiltSystem& built() {
   static rpa::BuiltSystem b = [] {

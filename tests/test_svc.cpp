@@ -25,6 +25,7 @@
 #include "sched/parallel_for.hpp"
 #include "sched/thread_pool.hpp"
 #include "strip_timing.hpp"
+#include "svc/driver.hpp"
 #include "svc/service.hpp"
 
 namespace rsrpa {
@@ -303,6 +304,41 @@ TEST_F(SvcTest, CancelledRunResumesBitwise) {
   }
   expect_bitwise_equal(res, expected);
 }
+
+// Every METHOD polls the control at its first quadrature-point boundary
+// (ISDF already before point selection), so a request pending before the
+// run starts stops it with the matching exception.
+class SvcControlMethod : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SvcControlMethod, PendingRequestStopsTheRun) {
+  const svc::JobSpec spec = svc::parse_job(
+      Config::parse(tiny_rpa(7, 3) + "METHOD: " + GetParam() + "\n"));
+  // One build for all four methods: METHOD does not enter the preset.
+  static const rpa::BuiltSystem sys = rpa::build_system(spec.preset);
+  for (const bool cancel : {true, false}) {
+    SCOPED_TRACE(cancel ? "cancel" : "preempt");
+    rpa::RunControl control;
+    if (cancel)
+      control.request_cancel();
+    else
+      control.request_preempt();
+    rpa::RpaOptions opts = spec.options;
+    opts.control = &control;
+    if (cancel)
+      EXPECT_THROW(svc::run_driver(spec, sys, opts, &control),
+                   rpa::RunCancelled);
+    else
+      EXPECT_THROW(svc::run_driver(spec, sys, opts, &control),
+                   rpa::RunPreempted);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, SvcControlMethod,
+                         ::testing::Values("sternheimer", "direct", "isdf",
+                                           "slq"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // ---------------------------------------------------------------------
 // Satellite 4: concurrent in-process tenants are bitwise independent

@@ -12,8 +12,10 @@ The comparison is built for machine-to-machine drift, not bit equality:
   * Every check recorded in the baseline must exist in the fresh report
     and pass there.
   * Numeric leaves are compared within a relative tolerance, except
-    timing-like quantities (seconds, rates, iteration counts, speedups),
-    which vary with machine and load and are reported informationally.
+    timing-like quantities (seconds, rates, iteration counts, speedups,
+    kernel-timer buckets), which vary with machine and load and are
+    reported informationally. A missing timing-like key is a note, but a
+    missing speedup-ladder rung or kernel-timer bucket fails.
 
 Exit status 0 when the fresh report is acceptable, 1 otherwise.
 """
@@ -38,6 +40,12 @@ TIMING_PAT = re.compile(
 # a fresh report that silently drops a ladder rung recorded in the baseline
 # is a failure, not a note.
 LADDER_PAT = re.compile(r"speedup", re.IGNORECASE)
+
+# Kernel-timer objects (`timers`, the Fig. 5 buckets). Their values are
+# wall-clock seconds (informational), but their keys are structure: a
+# bucket missing from the fresh report fails, like a missing ladder rung.
+# Matched on its own because TIMING_PAT's `time` also matches `timers`.
+TIMERS_PAT = re.compile(r"(^|\.)timers(\.|$)")
 
 # Build-configuration descriptors (e.g. a1's simd_compiled): legitimately
 # differ between the baseline machine and a -DRSRPA_SIMD=OFF matrix build,
@@ -72,6 +80,9 @@ class Comparison:
                     if LADDER_PAT.search(f"{path}.{key}"):
                         self.fail(f"{path}.{key}: speedup-ladder rung missing "
                                   "from fresh report")
+                    elif TIMERS_PAT.search(f"{path}.{key}"):
+                        self.fail(f"{path}.{key}: kernel-timer bucket missing "
+                                  "from fresh report")
                     elif TIMING_PAT.search(f"{path}.{key}"):
                         self.note(f"{path}.{key}: absent from fresh report "
                                   "(timing-like, informational)")
@@ -91,7 +102,7 @@ class Comparison:
             for i, bval in enumerate(base):
                 self.compare(f"{path}[{i}]", bval, fresh[i])
         elif is_number(base) and is_number(fresh):
-            if TIMING_PAT.search(path):
+            if TIMING_PAT.search(path) or TIMERS_PAT.search(path):
                 self.note(f"{path}: baseline {base:.6g}, fresh {fresh:.6g} "
                           "(timing-like, informational)")
                 return
