@@ -32,19 +32,18 @@
 //               0 scalar stencil rows, 1 vectorized rows — both paths
 //               are bitwise identical
 //
-// Failure-semantics keys (docs/REPRODUCING.md, "Failure semantics"):
-//   RESILIENCE         1 = breakdown-recovery ladder on (default 1)
-//   MAX_RESTARTS       rung-1 restart budget per block (default 1)
-//   STAGNATION_WINDOW  iterations without improvement before breakdown
-//                      (default 0 = off)
-//   STAGNATION_FACTOR  required improvement per window (default 0.99)
+// Failure-semantics keys (docs/REPRODUCING.md, "Failure semantics"). The
+// breakdown-recovery ladder has no key: it is always on. RESILIENCE,
+// MAX_RESTARTS, STAGNATION_WINDOW and STAGNATION_FACTOR were removed; a
+// config that sets one fails naming it.
 //   FAULT_MODE         none|nan|perturb|zero            (default none)
 //   FAULT_AT_APPLY     apply index of the first fault   (default 1)
 //   FAULT_PERIOD       refire period; 0 = fire once     (default 0)
 //   FAULT_MAX          total fault budget per orbital   (default 1)
 //   FAULT_MAGNITUDE    perturbation scale               (default 1e-2)
 //   FAULT_ORBITAL      occupied orbital to hit; -1 = all
-//   FAULT_OMEGA        quadrature point to hit; -1 = all
+//   FAULT_OMEGA        quadrature point to hit; -1 = all (sternheimer
+//                      only: slq faults every point)
 //   FAULT_SEED         RNG base for perturbed matvecs
 //
 // Backend keys (docs/REPRODUCING.md, "Choosing a backend"):

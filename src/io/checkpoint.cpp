@@ -118,13 +118,7 @@ void hash_sternheimer_options(Fnv1a& f, const rpa::SternheimerOptions& st) {
   f.i64(st.fixed_block);
   f.i64(st.max_block);
   f.b(st.galerkin_guess);
-  f.i64(st.stagnation_window);
-  f.f64(st.stagnation_factor);
   f.b(st.resilience.enabled);
-  f.i64(st.resilience.max_restarts);
-  f.b(st.resilience.deflate);
-  f.b(st.resilience.solver_swap);
-  f.b(st.resilience.quarantine);
   f.i64(static_cast<long long>(st.fault.mode));
   f.i64(st.fault.at_apply);
   f.i64(st.fault.period);

@@ -42,13 +42,9 @@ rpa::RpaResult compute_rpa_energy_isdf(const dft::KsSystem& sys,
   nip = std::clamp<std::size_t>(nip, 1, n_d);
 
   // The fit weights mirror the Adler-Wiser energy factor at the smallest
-  // quadrature frequency (strongest response) unless overridden.
-  const std::vector<rpa::QuadPoint> quad =
-      rpa::rpa_frequency_quadrature(opts.ell);
-  const double omega_ref =
-      opts.omega_ref > 0.0 ? opts.omega_ref : quad.back().omega;
-  const std::vector<double> weights =
-      virtual_pair_weights(eig.values, n_occ, omega_ref);
+  // quadrature frequency, where the response is strongest.
+  const std::vector<double> weights = virtual_pair_weights(
+      eig.values, n_occ, rpa::rpa_frequency_quadrature(opts.ell).back().omega);
 
   rpa::check_run_control(opts.control);
   WallTimer t_select;

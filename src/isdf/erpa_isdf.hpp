@@ -43,9 +43,6 @@ struct IsdfRpaOptions {
   std::size_t nip = 0;        ///< explicit override (clamped to [1, n_d])
   std::size_t oversample = 4; ///< extra Gaussian sketch columns per side
   double ridge = 0.0;         ///< fit ridge (relative); 0 = only on breakdown
-  /// Reference frequency for the virtual fit weights (fit.hpp); 0 = the
-  /// smallest quadrature omega, where the response is strongest.
-  double omega_ref = 0.0;
   std::uint64_t seed = 0x15df5eedULL;
   /// Cooperative cancel/preempt, polled at quadrature-point boundaries
   /// like the other drivers. Not owned.

@@ -25,10 +25,12 @@
 // the sum keeps its serial order, so with a pinned block size
 // (dynamic_block = false) the output, the non-timing statistics and the
 // event stream are bitwise the same at any lane count or quota. A solve
-// that throws is rethrown at its merge, after the orbitals before it and
-// its own events: the caller sees the serial loop's partial state. At one
-// lane (or a quota of 1) the loop runs inline and forks nothing. Memory
-// grows with L: three n x s buffers plus one solver workspace per slot.
+// that throws (a breakdown reaches here only with the recovery ladder
+// disabled, SternheimerOptions::resilience) is rethrown at its merge,
+// after the orbitals before it and its own events: the caller sees the
+// serial loop's partial state. At one lane (or a quota of 1) the loop
+// runs inline and forks nothing. Memory grows with L: three n x s
+// buffers plus one solver workspace per slot.
 //
 // Operator work. The solvers count applied columns (FP64, and FP32 on
 // the mixed path); solve_dynamic_block turns the counts into modeled
@@ -54,8 +56,10 @@ struct SternheimerOptions {
   int fixed_block = 1;        ///< used when dynamic_block is false
   int max_block = 0;          ///< n_eig / p cap; 0 = unlimited
   bool galerkin_guess = true; ///< Eq. (13) on/off (ablation A3)
-  /// Breakdown-recovery ladder policy for every block solve
+  /// Breakdown-recovery ladder for every block solve
   /// (solver/resilience.hpp): restart -> deflate -> swap -> quarantine.
+  /// No input key sets it; enabled = false is the tests' bare block COCG
+  /// reference.
   solver::ResilienceOptions resilience;
   /// Deterministic fault injection into the Sternheimer operator (tests /
   /// chaos drills). mode = kNone leaves the operator unwrapped; otherwise
@@ -63,10 +67,6 @@ struct SternheimerOptions {
   /// fault.seed and the orbital index so results are bitwise reproducible
   /// at any thread count.
   solver::FaultInjectionOptions fault;
-  /// Stagnation detection handed to the solvers: breakdown when the
-  /// residual fails to improve over this many iterations (0 = off).
-  int stagnation_window = 0;
-  double stagnation_factor = 0.99;
   /// Optional telemetry sink threaded down to the dynamic-block solver;
   /// the RPA drivers point it at their result's event log. Not owned.
   obs::EventLog* events = nullptr;

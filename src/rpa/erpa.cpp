@@ -43,19 +43,16 @@ double accumulate_trace_terms(const std::vector<double>& eigenvalues,
   return sum;
 }
 
-double tol_for_point(const RpaOptions& opts, int k, obs::EventLog* events,
-                     bool* warned) {
+double tol_for_point(const RpaOptions& opts, int k, obs::EventLog* events) {
   RSRPA_REQUIRE(k >= 0 && k < opts.ell);
   if (opts.tol_eig.empty()) return 5e-4;
   if (opts.tol_eig.size() > static_cast<std::size_t>(opts.ell) &&
-      events != nullptr && (warned == nullptr || !*warned)) {
+      events != nullptr)
     events->emit(obs::events::kTolEigTruncated,
                  "TOL_EIG has more entries than N_OMEGA; the excess is "
                  "ignored",
                  {{"tol_eig_entries", static_cast<double>(opts.tol_eig.size())},
                   {"ell", static_cast<double>(opts.ell)}});
-    if (warned != nullptr) *warned = true;
-  }
   return opts.tol_eig[std::min(static_cast<std::size_t>(k),
                                opts.tol_eig.size() - 1)];
 }
@@ -254,20 +251,6 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
         quarantined_columns_since(result.stern, quarantine_idx_before);
     rec.matvec_bytes = result.stern.matvec_bytes - bytes_before;
     rec.matvec_flops = result.stern.matvec_flops - flops_before;
-    if (rec.quarantined_columns > 0) {
-      // The point's trace terms were computed from solves where the
-      // quarantined columns still hold their initial guesses: finite, but
-      // degraded. Flag it and keep going — one bad point must not kill
-      // the quadrature.
-      rec.converged = false;
-      result.degraded = true;
-      result.events.emit(
-          obs::events::kQuadPointDegraded,
-          "quadrature point computed with quarantined Sternheimer columns",
-          {{"omega_index", static_cast<double>(k)},
-           {"quarantined_columns",
-            static_cast<double>(rec.quarantined_columns)}});
-    }
   });
   return result;
 }

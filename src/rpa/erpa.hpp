@@ -307,12 +307,10 @@ double accumulate_trace_terms(const std::vector<double>& eigenvalues,
 
 /// Resolve TOL_EIG for quadrature point `k`: an empty vector falls back
 /// to 5e-4, a vector shorter than ell is padded with its last entry, and
-/// entries beyond ell are ignored — with a one-time tol_eig_truncated
-/// warning emitted into `events` the first call that sees the excess.
-/// `warned` (one bool per run, owned by the driver loop) suppresses
-/// repeats; resumed runs start it true because the restored event log
-/// already carries the point-0 warning.
+/// entries beyond ell are ignored — with a tol_eig_truncated warning
+/// emitted into `events` whenever it is non-null (the driver passes its
+/// log at point 0 only, so a run warns once).
 double tol_for_point(const RpaOptions& opts, int k,
-                     obs::EventLog* events = nullptr, bool* warned = nullptr);
+                     obs::EventLog* events = nullptr);
 
 }  // namespace rsrpa::rpa

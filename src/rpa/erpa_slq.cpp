@@ -44,9 +44,13 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
   run_sweep(sweep, total, out, [&](int k, OmegaRecord& rec) {
     const double omega = rec.omega;
     long applies = 0;
-    solver::BlockOpR mop = [&op, omega, &applies](const la::Matrix<double>& in,
-                                                  la::Matrix<double>& o) {
-      op.apply(in, o, omega, nullptr, nullptr);
+    // The point's solver statistics: only its quarantine count reaches the
+    // record (closing the point marks it degraded); the recovery ladder's
+    // events go to the run log.
+    SternheimerStats stats;
+    solver::BlockOpR mop = [&](const la::Matrix<double>& in,
+                               la::Matrix<double>& o) {
+      op.apply(in, o, omega, &stats, nullptr, &out.events);
       applies += static_cast<long>(in.cols());
     };
 
@@ -91,6 +95,7 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
 
     rec.e_term = e_term;
     rec.converged = true;
+    rec.quarantined_columns = stats.quarantined_columns;
     ProbeStats& p = rec.probes.emplace();
     p.n_probes = static_cast<int>(samples.size());
     p.lanczos_steps = opts.lanczos_steps;

@@ -43,7 +43,10 @@ struct SlqRpaOptions {
 
 /// Each point's record carries its probe statistics (OmegaRecord::probes)
 /// and no eigenvalues; the point counts as converged, since the
-/// estimate's accuracy lives in its confidence interval.
+/// estimate's accuracy lives in its confidence interval, unless the
+/// recovery ladder quarantined Sternheimer columns while estimating it:
+/// the record then carries their count and the point is degraded, as in
+/// compute_rpa_energy. The ladder's events land in the result log.
 RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
                                  const poisson::KroneckerLaplacian& klap,
                                  const SlqRpaOptions& opts);

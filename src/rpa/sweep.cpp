@@ -13,13 +13,27 @@ namespace rsrpa::rpa {
 
 namespace {
 
-// Close quadrature point `k`: unless `rec` carries probe statistics (an
-// SLQ estimate, whose e_term is already the probe mean), sum the trace
-// terms of rec.eigenvalues into rec.e_term (accumulate_trace_terms,
-// events into result.events); then add w_k / (2 pi) * e_term to
-// result.e_rpa, fold rec.converged into result.converged and append
-// `rec` to per_omega.
+// Close quadrature point `k`: mark it degraded when it has quarantined
+// Sternheimer columns; unless `rec` carries probe statistics (an SLQ
+// estimate, whose e_term is already the probe mean), sum the trace terms
+// of rec.eigenvalues into rec.e_term (accumulate_trace_terms, events into
+// result.events); then add w_k / (2 pi) * e_term to result.e_rpa, fold
+// rec.converged into result.converged and append `rec` to per_omega.
 void close_point(RpaResult& result, OmegaRecord rec, int k) {
+  if (rec.quarantined_columns > 0) {
+    // The point's trace was computed from solves where the quarantined
+    // columns still hold their initial guesses: finite, but degraded.
+    // Flag it and keep going — one bad point must not kill the
+    // quadrature.
+    rec.converged = false;
+    result.degraded = true;
+    result.events.emit(
+        obs::events::kQuadPointDegraded,
+        "quadrature point computed with quarantined Sternheimer columns",
+        {{"omega_index", static_cast<double>(k)},
+         {"quarantined_columns",
+          static_cast<double>(rec.quarantined_columns)}});
+  }
   if (!rec.probes)
     accumulate_trace_terms(rec.eigenvalues, k, rec, &result.events);
   result.e_rpa += rec.weight * rec.e_term / (2.0 * M_PI);

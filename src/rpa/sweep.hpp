@@ -8,7 +8,8 @@
 // eigenvalues, a stochastic estimate, a dense or ISDF-compressed
 // spectrum). run_sweep owns everything around that per-point work: the
 // run-control poll at each point boundary, the point timer, closing the
-// point into the weighted sum, per-point checkpoint and resume, the
+// point into the weighted sum (a point with quarantined Sternheimer
+// columns is marked degraded there), per-point checkpoint and resume, the
 // one-time precision notice, and the run totals (e_rpa_per_atom,
 // total_seconds).
 #pragma once

@@ -15,42 +15,6 @@ namespace {
 
 bool is_finite(double x) { return std::isfinite(x); }
 
-// Shared stagnation probe (SolverOptions::stagnation_window). Tracks the
-// best residual seen; when `window` consecutive iterations fail to improve
-// on it by `factor`, the solve is declared broken down so the recovery
-// ladder can take over instead of spinning to max_iter. Purely
-// observational: it never alters the iteration's numerics.
-class StagnationProbe {
- public:
-  StagnationProbe(const SolverOptions& opts, double initial_relres)
-      : window_(opts.stagnation_window),
-        factor_(opts.stagnation_factor),
-        best_(initial_relres) {}
-
-  void check(double relres, const char* solver_name) {
-    if (window_ <= 0) return;
-    if (relres <= factor_ * best_) {
-      best_ = relres;
-      count_ = 0;
-      return;
-    }
-    if (++count_ >= window_) {
-      char msg[128];
-      std::snprintf(msg, sizeof msg,
-                    "%s: stagnation (relative residual %.3e not improving "
-                    "over %d iterations)",
-                    solver_name, relres, window_);
-      throw NumericalBreakdown(msg);
-    }
-  }
-
- private:
-  int window_;
-  double factor_;
-  double best_;
-  int count_ = 0;
-};
-
 // The recurrence over a generic working scalar C (cplx for the FP64
 // path, cplxf for the mixed inner iterations). All control-flow scalars
 // — norms, tolerances, pivot ratios — stay double either way; only the
@@ -107,7 +71,6 @@ SolveReport block_cocg_core(
   }
 
   double prev_relres = rep.relative_residual;
-  StagnationProbe stagnation(opts, rep.relative_residual);
   for (int it = 0; it < opts.max_iter; ++it) {
     // P_j = W_j + P_{j-1} beta_{j-1}.
     if (have_p) {
@@ -156,7 +119,6 @@ SolveReport block_cocg_core(
       throw NumericalBreakdown(msg);
     }
     prev_relres = rep.relative_residual;
-    stagnation.check(rep.relative_residual, "block COCG");
 
     // beta_j = rho_j^{-1} rho_{j+1}.
     lu_rho.factor(rho);
@@ -219,7 +181,6 @@ SolveReport cocg(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
   cplx beta{};
   bool have_p = false;
   double prev_relres = rep.relative_residual;
-  StagnationProbe stagnation(opts, rep.relative_residual);
   for (int it = 0; it < opts.max_iter; ++it) {
     if (have_p) {
       for (std::size_t i = 0; i < n; ++i) p[i] = w[i] + beta * p[i];
@@ -260,7 +221,6 @@ SolveReport cocg(const BlockOpC& a, std::span<const cplx> b, std::span<cplx> y,
       throw NumericalBreakdown(msg);
     }
     prev_relres = rep.relative_residual;
-    stagnation.check(rep.relative_residual, "COCG");
     const cplx rho_new = la::dot_u(w, w);
     beta = rho_new / rho;
     rho = rho_new;

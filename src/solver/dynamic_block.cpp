@@ -19,9 +19,9 @@ namespace {
 
 // Solve one chunk of columns [pos, pos + count) through the breakdown
 // recovery ladder (solver/resilience.hpp). Every outcome — including a
-// rethrown breakdown when the ladder is disabled or exhausted with
-// quarantine off — is recorded in the report first, so no chunk's timing
-// or accounting is ever dropped on the unwind.
+// rethrown breakdown when the ladder is disabled — is recorded in the
+// report first, so no chunk's timing or accounting is ever dropped on the
+// unwind.
 ChunkRecord solve_chunk(const BlockOpC& a, const la::Matrix<cplx>& b,
                         la::Matrix<cplx>& y, std::size_t pos,
                         std::size_t count, const DynamicBlockOptions& opts,
@@ -69,9 +69,9 @@ ChunkRecord solve_chunk(const BlockOpC& a, const la::Matrix<cplx>& b,
     rep.quarantined_columns.insert(rep.quarantined_columns.end(),
                                    r.quarantined.begin(), r.quarantined.end());
   } catch (const NumericalBreakdown&) {
-    // Only reachable with resilience disabled (or quarantine switched
-    // off). Record the chunk as failed — timing and position survive in
-    // the report even though the exception propagates.
+    // Only reachable with the ladder disabled, since quarantine ends
+    // every ladder run. Record the chunk as failed — timing and position
+    // survive in the report even though the exception propagates.
     rec.converged = false;
     rec.fallback = true;
     y.set_cols(pos, ychunk);

@@ -81,9 +81,9 @@ struct DynamicBlockOptions {
   int max_block = 0;  ///< 0 = unlimited; paper caps at n_eig / p
   bool enabled = true;  ///< false = fixed block size fixed_block
   int fixed_block = 1;
-  /// Breakdown-recovery ladder policy (restart -> deflate -> swap ->
-  /// quarantine). resilience.enabled = false restores the legacy behavior
-  /// where an unrecovered breakdown propagates out of the solve.
+  /// Breakdown-recovery ladder (restart -> deflate -> swap ->
+  /// quarantine). resilience.enabled = false is the tests' bare block
+  /// COCG reference: a breakdown propagates out of the solve.
   ResilienceOptions resilience;
   /// Optional event sink: recovery-ladder events (breakdowns, restarts,
   /// deflations, solver swaps, quarantines) are recorded here with their

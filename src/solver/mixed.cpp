@@ -34,8 +34,6 @@ SolveReport mixed_outer_solve(const BlockOpC& a64, const BlockOpC32& a32,
   // An s x s pivot ratio measured in FP32 arithmetic carries rounding of
   // order eps_f32; a FP64-grade breakdown_tol (1e-14) would never fire.
   iopts.breakdown_tol = std::max(opts.breakdown_tol, 1e-7);
-  iopts.stagnation_window = opts.stagnation_window;
-  iopts.stagnation_factor = opts.stagnation_factor;
 
   la::Matrix<cplx> w(n, s);
   la::Matrix<la::cplxf> b32(n, s), z32(n, s);

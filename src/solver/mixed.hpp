@@ -12,9 +12,8 @@
 // escalates into that ladder by throwing NumericalBreakdown.
 //
 // The inner tolerance is clamped at f32_tol_floor() = sqrt(eps_f32):
-// below that an FP32 Krylov solve cannot make reliable progress, the
-// stagnation probe would spin it to max_iter and trip the ladder
-// spuriously. The FP64 outer loop carries the remainder — each restart
+// below that an FP32 Krylov solve cannot make reliable progress and
+// would spin to max_iter. The FP64 outer loop carries the remainder — each restart
 // contracts the true residual by about the floor, so a tol below the
 // floor simply costs additional restarts, not accuracy.
 #pragma once

@@ -35,12 +35,6 @@ struct SolverOptions {
   double tol = 1e-10;             ///< relative Frobenius residual (Eq. 10)
   double breakdown_tol = 1e-14;   ///< pivot-ratio floor for s x s solves
   bool record_history = false;    ///< store per-iteration relative residuals
-  /// Stagnation detection: if > 0, COCG throws NumericalBreakdown when the
-  /// relative residual fails to improve by stagnation_factor over this
-  /// many consecutive iterations, handing control to the recovery ladder
-  /// (solver/resilience.hpp) instead of spinning to max_iter. 0 = off.
-  int stagnation_window = 0;
-  double stagnation_factor = 0.99;  ///< required improvement per window
   /// Precision policy. kMixed runs the Krylov recurrence in FP32 through
   /// `mixed_apply` with FP64 residual replacement on the outer loop
   /// (solver/mixed.hpp); requires mixed_apply to be set, otherwise the

@@ -1,7 +1,6 @@
 #include "solver/resilience.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -78,6 +77,9 @@ void FaultInjectingOp::operator()(const la::Matrix<cplx>& in,
 
 namespace {
 
+// Rung-1 budget: residual-replacement restarts per block.
+constexpr int kMaxRestarts = 1;
+
 bool matrix_finite(const la::Matrix<cplx>& m) {
   for (std::size_t j = 0; j < m.cols(); ++j)
     for (std::size_t i = 0; i < m.rows(); ++i)
@@ -105,7 +107,6 @@ void fold(SolveReport& agg, const SolveReport& r) {
 struct LadderCtx {
   const BlockOpC* op = nullptr;  // counting wrapper around the caller's op
   const SolverOptions* sopts = nullptr;
-  const ResilienceOptions* ropts = nullptr;
   obs::EventLog* events = nullptr;
   ResilientSolveResult* out = nullptr;
 };
@@ -171,7 +172,7 @@ void ladder_solve(LadderCtx& ctx, const la::Matrix<cplx>& b,
       const bool poisoned = !matrix_finite(y);
       const bool touched = poisoned || !matrix_equal(y, y0);
       if (poisoned) y = y0;
-      if (!touched || attempt >= ctx.ropts->max_restarts) break;
+      if (!touched || attempt >= kMaxRestarts) break;
       ++ctx.out->restarts;
       emit(ctx, obs::events::kSolverRestart,
            "residual-replacement restart after breakdown",
@@ -182,7 +183,7 @@ void ladder_solve(LadderCtx& ctx, const la::Matrix<cplx>& b,
 
   // Rung 2: halve the block and recurse. Handles the linearly-dependent
   // right-hand-side breakdown the paper's deflation caveat describes.
-  if (s > 1 && ctx.ropts->deflate) {
+  if (s > 1) {
     ++ctx.out->deflations;
     emit(ctx, obs::events::kBlockDeflation,
          "halving block after unrecovered breakdown",
@@ -200,56 +201,46 @@ void ladder_solve(LadderCtx& ctx, const la::Matrix<cplx>& b,
     return;
   }
 
-  // Rung 3: single surviving column — swap solvers.
-  if (s == 1 && ctx.ropts->solver_swap) {
-    for (SwapSolver which :
-         {SwapSolver::kBlockCocr, SwapSolver::kQmrSym, SwapSolver::kGmres}) {
-      if (!matrix_finite(y)) y = y0;
-      ++ctx.out->solver_swaps;
-      emit(ctx, obs::events::kSolverSwap, "trying alternative solver",
-           {{"position", static_cast<double>(col0)},
-            {"solver", static_cast<double>(static_cast<int>(which))}});
-      try {
-        SolveReport r = run_swap(ctx, which, b, y);
-        // Accept only a converged, finite result: we are deep in recovery,
-        // so a swap that merely ran out of iterations is an escalation,
-        // and GMRES can claim convergence with a non-finite iterate when a
-        // degenerate (e.g. zeroed) operator collapses its Hessenberg.
-        if (r.converged && matrix_finite(y)) {
-          fold(ctx.out->report, r);
-          return;
-        }
-        emit(ctx, obs::events::kSolverBreakdown,
-             "swap solver returned without a usable solution",
-             {{"position", static_cast<double>(col0)},
-              {"block_size", 1.0},
-              {"solver", static_cast<double>(static_cast<int>(which))}});
-      } catch (const NumericalBreakdown& breakdown) {
-        emit(ctx, obs::events::kSolverBreakdown, breakdown.what(),
-             {{"position", static_cast<double>(col0)},
-              {"block_size", 1.0},
-              {"solver", static_cast<double>(static_cast<int>(which))}});
+  // Rung 3: a single surviving column (deflation returned above for
+  // s > 1) — swap solvers.
+  for (SwapSolver which :
+       {SwapSolver::kBlockCocr, SwapSolver::kQmrSym, SwapSolver::kGmres}) {
+    if (!matrix_finite(y)) y = y0;
+    ++ctx.out->solver_swaps;
+    emit(ctx, obs::events::kSolverSwap, "trying alternative solver",
+         {{"position", static_cast<double>(col0)},
+          {"solver", static_cast<double>(static_cast<int>(which))}});
+    try {
+      SolveReport r = run_swap(ctx, which, b, y);
+      // Accept only a converged, finite result: we are deep in recovery,
+      // so a swap that merely ran out of iterations is an escalation,
+      // and GMRES can claim convergence with a non-finite iterate when a
+      // degenerate (e.g. zeroed) operator collapses its Hessenberg.
+      if (r.converged && matrix_finite(y)) {
+        fold(ctx.out->report, r);
+        return;
       }
+      emit(ctx, obs::events::kSolverBreakdown,
+           "swap solver returned without a usable solution",
+           {{"position", static_cast<double>(col0)},
+            {"block_size", 1.0},
+            {"solver", static_cast<double>(static_cast<int>(which))}});
+    } catch (const NumericalBreakdown& breakdown) {
+      emit(ctx, obs::events::kSolverBreakdown, breakdown.what(),
+           {{"position", static_cast<double>(col0)},
+            {"block_size", 1.0},
+            {"solver", static_cast<double>(static_cast<int>(which))}});
     }
   }
 
   // Rung 4: quarantine. The entry guess is the only iterate we still
   // trust (a post-breakdown partial iterate can be arbitrarily far off),
-  // so the columns come back unchanged and flagged non-converged.
-  if (!ctx.ropts->quarantine) {
-    char msg[96];
-    std::snprintf(msg, sizeof msg,
-                  "recovery ladder exhausted for columns [%zu, %zu)", col0,
-                  col0 + s);
-    throw NumericalBreakdown(msg);
-  }
+  // so the column comes back unchanged and flagged non-converged.
   y = y0;
-  for (std::size_t j = 0; j < s; ++j) {
-    ctx.out->quarantined.push_back(static_cast<long>(col0 + j));
-    emit(ctx, obs::events::kColumnQuarantine,
-         "column given up on after ladder exhaustion",
-         {{"column", static_cast<double>(col0 + j)}});
-  }
+  ctx.out->quarantined.push_back(static_cast<long>(col0));
+  emit(ctx, obs::events::kColumnQuarantine,
+       "column given up on after ladder exhaustion",
+       {{"column", static_cast<double>(col0)}});
   ctx.out->report.converged = false;
 }
 
@@ -296,7 +287,6 @@ ResilientSolveResult resilient_block_solve(const BlockOpC& a,
   LadderCtx ctx;
   ctx.op = &counting;
   ctx.sopts = &sopts_counting;
-  ctx.ropts = &opts;
   ctx.events = events;
   ctx.out = &out;
   ladder_solve(ctx, b, y, col0);

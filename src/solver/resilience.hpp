@@ -7,10 +7,10 @@
 // a single ill-conditioned chunk must degrade a run, not kill it, so
 // resilient_block_solve escalates through a fixed ladder:
 //
-//   rung 1  residual-replacement restart — re-enter block COCG from the
-//           current iterate (or from the entry guess if the iterate was
-//           poisoned by non-finite values). Recovers transient faults and
-//           breakdowns where real progress was made before the stall.
+//   rung 1  residual-replacement restart — re-enter block COCG once from
+//           the current iterate (or from the entry guess if the iterate
+//           was poisoned by non-finite values). Recovers transient faults
+//           and breakdowns where real progress was made before the stall.
 //   rung 2  block-size halving deflation — split the block in two and
 //           recurse, down to single columns. Recovers linearly dependent
 //           right-hand sides (the classic block-method failure).
@@ -119,15 +119,13 @@ class FaultModeScope {
   FaultMode requested_;
 };
 
-/// Recovery-ladder policy. Defaults enable every rung; individual rungs
-/// can be switched off for ablations (disabling quarantine restores the
-/// legacy throw-on-exhaustion behavior).
+/// Recovery-ladder policy. The ladder itself is fixed: one rung-1
+/// restart per block, then deflation, solver swap and quarantine. The
+/// only switch is `enabled`, and no input key reaches it: false runs bare
+/// block COCG, so a breakdown propagates. Tests use that as the clean-run
+/// reference and as the way to make a solve throw.
 struct ResilienceOptions {
-  bool enabled = true;      ///< false = plain block COCG, exceptions fly
-  int max_restarts = 1;     ///< rung 1: residual-replacement restarts per block
-  bool deflate = true;      ///< rung 2: recursive block halving
-  bool solver_swap = true;  ///< rung 3: COCR -> QMR -> GMRES for single columns
-  bool quarantine = true;   ///< rung 4: mark columns failed instead of throwing
+  bool enabled = true;  ///< false = plain block COCG, exceptions fly
 };
 
 /// Outcome of one ladder-protected block solve.
@@ -145,8 +143,7 @@ struct ResilientSolveResult {
 /// guess. `col0` offsets the recorded column indices (callers pass the
 /// chunk position so quarantine lists are global). `events` (optional)
 /// receives the structured rung events. Throws NumericalBreakdown only
-/// when the ladder is exhausted AND opts.quarantine is false, or when
-/// opts.enabled is false and the primary solver breaks down.
+/// when opts.enabled is false and block COCG breaks down.
 ResilientSolveResult resilient_block_solve(const BlockOpC& a,
                                            const la::Matrix<cplx>& b,
                                            la::Matrix<cplx>& y,

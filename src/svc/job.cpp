@@ -33,13 +33,23 @@ JobSpec parse_job(const Config& cfg) {
   constexpr const char* kStencil =
       "the fused single-sweep stencil apply with fixed 32x16 tiles is the "
       "only schedule";
+  constexpr const char* kNoProgress =
+      "a slowly converging solve always runs to its iteration limit";
   constexpr std::pair<const char*, const char*> kRemoved[] = {
       {"FUSED_APPLY", kStencil},
       {"TILE_Y", kStencil},
       {"TILE_Z", kStencil},
       {"SSA_REFRESH",
        "an SSA fallback's converged eigenvectors always become the new "
-       "frozen basis"}};
+       "frozen basis"},
+      {"RESILIENCE",
+       "the breakdown-recovery ladder is always on for every Sternheimer "
+       "solve"},
+      {"MAX_RESTARTS",
+       "the recovery ladder spends exactly one residual-replacement "
+       "restart per block"},
+      {"STAGNATION_WINDOW", kNoProgress},
+      {"STAGNATION_FACTOR", kNoProgress}};
   for (const auto& [key, why] : kRemoved)
     if (cfg.has(key))
       throw Error(std::string(key) + " was removed: " + why +
@@ -94,12 +104,9 @@ JobSpec parse_job(const Config& cfg) {
       cfg.get_int_or("BLOCK_SIZE", opts.stern.fixed_block);
   opts.stern.precision = precision;
 
-  // Failure semantics: recovery ladder, stagnation detection, and the
-  // deterministic fault-injection harness (chaos drills / soak tests).
-  opts.stern.resilience.enabled = cfg.get_int_or("RESILIENCE", 1) != 0;
-  opts.stern.resilience.max_restarts = cfg.get_int_or("MAX_RESTARTS", 1);
-  opts.stern.stagnation_window = cfg.get_int_or("STAGNATION_WINDOW", 0);
-  opts.stern.stagnation_factor = cfg.get_double_or("STAGNATION_FACTOR", 0.99);
+  // Failure semantics: the recovery ladder is always on; the
+  // deterministic fault-injection harness drives it (chaos drills / soak
+  // tests).
   opts.stern.fault.mode = fault_mode;
   opts.stern.fault.at_apply = cfg.get_int_or("FAULT_AT_APPLY", 1);
   opts.stern.fault.period = cfg.get_int_or("FAULT_PERIOD", 0);

@@ -403,6 +403,43 @@ TEST_F(CheckpointTest, SerialResumeAcrossAFaultedPointIsBitwiseIdentical) {
   EXPECT_EQ(r.per_omega[2].quarantined_columns, 0);
 }
 
+// rpa::tol_for_point's warning, checked through the driver, whose call
+// pattern is what makes it one per run.
+using TolForPoint = CheckpointTest;
+
+TEST_F(TolForPoint, LongVectorWarnsExactlyOnce) {
+  // TOL_EIG longer than N_OMEGA: the excess is ignored with one
+  // tol_eig_truncated notice per run, straight or resumed. The driver
+  // passes its log at point 0 only, which a resumed run never reruns: the
+  // restored log already has the notice.
+  auto& b = built();
+  rpa::RpaOptions opts = base_options();
+  opts.tol_eig = {4e-3, 2e-3, 2e-3, 1e-3};
+  const rpa::RpaResult straight = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
+  ASSERT_EQ(straight.events.count(obs::events::kTolEigTruncated), 1u);
+  const obs::Event& e = straight.events.events().front();
+  EXPECT_EQ(e.kind, obs::events::kTolEigTruncated);
+  EXPECT_EQ(e.fields[0].second, 4.0);  // tol_eig_entries
+  EXPECT_EQ(e.fields[1].second, 3.0);  // ell
+
+  for (int halt : {0, 1}) {
+    SCOPED_TRACE("halt after point " + std::to_string(halt));
+    const std::string ckpt = path("tol.ckpt");
+    std::filesystem::remove(ckpt);
+    rpa::RpaOptions killed = opts;
+    killed.checkpoint.path = ckpt;
+    killed.checkpoint.halt_after_point = halt;
+    EXPECT_THROW(rpa::compute_rpa_energy(b.ks, *b.klap, killed),
+                 rpa::RunHalted);
+    rpa::RpaOptions resumed = opts;
+    resumed.checkpoint.path = ckpt;
+    resumed.checkpoint.resume = true;
+    const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, resumed);
+    EXPECT_EQ(r.events.count(obs::events::kTolEigTruncated), 1u);
+    expect_bitwise_equal(straight, r);
+  }
+}
+
 TEST_F(CheckpointTest, MissingFileWithResumeStartsFresh) {
   auto& b = built();
   const rpa::RpaResult straight =

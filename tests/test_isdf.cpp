@@ -191,17 +191,6 @@ TEST_F(IsdfTest, RunReportJsonCarriesStandardFields) {
   EXPECT_TRUE(saw_selected);
 }
 
-TEST_F(IsdfTest, PreCancelledRunStopsAtFirstBoundary) {
-  rpa::RunControl control;
-  control.request_cancel();
-  isdf::IsdfRpaOptions opts;
-  opts.ell = 2;
-  opts.nip = 40;
-  opts.control = &control;
-  EXPECT_THROW(isdf::compute_rpa_energy_isdf(sys_->ks, *sys_->klap, opts),
-               rpa::RunCancelled);
-}
-
 // Every backend's result must satisfy the same bookkeeping invariants —
 // per-atom energy consistent with the total, one row per quadrature point,
 // positive wall time — so downstream tooling can treat the four reports

@@ -379,7 +379,6 @@ TEST_F(OrbitalFanOutTest, QuarantineOrderIsTheSerialOrder) {
   for (int orbital : {5, -1}) {
     SCOPED_TRACE("fault orbital " + std::to_string(orbital));
     rpa::SternheimerOptions sopts = pinned_block(3);
-    sopts.resilience.quarantine = true;
     sopts.fault.mode = solver::FaultMode::kZeroMatvec;
     sopts.fault.at_apply = 0;
     sopts.fault.period = 1;

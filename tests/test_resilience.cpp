@@ -17,8 +17,8 @@
 #include "la/lu.hpp"
 #include "obs/event_log.hpp"
 #include "rpa/erpa.hpp"
+#include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
-#include "solver/block_cocg.hpp"
 #include "solver/dynamic_block.hpp"
 #include "solver/resilience.hpp"
 #include "support/ranked.hpp"
@@ -336,68 +336,6 @@ TEST(ResilienceLadder, DisabledPolicyPropagatesBreakdown) {
                NumericalBreakdown);
 }
 
-// Every matvec perturbed by absolute noise: the residual cannot drop
-// below the noise floor, so a tolerance beneath it produces a genuine
-// plateau for the stagnation probe to catch.
-FaultInjectingOp noisy_op(const Matrix<cplx>& a) {
-  FaultInjectionOptions fopts;
-  fopts.mode = FaultMode::kPerturbMatvec;
-  fopts.at_apply = 0;
-  fopts.period = 1;
-  fopts.max_faults = 1 << 30;
-  fopts.magnitude = 1e-4;
-  return FaultInjectingOp(dense_op(a), fopts);
-}
-
-TEST(ResilienceLadder, StagnationThrowsFromTheBareSolver) {
-  Rng rng(25);
-  const std::size_t n = 12;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
-  Matrix<cplx> b = random_cblock(n, 1, rng);
-  Matrix<cplx> y(n, 1);
-
-  SolverOptions sopts;
-  sopts.tol = 1e-10;  // below the 1e-4 noise floor: unreachable
-  sopts.max_iter = 200;
-  sopts.stagnation_window = 10;
-  EXPECT_THROW(block_cocg(noisy_op(a), b, y, sopts), NumericalBreakdown);
-
-  // Window off: the same plateau just runs to max_iter, no breakdown.
-  sopts.stagnation_window = 0;
-  Matrix<cplx> y2(n, 1);
-  SolveReport rep = block_cocg(noisy_op(a), b, y2, sopts);
-  EXPECT_FALSE(rep.converged);
-}
-
-TEST(ResilienceLadder, StagnationRoutesIntoLadder) {
-  Rng rng(25);
-  const std::size_t n = 12;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
-  Matrix<cplx> b = random_cblock(n, 1, rng);
-  Matrix<cplx> y(n, 1);
-
-  SolverOptions sopts;
-  sopts.tol = 1e-10;  // below the 1e-4 noise floor: unreachable
-  sopts.max_iter = 200;
-  sopts.stagnation_window = 10;
-  // Swap rung off so the escalation path is fully pinned: the stagnation
-  // breakdown costs the restart budget, stalls again, and quarantines.
-  ResilienceOptions ropts;
-  ropts.solver_swap = false;
-  obs::EventLog events;
-  ResilientSolveResult r =
-      resilient_block_solve(noisy_op(a), b, y, sopts, ropts, 0, &events);
-
-  EXPECT_FALSE(r.report.converged);
-  EXPECT_EQ(r.restarts, 1);
-  EXPECT_EQ(r.solver_swaps, 0);
-  ASSERT_EQ(r.quarantined.size(), 1u);
-  EXPECT_EQ(r.quarantined[0], 0);
-  EXPECT_GE(events.count(obs::events::kSolverBreakdown), 2u);
-  EXPECT_EQ(events.count(obs::events::kSolverRestart), 1u);
-  EXPECT_TRUE(block_finite(y));
-}
-
 // ---------------------------------------------------------------------------
 // Algorithm 4 under faults: recovered chunks never feed the timing probe,
 // and the probe retries at the same size after a poisoned chunk.
@@ -603,12 +541,44 @@ TEST_F(FaultDrillTest, MidSweepFaultOmegaArmsExactlyOnePoint) {
   EXPECT_TRUE(res.per_omega[2].converged);
 }
 
+TEST_F(FaultDrillTest, SlqReportsQuarantinedColumns) {
+  // SLQ runs the same ladder-protected Sternheimer solves: a quarantined
+  // column feeds the Lanczos recurrence its entry guess, so the point must
+  // come out degraded, never silently converged.
+  auto& b = built();
+  rpa::SlqRpaOptions opts;
+  opts.ell = 2;
+  opts.n_probes = 2;
+  opts.lanczos_steps = 4;
+  const rpa::RpaResult clean = rpa::compute_rpa_energy_slq(b.ks, *b.klap, opts);
+  EXPECT_TRUE(clean.converged);
+  EXPECT_FALSE(clean.degraded);
+  EXPECT_EQ(clean.events.count(obs::events::kColumnQuarantine), 0u);
+
+  rpa::RpaOptions faulted = base_options();
+  add_point_fault(faulted);
+  opts.stern.fault = faulted.stern.fault;  // every point: SLQ has no FAULT_OMEGA
+  const rpa::RpaResult res = rpa::compute_rpa_energy_slq(b.ks, *b.klap, opts);
+
+  EXPECT_TRUE(std::isfinite(res.e_rpa));
+  EXPECT_TRUE(res.degraded);
+  EXPECT_FALSE(res.converged);
+  ASSERT_EQ(res.per_omega.size(), 2u);
+  for (const rpa::OmegaRecord& rec : res.per_omega) {
+    EXPECT_GT(rec.quarantined_columns, 0);
+    EXPECT_FALSE(rec.converged);
+  }
+  EXPECT_EQ(res.events.count(obs::events::kQuadPointDegraded), 2u);
+  EXPECT_GE(res.events.count(obs::events::kColumnQuarantine), 1u);
+}
+
 TEST_F(FaultDrillTest, LadderIsBitwiseInvisibleOnCleanRuns) {
   // With injection off and no breakdown, the ladder's bookkeeping wraps
   // the same arithmetic in the same order: enabling it must not move the
   // energy by even one ulp. Algorithm 4's block-size probe keys off wall
   // time, so fix the blocking to make the two runs comparable at all.
   auto& b = built();
+  // The bare block COCG path (enabled = false) is the reference.
   rpa::RpaOptions on = base_options(), off = base_options();
   on.stern.dynamic_block = false;
   off.stern.dynamic_block = false;

@@ -565,35 +565,12 @@ TEST(TolForPoint, ShortVectorPadsWithLastEntry) {
   opts.ell = 5;
   opts.tol_eig = {4e-3, 2e-3};
   obs::EventLog events;
-  bool warned = false;
-  EXPECT_EQ(tol_for_point(opts, 0, &events, &warned), 4e-3);
-  EXPECT_EQ(tol_for_point(opts, 1, &events, &warned), 2e-3);
-  EXPECT_EQ(tol_for_point(opts, 2, &events, &warned), 2e-3);
-  EXPECT_EQ(tol_for_point(opts, 4, &events, &warned), 2e-3);
+  EXPECT_EQ(tol_for_point(opts, 0, &events), 4e-3);
+  EXPECT_EQ(tol_for_point(opts, 1, &events), 2e-3);
+  EXPECT_EQ(tol_for_point(opts, 2, &events), 2e-3);
+  EXPECT_EQ(tol_for_point(opts, 4, &events), 2e-3);
   // Padding is expected usage, not a configuration smell: no warning.
   EXPECT_TRUE(events.empty());
-  EXPECT_FALSE(warned);
-}
-
-TEST(TolForPoint, LongVectorWarnsExactlyOnce) {
-  RpaOptions opts;
-  opts.ell = 2;
-  opts.tol_eig = {4e-3, 2e-3, 1e-3, 5e-4};
-  obs::EventLog events;
-  bool warned = false;
-  EXPECT_EQ(tol_for_point(opts, 0, &events, &warned), 4e-3);
-  EXPECT_TRUE(warned);
-  EXPECT_EQ(tol_for_point(opts, 1, &events, &warned), 2e-3);
-  ASSERT_EQ(events.count(obs::events::kTolEigTruncated), 1u);
-  const obs::Event& e = events.events().front();
-  EXPECT_EQ(e.fields[0].second, 4.0);  // tol_eig_entries
-  EXPECT_EQ(e.fields[1].second, 2.0);  // ell
-  // Without a warned flag every call that sees the excess warns; the
-  // drivers always pass one, this is just the helper's documented shape.
-  obs::EventLog again;
-  tol_for_point(opts, 0, &again, nullptr);
-  tol_for_point(opts, 1, &again, nullptr);
-  EXPECT_EQ(again.count(obs::events::kTolEigTruncated), 2u);
 }
 
 TEST(TolForPoint, OutOfRangePointThrows) {
