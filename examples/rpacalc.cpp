@@ -43,7 +43,7 @@
 //   FAULT_MAGNITUDE    perturbation scale               (default 1e-2)
 //   FAULT_ORBITAL      occupied orbital to hit; -1 = all
 //   FAULT_OMEGA        quadrature point to hit; -1 = all (sternheimer
-//                      only: slq faults every point)
+//                      and slq)
 //   FAULT_SEED         RNG base for perturbed matvecs
 //
 // Backend keys (docs/REPRODUCING.md, "Choosing a backend"):

@@ -142,7 +142,9 @@ std::uint64_t run_fingerprint(const dft::KsSystem& sys,
   f.i64(opts.cheb_degree);
   f.b(opts.warm_start);
   f.u64(opts.seed);
-  f.i64(opts.fault_omega);
+  // Hashed apart from the other fault fields (hash_sternheimer_options)
+  // so that existing Sternheimer checkpoints keep their fingerprint.
+  f.i64(opts.stern.fault.omega);
   // SSA knobs change which points are elided and hence V's evolution, so
   // a checkpoint is only resumable under the same elision policy.
   f.i64(opts.ssa.freeze_after);
@@ -164,6 +166,7 @@ std::uint64_t run_fingerprint(const dft::KsSystem& sys,
   f.f64(opts.target_rel_ci);
   f.i64(opts.max_probes);
   f.u64(opts.seed);
+  f.i64(opts.stern.fault.omega);
   hash_sternheimer_options(f, opts.stern);
   return f.h;
 }

@@ -152,7 +152,7 @@ RpaResult compute_rpa_energy(const dft::KsSystem& sys,
   run_sweep(sweep, total, result, [&](int k, OmegaRecord& rec) {
     const double omega = rec.omega;
     if (fault_scope.requested() != solver::FaultMode::kNone)
-      fault_scope.select_for_point(k, opts.fault_omega);
+      fault_scope.select_for_point(k, opts.stern.fault.omega);
 
     // nu^{1/2} chi0 nu^{1/2} at this omega; every application is charged
     // to nu_chi0_apply.

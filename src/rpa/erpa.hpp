@@ -170,10 +170,6 @@ struct RpaOptions {
   SternheimerOptions stern;  ///< TOL_STERN_RES etc.
   bool warm_start = true;    ///< reuse eigenvectors across omega (SS III-F)
   std::uint64_t seed = 0x5ca1ab1e;
-  /// When stern.fault.mode != kNone, restrict the injection to this
-  /// quadrature-point index; -1 injects at every point. Lets the fault
-  /// suite poison exactly one omega and check the rest stay clean.
-  int fault_omega = -1;
   /// Static subspace approximation (quadrature-point elision). Part of
   /// the computation — included in the config fingerprint, unlike the
   /// checkpoint policy below.

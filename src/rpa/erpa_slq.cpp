@@ -6,6 +6,7 @@
 #include "io/checkpoint.hpp"
 #include "rpa/sweep.hpp"
 #include "rpa/trace_est.hpp"
+#include "solver/resilience.hpp"
 
 namespace rsrpa::rpa {
 
@@ -41,8 +42,14 @@ RpaResult compute_rpa_energy_slq(const dft::KsSystem& sys,
   sweep.v = &no_subspace;
   sweep.rng = &rng;
 
+  // FAULT_OMEGA, as in compute_rpa_energy: the scope guard arms the
+  // operator's fault mode at the targeted point only.
+  solver::FaultModeScope fault_scope(op.chi0().options().fault.mode);
+
   run_sweep(sweep, total, out, [&](int k, OmegaRecord& rec) {
     const double omega = rec.omega;
+    if (fault_scope.requested() != solver::FaultMode::kNone)
+      fault_scope.select_for_point(k, opts.stern.fault.omega);
     long applies = 0;
     // The point's solver statistics: only its quarantine count reaches the
     // record (closing the point marks it degraded); the recovery ladder's

@@ -36,7 +36,7 @@ struct ChunkRecord {
   // Recovery-ladder accounting (solver/resilience.hpp), per chunk.
   int restarts = 0;      ///< rung-1 residual-replacement restarts
   int deflations = 0;    ///< rung-2 block halvings
-  int solver_swaps = 0;  ///< rung-3 alternative-solver attempts
+  int solver_swaps = 0;  ///< rung-3 columns handed to GMRES
   int quarantined = 0;   ///< rung-4 columns given up on
 
   /// True when any rung of the recovery ladder fired. Recovered chunks

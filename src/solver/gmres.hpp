@@ -1,10 +1,14 @@
-// Restarted GMRES — the no-short-recurrence baseline of the paper.
+// Restarted GMRES — the no-short-recurrence baseline of the paper, and
+// rung 3 of the breakdown-recovery ladder (solver/resilience.hpp).
 //
 // The paper motivates COCG by noting that GMRES "becomes computationally
 // expensive as the iteration count grows due to lacking a short-term
-// recurrence" (SS III-B). This implementation exists to demonstrate that
-// trade-off in the A2 ablation: it stores the full Arnoldi basis per
-// restart cycle and orthogonalizes each new direction against all of it.
+// recurrence" (SS III-B); the A2 ablation demonstrates that trade-off:
+// this implementation stores the full Arnoldi basis per restart cycle
+// and orthogonalizes each new direction against all of it. The same
+// Hermitian inner products are why the ladder hands it the single
+// columns whose quasi-null residuals (w^T w = 0, w != 0) break every
+// bilinear-form method.
 #pragma once
 
 #include "solver/operator.hpp"

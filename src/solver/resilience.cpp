@@ -8,9 +8,7 @@
 #include "la/blas.hpp"
 #include "obs/event_log.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/block_cocr.hpp"
 #include "solver/gmres.hpp"
-#include "solver/qmr_sym.hpp"
 
 namespace rsrpa::solver {
 
@@ -117,32 +115,6 @@ void emit(LadderCtx& ctx, const char* kind, const char* detail,
     ctx.events->emit(kind, detail, std::move(fields));
 }
 
-// Alternative single-column solvers for rung 3, in escalation order.
-// COCR stays in the bilinear complex-symmetric family (smoother residual
-// histories); QMR adds quasi-minimal smoothing; GMRES abandons the
-// bilinear form entirely and survives quasi-null residuals.
-enum class SwapSolver { kBlockCocr = 0, kQmrSym = 1, kGmres = 2 };
-
-SolveReport run_swap(LadderCtx& ctx, SwapSolver which,
-                     const la::Matrix<cplx>& b, la::Matrix<cplx>& y) {
-  switch (which) {
-    case SwapSolver::kBlockCocr:
-      // Deep in recovery, robustness beats speed: if the mixed path was
-      // active it may well be what broke down, so the swap runs COCR,
-      // which is FP64 only, rather than re-entering the FP32 inner loop.
-      return block_cocr(*ctx.op, b, y, *ctx.sopts);
-    case SwapSolver::kQmrSym:
-      return qmr_sym(*ctx.op, b.col(0), y.col(0), *ctx.sopts);
-    case SwapSolver::kGmres: {
-      GmresOptions gopts;
-      gopts.max_iter = ctx.sopts->max_iter;
-      gopts.tol = ctx.sopts->tol;
-      return gmres(*ctx.op, b.col(0), y.col(0), gopts);
-    }
-  }
-  throw Error("unreachable swap solver");
-}
-
 // Solve columns [col0, col0 + b.cols()) of the caller's system through the
 // ladder. b and y are working copies of the sub-block; y carries the
 // entry guess in and the solution (or, for quarantined columns, the entry
@@ -202,36 +174,27 @@ void ladder_solve(LadderCtx& ctx, const la::Matrix<cplx>& b,
   }
 
   // Rung 3: a single surviving column (deflation returned above for
-  // s > 1) — swap solvers.
-  for (SwapSolver which :
-       {SwapSolver::kBlockCocr, SwapSolver::kQmrSym, SwapSolver::kGmres}) {
-    if (!matrix_finite(y)) y = y0;
-    ++ctx.out->solver_swaps;
-    emit(ctx, obs::events::kSolverSwap, "trying alternative solver",
-         {{"position", static_cast<double>(col0)},
-          {"solver", static_cast<double>(static_cast<int>(which))}});
-    try {
-      SolveReport r = run_swap(ctx, which, b, y);
-      // Accept only a converged, finite result: we are deep in recovery,
-      // so a swap that merely ran out of iterations is an escalation,
-      // and GMRES can claim convergence with a non-finite iterate when a
-      // degenerate (e.g. zeroed) operator collapses its Hessenberg.
-      if (r.converged && matrix_finite(y)) {
-        fold(ctx.out->report, r);
-        return;
-      }
-      emit(ctx, obs::events::kSolverBreakdown,
-           "swap solver returned without a usable solution",
-           {{"position", static_cast<double>(col0)},
-            {"block_size", 1.0},
-            {"solver", static_cast<double>(static_cast<int>(which))}});
-    } catch (const NumericalBreakdown& breakdown) {
-      emit(ctx, obs::events::kSolverBreakdown, breakdown.what(),
-           {{"position", static_cast<double>(col0)},
-            {"block_size", 1.0},
-            {"solver", static_cast<double>(static_cast<int>(which))}});
-    }
+  // s > 1) goes to GMRES. Its Hermitian inner products survive the
+  // quasi-null residuals (w^T w = 0 with w != 0) that break every
+  // bilinear-form method. The restart loop left y finite.
+  ++ctx.out->solver_swaps;
+  emit(ctx, obs::events::kSolverSwap, "handing the column to GMRES",
+       {{"position", static_cast<double>(col0)}});
+  GmresOptions gopts;
+  gopts.max_iter = ctx.sopts->max_iter;
+  gopts.tol = ctx.sopts->tol;
+  SolveReport r = gmres(*ctx.op, b.col(0), y.col(0), gopts);
+  // Accept only a converged, finite result: we are deep in recovery, so
+  // a GMRES run that merely ran out of iterations is no rescue, and GMRES
+  // can claim convergence with a non-finite iterate when a degenerate
+  // (e.g. zeroed) operator collapses its Hessenberg.
+  if (r.converged && matrix_finite(y)) {
+    fold(ctx.out->report, r);
+    return;
   }
+  emit(ctx, obs::events::kSolverBreakdown,
+       "GMRES returned without a usable solution",
+       {{"position", static_cast<double>(col0)}, {"block_size", 1.0}});
 
   // Rung 4: quarantine. The entry guess is the only iterate we still
   // trust (a post-breakdown partial iterate can be arbitrarily far off),

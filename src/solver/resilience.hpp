@@ -14,10 +14,10 @@
 //   rung 2  block-size halving deflation — split the block in two and
 //           recurse, down to single columns. Recovers linearly dependent
 //           right-hand sides (the classic block-method failure).
-//   rung 3  solver swap — for a surviving single column, try block COCR,
-//           then symmetric QMR, then GMRES. GMRES uses Hermitian inner
-//           products, so it survives the quasi-null vectors (w^T w = 0
-//           with w != 0) that break every bilinear-form method.
+//   rung 3  solver swap — hand a surviving single column to GMRES;
+//           accepted only if converged and finite. GMRES uses Hermitian
+//           inner products, so it survives the quasi-null vectors
+//           (w^T w = 0 with w != 0) that break every bilinear-form method.
 //   rung 4  quarantine — restore the entry guess for the column, record
 //           its index, emit a column_quarantine event, and return
 //           non-converged instead of throwing. The drivers surface the
@@ -66,6 +66,8 @@ struct FaultInjectionOptions {
   int max_faults = 1;   ///< total fault budget for this wrapper instance
   double magnitude = 1e-2;  ///< perturbation scale (kPerturbMatvec)
   int orbital = -1;     ///< chi0 only: restrict to occupied orbital j; -1 = all
+  int omega = -1;       ///< RPA drivers only: restrict to quadrature point k
+                        ///< (FaultModeScope); -1 = all
   std::uint64_t seed = 0xfa171788cULL;  ///< Rng::derive base for perturbations
 };
 
@@ -90,12 +92,12 @@ class FaultInjectingOp {
   std::shared_ptr<State> state_;
 };
 
-/// RAII selector for per-quadrature-point fault injection. The RPA
-/// drivers honor FAULT_OMEGA by flipping the live operator's fault mode
-/// before every point; this guard owns that mutation and restores the
-/// originally requested mode when it leaves scope (normally or via an
-/// exception), so the operator can never be left in whatever the last
-/// point happened to select.
+/// RAII selector for per-quadrature-point fault injection. The Sternheimer
+/// and SLQ drivers honor FAULT_OMEGA (FaultInjectionOptions::omega) by
+/// flipping the live operator's fault mode before every point; this
+/// guard owns that mutation and restores the originally requested mode
+/// when it leaves scope (normally or via an exception), so the operator
+/// can never be left in whatever the last point happened to select.
 class FaultModeScope {
  public:
   /// Captures the mode currently in `slot` as the requested one.
@@ -108,10 +110,9 @@ class FaultModeScope {
   [[nodiscard]] FaultMode requested() const { return requested_; }
 
   /// Arm the slot for quadrature point `k`: the requested mode when the
-  /// fault targets k (fault_omega < 0 targets every point), else kNone.
-  void select_for_point(int k, int fault_omega) {
-    slot_ = (fault_omega < 0 || fault_omega == k) ? requested_
-                                                  : FaultMode::kNone;
+  /// fault targets k (omega < 0 targets every point), else kNone.
+  void select_for_point(int k, int omega) {
+    slot_ = (omega < 0 || omega == k) ? requested_ : FaultMode::kNone;
   }
 
  private:
@@ -134,7 +135,7 @@ struct ResilientSolveResult {
                         ///< matvec_columns counts FAILED attempts too
   int restarts = 0;     ///< rung-1 activations
   int deflations = 0;   ///< rung-2 activations (one per split)
-  int solver_swaps = 0; ///< rung-3 attempts (one per alternative solver tried)
+  int solver_swaps = 0; ///< rung-3 activations (one per column handed to GMRES)
   std::vector<long> quarantined;  ///< global column indices given up on
 };
 

@@ -59,15 +59,26 @@ JobSpec parse_job(const Config& cfg) {
   const solver::FaultMode fault_mode = solver::fault_mode_from_string(
       cfg.has("FAULT_MODE") ? cfg.get_string("FAULT_MODE") : "none");
 
+  // Counts and sizes, refused naming the key when below their minimum:
+  // most are cast to size_t, where -1 would become 2^64 - 1 cells or
+  // sketch columns.
+  const auto get_count = [&cfg](const char* key, int fallback, int min) {
+    const int v = cfg.get_int_or(key, fallback);
+    if (v < min)
+      throw Error(std::string(key) + " must be >= " + std::to_string(min) +
+                  ", got " + std::to_string(v));
+    return v;
+  };
+
   rpa::SystemPreset& preset = spec.preset;
-  preset.ncells = static_cast<std::size_t>(cfg.get_int_or("N_CELLS", 1));
+  preset.ncells = static_cast<std::size_t>(get_count("N_CELLS", 1, 1));
   preset.name = "Si" + std::to_string(8 * preset.ncells);
   preset.grid_per_cell =
-      static_cast<std::size_t>(cfg.get_int_or("GRID_PER_CELL", 11));
+      static_cast<std::size_t>(get_count("GRID_PER_CELL", 11, 1));
   if (cfg.has("N_EIG_PER_ATOM"))
     preset.n_eig_per_atom =
-        static_cast<std::size_t>(cfg.get_int("N_EIG_PER_ATOM"));
-  preset.fd_radius = cfg.get_int_or("FD_RADIUS", 4);
+        static_cast<std::size_t>(get_count("N_EIG_PER_ATOM", 0, 1));
+  preset.fd_radius = get_count("FD_RADIUS", 4, 1);
   preset.perturbation = cfg.get_double_or("PERTURBATION", 0.01);
   preset.seed = static_cast<std::uint64_t>(cfg.get_int_or("SEED", 7));
   // SIMD stencil rows, resolved per Hamiltonian instance in build_system;
@@ -88,8 +99,8 @@ JobSpec parse_job(const Config& cfg) {
   opts.n_eig = preset.n_eig();
 
   if (cfg.has("N_NUCHI_EIGS"))
-    opts.n_eig = static_cast<std::size_t>(cfg.get_int("N_NUCHI_EIGS"));
-  opts.ell = cfg.get_int_or("N_OMEGA", opts.ell);
+    opts.n_eig = static_cast<std::size_t>(get_count("N_NUCHI_EIGS", 0, 1));
+  opts.ell = get_count("N_OMEGA", opts.ell, 1);
   if (cfg.has("TOL_EIG")) opts.tol_eig = cfg.get_doubles("TOL_EIG");
   opts.stern.tol = cfg.get_double_or("TOL_STERN_RES", opts.stern.tol);
   opts.max_filter_iter =
@@ -113,7 +124,7 @@ JobSpec parse_job(const Config& cfg) {
   opts.stern.fault.max_faults = cfg.get_int_or("FAULT_MAX", 1);
   opts.stern.fault.magnitude = cfg.get_double_or("FAULT_MAGNITUDE", 1e-2);
   opts.stern.fault.orbital = cfg.get_int_or("FAULT_ORBITAL", -1);
-  opts.fault_omega = cfg.get_int_or("FAULT_OMEGA", -1);
+  opts.stern.fault.omega = cfg.get_int_or("FAULT_OMEGA", -1);
   if (cfg.has("FAULT_SEED"))
     opts.stern.fault.seed =
         static_cast<std::uint64_t>(cfg.get_int("FAULT_SEED"));
@@ -155,10 +166,10 @@ JobSpec parse_job(const Config& cfg) {
   spec.isdf.ell = opts.ell;
   spec.isdf.n_eig =
       cfg.get_int_or("ISDF_FULL_TRACE", 0) != 0 ? 0 : opts.n_eig;
-  spec.isdf.nip = static_cast<std::size_t>(cfg.get_int_or("ISDF_NIP", 0));
+  spec.isdf.nip = static_cast<std::size_t>(get_count("ISDF_NIP", 0, 0));
   spec.isdf.c_nip = cfg.get_double_or("ISDF_C", spec.isdf.c_nip);
-  spec.isdf.oversample = static_cast<std::size_t>(
-      cfg.get_int_or("ISDF_OVERSAMPLE", static_cast<int>(spec.isdf.oversample)));
+  spec.isdf.oversample = static_cast<std::size_t>(get_count(
+      "ISDF_OVERSAMPLE", static_cast<int>(spec.isdf.oversample), 0));
   spec.isdf.ridge = cfg.get_double_or("ISDF_RIDGE", spec.isdf.ridge);
   if (cfg.has("ISDF_SEED"))
     spec.isdf.seed = static_cast<std::uint64_t>(cfg.get_int("ISDF_SEED"));

@@ -109,7 +109,7 @@ class CheckpointTest : public ::testing::Test {
     opts.stern.fault.period = 1;
     opts.stern.fault.max_faults = 1 << 30;
     opts.stern.fault.orbital = 0;
-    opts.fault_omega = 0;
+    opts.stern.fault.omega = 0;
   }
 
   static void expect_bitwise_equal(const rpa::RpaResult& a,
@@ -260,6 +260,9 @@ TEST_F(CheckpointTest, FingerprintSeparatesRunsThatMustNotResume) {
   rpa::RpaOptions o4 = opts;
   o4.stern.tol *= 2;
   EXPECT_NE(io::run_fingerprint(b.ks, o4), base);
+  rpa::RpaOptions o7 = opts;
+  o7.stern.fault.omega = 1;
+  EXPECT_NE(io::run_fingerprint(b.ks, o7), base);
   // Same options through an apply hook (the plain apply vs ranked
   // slices, say).
   rpa::RpaOptions o6 = opts;
@@ -585,6 +588,9 @@ TEST_F(CheckpointTest, SlqFingerprintSeparatesRunsThatMustNotResume) {
   rpa::SlqRpaOptions o6 = opts;
   o6.max_probes = 64;
   EXPECT_NE(io::run_fingerprint(b.ks, o6), base);
+  rpa::SlqRpaOptions o8 = opts;
+  o8.stern.fault.omega = 1;
+  EXPECT_NE(io::run_fingerprint(b.ks, o8), base);
   // The checkpoint policy itself must NOT move the fingerprint.
   rpa::SlqRpaOptions o7 = opts;
   o7.checkpoint.path = "elsewhere.ckpt";

@@ -7,7 +7,7 @@
 
 #include "common/rng.hpp"
 #include "grid/stencil.hpp"
-#include "poisson/cg_poisson.hpp"
+#include "support/cg_poisson.hpp"
 #include "poisson/kronecker.hpp"
 #include "sched/thread_pool.hpp"
 

@@ -254,9 +254,9 @@ TEST(ResilienceLadder, DependentColumnsDeflateToSingles) {
 
 TEST(ResilienceLadder, QuasiNullColumnEscalatesToGmres) {
   // A = diag(1, 1, 2), b = (1, i, 1): after one COCG step the residual is
-  // a genuine quasi-null vector (w^T w = 0, w != 0) — the bilinear-form
-  // family (COCG restart, COCR, symmetric QMR) all break down and only
-  // GMRES, with its Hermitian inner product, can finish the column.
+  // a genuine quasi-null vector (w^T w = 0, w != 0) — the COCG restart
+  // breaks down like every bilinear-form method, and GMRES, with its
+  // Hermitian inner product, finishes the column.
   Matrix<cplx> a(3, 3);
   a(0, 0) = cplx{1.0, 0.0};
   a(1, 1) = cplx{1.0, 0.0};
@@ -276,10 +276,10 @@ TEST(ResilienceLadder, QuasiNullColumnEscalatesToGmres) {
   EXPECT_TRUE(r.report.converged);
   EXPECT_EQ(r.restarts, 1);    // the first breakdown had made progress
   EXPECT_EQ(r.deflations, 0);  // single column: nothing to halve
-  EXPECT_EQ(r.solver_swaps, 3);
+  EXPECT_EQ(r.solver_swaps, 1);
   EXPECT_TRUE(r.quarantined.empty());
   EXPECT_EQ(events.count(obs::events::kSolverRestart), 1u);
-  EXPECT_EQ(events.count(obs::events::kSolverSwap), 3u);
+  EXPECT_EQ(events.count(obs::events::kSolverSwap), 1u);
   EXPECT_NEAR(std::abs(y(0, 0) - cplx{1.0, 0.0}), 0.0, 1e-8);
   EXPECT_NEAR(std::abs(y(1, 0) - cplx{0.0, 1.0}), 0.0, 1e-8);
   EXPECT_NEAR(std::abs(y(2, 0) - cplx{0.5, 0.0}), 0.0, 1e-8);
@@ -312,7 +312,7 @@ TEST(ResilienceLadder, PersistentZeroFaultQuarantinesAllColumns) {
   EXPECT_EQ(r.quarantined[0], 3);  // global indices, offset by col0
   EXPECT_EQ(r.quarantined[1], 4);
   EXPECT_EQ(r.deflations, 1);
-  EXPECT_EQ(r.solver_swaps, 6);  // three per surviving column
+  EXPECT_EQ(r.solver_swaps, 2);  // one GMRES attempt per surviving column
   EXPECT_EQ(events.count(obs::events::kColumnQuarantine), 2u);
   // Quarantined columns come back as the entry guess, bit for bit: the
   // only iterate still trusted, and finite by construction.
@@ -445,7 +445,7 @@ class FaultDrillTest : public ::testing::Test {
     opts.stern.fault.period = 1;
     opts.stern.fault.max_faults = 1 << 30;
     opts.stern.fault.orbital = 0;
-    opts.fault_omega = 0;
+    opts.stern.fault.omega = 0;
   }
 };
 
@@ -530,7 +530,7 @@ TEST_F(FaultDrillTest, MidSweepFaultOmegaArmsExactlyOnePoint) {
   opts.stern.dynamic_block = false;
   opts.stern.fixed_block = 4;
   add_point_fault(opts);
-  opts.fault_omega = 1;
+  opts.stern.fault.omega = 1;
 
   rpa::RpaResult res = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
 
@@ -539,6 +539,36 @@ TEST_F(FaultDrillTest, MidSweepFaultOmegaArmsExactlyOnePoint) {
   EXPECT_GT(res.per_omega[1].quarantined_columns, 0);
   EXPECT_EQ(res.per_omega[2].quarantined_columns, 0);
   EXPECT_TRUE(res.per_omega[2].converged);
+}
+
+TEST_F(FaultDrillTest, GmresRescuesEveryColumnThatReachesRungThree) {
+  // Rung 3 on the real Sternheimer operator. With single-column chunks a
+  // NaN fault that refires on the restart leaves deflation nothing to
+  // split, so each faulted column goes restart -> GMRES, and GMRES must
+  // converge it: the run stays clean and close to the unfaulted energy.
+  // The fault sits on the top occupied orbital, whose shifted systems are
+  // the most nearly singular. A rescued solve is only as close to the
+  // clean one as TOL_STERN_RES (1e-2) makes it, so faulting every orbital
+  // moves E_RPA by ~2e-5 relative, with any rung-3 solver.
+  auto& b = built();
+  rpa::RpaOptions opts = base_options();
+  opts.stern.dynamic_block = false;
+  opts.stern.fixed_block = 1;
+  const rpa::RpaResult clean = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
+
+  opts.stern.fault.mode = solver::FaultMode::kNanMatvec;
+  opts.stern.fault.period = 1;
+  opts.stern.fault.max_faults = 2;
+  opts.stern.fault.orbital = static_cast<int>(b.ks.n_occ()) - 1;
+  const rpa::RpaResult res = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
+
+  EXPECT_GT(res.stern.restarts, 0);
+  EXPECT_EQ(res.stern.solver_swaps, res.stern.restarts);
+  EXPECT_EQ(res.stern.quarantined_columns, 0);
+  EXPECT_EQ(res.events.count(obs::events::kColumnQuarantine), 0u);
+  EXPECT_TRUE(res.converged);
+  EXPECT_FALSE(res.degraded);
+  EXPECT_NEAR(res.e_rpa, clean.e_rpa, 1e-5 * std::abs(clean.e_rpa));
 }
 
 TEST_F(FaultDrillTest, SlqReportsQuarantinedColumns) {
@@ -557,7 +587,8 @@ TEST_F(FaultDrillTest, SlqReportsQuarantinedColumns) {
 
   rpa::RpaOptions faulted = base_options();
   add_point_fault(faulted);
-  opts.stern.fault = faulted.stern.fault;  // every point: SLQ has no FAULT_OMEGA
+  opts.stern.fault = faulted.stern.fault;
+  opts.stern.fault.omega = -1;  // every point
   const rpa::RpaResult res = rpa::compute_rpa_energy_slq(b.ks, *b.klap, opts);
 
   EXPECT_TRUE(std::isfinite(res.e_rpa));
@@ -570,6 +601,20 @@ TEST_F(FaultDrillTest, SlqReportsQuarantinedColumns) {
   }
   EXPECT_EQ(res.events.count(obs::events::kQuadPointDegraded), 2u);
   EXPECT_GE(res.events.count(obs::events::kColumnQuarantine), 1u);
+
+  // FAULT_OMEGA targets one point: point 0 stays clean and matches the
+  // clean run bit for bit, point 1 degrades.
+  opts.stern.fault.omega = 1;
+  const rpa::RpaResult one =
+      rpa::compute_rpa_energy_slq(b.ks, *b.klap, opts);
+  ASSERT_EQ(one.per_omega.size(), 2u);
+  EXPECT_EQ(one.per_omega[0].quarantined_columns, 0);
+  EXPECT_TRUE(one.per_omega[0].converged);
+  EXPECT_EQ(one.per_omega[0].e_term, clean.per_omega[0].e_term);
+  EXPECT_GT(one.per_omega[1].quarantined_columns, 0);
+  EXPECT_FALSE(one.per_omega[1].converged);
+  EXPECT_TRUE(one.degraded);
+  EXPECT_EQ(one.events.count(obs::events::kQuadPointDegraded), 1u);
 }
 
 TEST_F(FaultDrillTest, LadderIsBitwiseInvisibleOnCleanRuns) {

@@ -12,11 +12,9 @@
 #include "la/lu.hpp"
 #include "obs/event_log.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/block_cocr.hpp"
 #include "solver/dynamic_block.hpp"
 #include "solver/galerkin_guess.hpp"
 #include "solver/gmres.hpp"
-#include "solver/qmr_sym.hpp"
 #include "support/cocr.hpp"
 #include "support/preconditioner.hpp"
 #include "support/seed_projection.hpp"
@@ -287,72 +285,6 @@ TEST(Cocg, SolvesShiftedHamiltonianSystem) {
   EXPECT_LT(std::sqrt(err / bn), 1e-9);
 }
 
-TEST(BlockCocr, SolvesDenseComplexSymmetricSystem) {
-  Rng rng(30);
-  const std::size_t n = 40, s = 4;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{8.0, 2.0});
-  Matrix<cplx> b = random_cblock(n, s, rng);
-  Matrix<cplx> y(n, s);
-  SolverOptions opts;
-  opts.tol = 1e-11;
-  SolveReport rep = block_cocr(dense_op(a), b, y, opts);
-  EXPECT_TRUE(rep.converged);
-  Matrix<cplx> x_ref = la::lu_solve(a, b);
-  EXPECT_LT(block_error(y, x_ref), 1e-8);
-}
-
-TEST(BlockCocr, MatchesNonBlockCocrForSingleRhs) {
-  Rng rng(31);
-  const std::size_t n = 35;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{7.0, 1.5});
-  Matrix<cplx> b = random_cblock(n, 1, rng);
-  Matrix<cplx> y_block(n, 1);
-  SolverOptions opts;
-  opts.tol = 1e-10;
-  SolveReport rb = block_cocr(dense_op(a), b, y_block, opts);
-
-  std::vector<cplx> bb(n), yy(n, cplx{});
-  for (std::size_t i = 0; i < n; ++i) bb[i] = b(i, 0);
-  SolveReport rs = cocr(dense_op(a), bb, yy, opts);
-  EXPECT_TRUE(rb.converged);
-  EXPECT_TRUE(rs.converged);
-  EXPECT_EQ(rb.iterations, rs.iterations);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(y_block(i, 0) - yy[i]), 0.0, 1e-8);
-}
-
-TEST(BlockCocr, ResidualHistoryIsSmootherOrEqualToBlockCocg) {
-  // The residual-minimizing recurrence should not produce a larger final
-  // residual than COCG for the same iteration budget on a hard system.
-  Rng rng(32);
-  const std::size_t n = 100, s = 2;
-  Matrix<cplx> a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    a(i, i) = cplx{-1.0 + 5.0 * double(i) / double(n - 1), 0.05};
-  Matrix<cplx> b = random_cblock(n, s, rng);
-  SolverOptions opts;
-  opts.tol = 1e-30;  // force fixed iteration budget
-  opts.max_iter = 40;
-  opts.record_history = true;
-  Matrix<cplx> y1(n, s), y2(n, s);
-  SolveReport rg = block_cocg(dense_op(a), b, y1, opts);
-  SolveReport rr = block_cocr(dense_op(a), b, y2, opts);
-  // COCR residual peaks must not exceed COCG's worst spikes wildly; check
-  // the final residual is comparable or better.
-  EXPECT_LE(rr.relative_residual, 3.0 * rg.relative_residual + 1e-12);
-}
-
-TEST(BlockCocr, RespectsInitialGuess) {
-  Rng rng(33);
-  const std::size_t n = 30, s = 2;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{6.0, 1.0});
-  Matrix<cplx> b = random_cblock(n, s, rng);
-  Matrix<cplx> y = la::lu_solve(a, b);
-  SolveReport rep = block_cocr(dense_op(a), b, y);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_EQ(rep.iterations, 0);
-}
-
 TEST(Cocr, SolvesComplexSymmetricSystem) {
   Rng rng(9);
   const std::size_t n = 40;
@@ -367,68 +299,6 @@ TEST(Cocr, SolvesComplexSymmetricSystem) {
   Matrix<cplx> x_ref = la::lu_solve(a, b1);
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(y[i] - x_ref(i, 0)), 0.0, 1e-8);
-}
-
-TEST(QmrSym, SolvesComplexSymmetricSystem) {
-  Rng rng(40);
-  const std::size_t n = 40;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{6.0, 1.0});
-  Matrix<cplx> b1 = random_cblock(n, 1, rng);
-  std::vector<cplx> b(n), y(n, cplx{});
-  for (std::size_t i = 0; i < n; ++i) b[i] = b1(i, 0);
-  SolverOptions opts;
-  opts.tol = 1e-10;
-  SolveReport rep = qmr_sym(dense_op(a), b, y, opts);
-  EXPECT_TRUE(rep.converged);
-  Matrix<cplx> x_ref = la::lu_solve(a, b1);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(y[i] - x_ref(i, 0)), 0.0, 1e-7);
-}
-
-TEST(QmrSym, SmoothedResidualIsMonotoneUnlikeCocg) {
-  // The point of QMR smoothing: on a highly indefinite spectrum the
-  // smoothed residual history never increases, while raw COCG spikes.
-  Rng rng(41);
-  const std::size_t n = 150;
-  Matrix<cplx> a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    a(i, i) = cplx{-1.0 + 4.0 * double(i) / double(n - 1), 0.05};
-  Matrix<cplx> b1 = random_cblock(n, 1, rng);
-  std::vector<cplx> b(n), y(n, cplx{});
-  for (std::size_t i = 0; i < n; ++i) b[i] = b1(i, 0);
-
-  SolverOptions opts;
-  opts.tol = 1e-8;
-  opts.max_iter = 5000;
-  opts.record_history = true;
-  SolveReport rep = qmr_sym(dense_op(a), b, y, opts);
-  EXPECT_TRUE(rep.converged);
-  for (std::size_t k = 1; k < rep.history.size(); ++k)
-    EXPECT_LE(rep.history[k], rep.history[k - 1] * (1.0 + 1e-12)) << k;
-
-  std::vector<cplx> y2(n, cplx{});
-  SolveReport rc = cocg(dense_op(a), b, y2, opts);
-  EXPECT_TRUE(rc.converged);
-  bool cocg_spikes = false;
-  for (std::size_t k = 1; k < rc.history.size(); ++k)
-    cocg_spikes = cocg_spikes || rc.history[k] > rc.history[k - 1];
-  EXPECT_TRUE(cocg_spikes);  // the indefinite spectrum makes COCG jump
-}
-
-TEST(QmrSym, RespectsInitialGuess) {
-  Rng rng(42);
-  const std::size_t n = 30;
-  Matrix<cplx> a = random_complex_symmetric(n, rng, cplx{5.0, 1.0});
-  Matrix<cplx> b1 = random_cblock(n, 1, rng);
-  Matrix<cplx> x_ref = la::lu_solve(a, b1);
-  std::vector<cplx> b(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b[i] = b1(i, 0);
-    y[i] = x_ref(i, 0);
-  }
-  SolveReport rep = qmr_sym(dense_op(a), b, y);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_EQ(rep.iterations, 0);
 }
 
 TEST(Gmres, SolvesGeneralComplexSystem) {

@@ -211,7 +211,7 @@ TEST(Ssa, ReseedBeforeFreezeTriggersTheResidualGuard) {
   opts.stern.fault.period = 1;
   opts.stern.fault.max_faults = 1 << 30;
   opts.stern.fault.orbital = 0;
-  opts.fault_omega = 0;
+  opts.stern.fault.omega = 0;
   opts.ssa.freeze_after = 1;
   const rpa::RpaResult r = rpa::compute_rpa_energy(b.ks, *b.klap, opts);
 

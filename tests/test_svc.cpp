@@ -195,6 +195,36 @@ TEST(SvcJob, ParseRejectsRemovedLadderKeys) {
   }
 }
 
+TEST(SvcJob, ParseRejectsOutOfRangeSizes) {
+  // Parse only: a size below its minimum fails naming the key before any
+  // cast to size_t, so no system is ever built from a wrapped value.
+  struct Bound {
+    const char* key;
+    int min;
+  };
+  for (const Bound& k : {Bound{"N_CELLS", 1}, Bound{"GRID_PER_CELL", 1},
+                         Bound{"N_EIG_PER_ATOM", 1}, Bound{"N_NUCHI_EIGS", 1},
+                         Bound{"FD_RADIUS", 1}, Bound{"N_OMEGA", 1},
+                         Bound{"ISDF_NIP", 0}, Bound{"ISDF_OVERSAMPLE", 0}}) {
+    for (const int value : {0, -1}) {
+      const std::string line =
+          std::string(k.key) + ": " + std::to_string(value) + "\n";
+      if (value >= k.min) {
+        EXPECT_NO_THROW((void)svc::parse_job(Config::parse(line))) << line;
+        continue;
+      }
+      try {
+        (void)svc::parse_job(Config::parse(line));
+        ADD_FAILURE() << line << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(k.key) + " must be"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Satellite 2: per-job task quotas on the shared pool
 
