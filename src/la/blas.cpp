@@ -5,6 +5,10 @@
 #include <type_traits>
 #include <vector>
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "sched/parallel_for.hpp"
 
 namespace rsrpa::la {
@@ -211,13 +215,100 @@ void gemm_tn_impl(T alpha, const Matrix<T>& a, const Matrix<T>& b, T beta,
 // shape or on which task computes it. A 4 x 4 tile issues 16 independent
 // chains from 8 column loads per step, where a single dot product issues
 // one chain from two.
+#if defined(__AVX2__) && defined(__FMA__)
+// Each entry's four chains are the four lanes of one __m256d held in a
+// register: a step loads kR + kC contiguous 4-double slices of A and
+// issues kR * kC lane-wise fmas (each lane one correctly rounded fma, the
+// same bits as std::fma). A 4 x 4 tile keeps its 16 accumulators and 8
+// operands in 24 of AVX-512's 32 vector registers.
+
+// (s0 + s1) + (s2 + s3) over the lanes of v.
+inline double chain_sum(__m256d v) {
+  const __m128d h = _mm_hadd_pd(_mm256_castpd256_pd128(v),
+                                _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(h) + _mm_cvtsd_f64(_mm_unpackhi_pd(h, h));
+}
+
+// Lane r holds (s0 + s1) + (s2 + s3) of a, b, c, d in turn.
+inline __m256d chain_sums(__m256d a, __m256d b, __m256d c, __m256d d) {
+  const __m256d ab = _mm256_hadd_pd(a, b);  // a01 b01 a23 b23
+  const __m256d cd = _mm256_hadd_pd(c, d);  // c01 d01 c23 d23
+  return _mm256_add_pd(_mm256_permute2f128_pd(ab, cd, 0x20),
+                       _mm256_permute2f128_pd(ab, cd, 0x31));
+}
+
+// Lanes l with lo <= l < hi set, as a maskload/maskstore mask.
+inline __m256i lanes_in(std::size_t lo, std::size_t hi) {
+  const __m256i l = _mm256_setr_epi64x(0, 1, 2, 3);
+  return _mm256_and_si256(
+      _mm256_cmpgt_epi64(l, _mm256_set1_epi64x(static_cast<long long>(lo) - 1)),
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(hi)), l));
+}
+
+template <std::size_t kR, std::size_t kC>
+void syrk_tile(const Matrix<double>& a, std::size_t kk, std::size_t klen,
+               std::size_t i0, std::size_t j0, double alpha,
+               Matrix<double>& c) {
+  const std::size_t lda = a.rows();
+  const double* x = &a(kk, i0);
+  const double* y = &a(kk, j0);
+  // The unroll pragmas let GCC 12 scalarize s: without them it keeps the
+  // array in memory and stores all 16 accumulators on every step.
+  __m256d s[kR][kC];
+  for (std::size_t r = 0; r < kR; ++r)
+    for (std::size_t q = 0; q < kC; ++q) s[r][q] = _mm256_setzero_pd();
+  // The tail goes to chains 0, 1, 2 in turn, as one more step padded with
+  // zeros (masked-off lanes load +0, and fma(0, 0, s) adds nothing).
+  for (std::size_t p = 0; p < klen; p += 4) {
+    __m256d xv[kR], yv[kC];
+    if (p + 4 <= klen) {
+      for (std::size_t r = 0; r < kR; ++r)
+        xv[r] = _mm256_loadu_pd(x + r * lda + p);
+      for (std::size_t q = 0; q < kC; ++q)
+        yv[q] = _mm256_loadu_pd(y + q * lda + p);
+    } else {
+      const __m256i in = lanes_in(0, klen - p);
+      for (std::size_t r = 0; r < kR; ++r)
+        xv[r] = _mm256_maskload_pd(x + r * lda + p, in);
+      for (std::size_t q = 0; q < kC; ++q)
+        yv[q] = _mm256_maskload_pd(y + q * lda + p, in);
+    }
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < kR; ++r)
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < kC; ++q)
+        s[r][q] = _mm256_fmadd_pd(xv[r], yv[q], s[r][q]);
+  }
+  if constexpr (kR == 4) {
+    // Column j0 + q's four rows are contiguous in C: one fma per column,
+    // stored only to the lanes on or below the diagonal.
+    const __m256d av = _mm256_set1_pd(alpha);
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < kC; ++q) {
+      double* cq = &c(i0, j0 + q);
+      const __m256d sum = chain_sums(s[0][q], s[1][q], s[2][q], s[3][q]);
+      const __m256d out = _mm256_fmadd_pd(av, sum, _mm256_loadu_pd(cq));
+      if (i0 >= j0 + q)
+        _mm256_storeu_pd(cq, out);
+      else
+        _mm256_maskstore_pd(cq, lanes_in(j0 + q - i0, 4), out);
+    }
+  } else {
+    for (std::size_t r = 0; r < kR; ++r)
+      for (std::size_t q = 0; q < kC; ++q)
+        if (i0 + r >= j0 + q)
+          c(i0 + r, j0 + q) =
+              std::fma(alpha, chain_sum(s[r][q]), c(i0 + r, j0 + q));
+  }
+}
+#else
+// Fallback for targets without AVX2 and FMA: the same chains as scalars.
 template <std::size_t kR, std::size_t kC>
 void syrk_tile(const Matrix<double>& a, std::size_t kk, std::size_t klen,
                std::size_t i0, std::size_t j0, double alpha,
                Matrix<double>& c) {
   // Columns addressed from one base and a stride (not through an array of
-  // pointers), which lets the compiler keep the 4 x 4 x 4 chains in vector
-  // registers.
+  // pointers), which lets the compiler keep the chains in registers.
   const std::size_t lda = a.rows();
   const double* x = &a(kk, i0);
   const double* y = &a(kk, j0);
@@ -231,7 +322,7 @@ void syrk_tile(const Matrix<double>& a, std::size_t kk, std::size_t klen,
                                 s[r][q][l]);
   // The tail goes to chains 0, 1, 2 in turn, as one more step padded with
   // zeros (fma(0, 0, s) adds nothing): every chain index stays a
-  // compile-time constant, which keeps the chains in registers above.
+  // compile-time constant.
   if (p < klen) {
     double xt[kR][4], yt[kC][4];
     for (std::size_t l = 0; l < 4; ++l) {
@@ -255,6 +346,7 @@ void syrk_tile(const Matrix<double>& a, std::size_t kk, std::size_t klen,
       if (i0 + r >= j0 + q)
         c(i0 + r, j0 + q) = std::fma(alpha, sum[r][q], c(i0 + r, j0 + q));
 }
+#endif
 
 // dst[0, m) = src[0, m) + acol[0, m) * b: column_axpy on a copy of src,
 // with the copy folded into the same pass (identical per-element fma).

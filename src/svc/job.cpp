@@ -104,8 +104,8 @@ JobSpec parse_job(const Config& cfg) {
   if (cfg.has("TOL_EIG")) opts.tol_eig = cfg.get_doubles("TOL_EIG");
   opts.stern.tol = cfg.get_double_or("TOL_STERN_RES", opts.stern.tol);
   opts.max_filter_iter =
-      cfg.get_int_or("MAXIT_FILTERING", opts.max_filter_iter);
-  opts.cheb_degree = cfg.get_int_or("CHEB_DEGREE_RPA", opts.cheb_degree);
+      get_count("MAXIT_FILTERING", opts.max_filter_iter, 0);
+  opts.cheb_degree = get_count("CHEB_DEGREE_RPA", opts.cheb_degree, 1);
   opts.stern.galerkin_guess = cfg.get_int_or("FLAG_COCGINITIAL", 1) != 0;
   // Algorithm 4 block sizing is wall-clock-driven; jobs that must be
   // bitwise reproducible (the soak bench's standalone-equality check) pin
@@ -123,8 +123,21 @@ JobSpec parse_job(const Config& cfg) {
   opts.stern.fault.period = cfg.get_int_or("FAULT_PERIOD", 0);
   opts.stern.fault.max_faults = cfg.get_int_or("FAULT_MAX", 1);
   opts.stern.fault.magnitude = cfg.get_double_or("FAULT_MAGNITUDE", 1e-2);
-  opts.stern.fault.orbital = cfg.get_int_or("FAULT_ORBITAL", -1);
-  opts.stern.fault.omega = cfg.get_int_or("FAULT_OMEGA", -1);
+  // A drill aimed past the last orbital or quadrature point would inject
+  // nothing and pass as clean: -1 (every one) or an index below the count.
+  const auto get_target = [&cfg](const char* key, std::size_t count,
+                                 const char* what) {
+    const int v = cfg.get_int_or(key, -1);
+    if (v < -1 || (v >= 0 && static_cast<std::size_t>(v) >= count))
+      throw Error(std::string(key) + " must be -1 or in [0, " +
+                  std::to_string(count) + ") (" + what + "), got " +
+                  std::to_string(v));
+    return v;
+  };
+  opts.stern.fault.orbital =
+      get_target("FAULT_ORBITAL", preset.n_occ(), "the occupied orbitals");
+  opts.stern.fault.omega = get_target(
+      "FAULT_OMEGA", static_cast<std::size_t>(opts.ell), "N_OMEGA");
   if (cfg.has("FAULT_SEED"))
     opts.stern.fault.seed =
         static_cast<std::uint64_t>(cfg.get_int("FAULT_SEED"));

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <complex>
 #include <limits>
 #include <string>
@@ -424,6 +426,66 @@ TEST(Syrk, BitwiseEqualAtOneAndFourLanes) {
     sched::set_global_threads(0);
     expect_bitwise(threaded, serial, "syrk_tn", m, 4);
   }
+}
+
+// The recipe documented at syrk_tile, written out in scalars: per 256-row
+// chunk of the shared dimension, four std::fma chains (chain = offset mod
+// 4), the tail as one more step padded with zeros, (s0 + s1) + (s2 + s3),
+// then fma(alpha, sum, c). Beta scales the lower triangle first; the
+// upper triangle is the mirror.
+Matrix<double> syrk_chain_sum_reference(double alpha, const Matrix<double>& a,
+                                        double beta, Matrix<double> c) {
+  constexpr std::size_t kKB = 256;
+  const std::size_t k = a.rows(), m = a.cols();
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t i = j; i < m; ++i) {
+      double cij = beta == 0.0 ? 0.0 : beta == 1.0 ? c(i, j) : c(i, j) * beta;
+      for (std::size_t kk = 0; kk < k; kk += kKB) {
+        const std::size_t klen = std::min(kKB, k - kk);
+        double s[4] = {0.0, 0.0, 0.0, 0.0};
+        for (std::size_t p = 0; p < klen; p += 4)
+          for (std::size_t l = 0; l < 4; ++l) {
+            const bool in = p + l < klen;
+            s[l] = std::fma(in ? a(kk + p + l, i) : 0.0,
+                            in ? a(kk + p + l, j) : 0.0, s[l]);
+          }
+        cij = std::fma(alpha, (s[0] + s[1]) + (s[2] + s[3]), cij);
+      }
+      c(i, j) = cij;
+      c(j, i) = cij;
+    }
+  return c;
+}
+
+TEST(Syrk, EntriesAreTheDocumentedChainSum) {
+  // k mod 4 != 0 and m mod 4 != 0 (the tail step and the edge tiles),
+  // k > 256 (more than one chunk), and a shape large enough that four
+  // lanes split the work.
+  const std::size_t shapes[][2] = {{1, 1},   {3, 5},     {257, 31},
+                                   {513, 6}, {1001, 67}, {2051, 303}};
+  for (const auto& [k, m] : shapes) {
+    Rng rng(7 * k + m);
+    const Matrix<double> a = random_matrix(k, m, rng);
+    for (const double beta : {0.0, 1.0, -0.5}) {
+      Matrix<double> c0 = random_symmetric(m, rng);
+      const Matrix<double> want = syrk_chain_sum_reference(-1.5, a, beta, c0);
+      for (std::size_t j = 1; j < m; ++j)
+        for (std::size_t i = 0; i < j; ++i)
+          c0(i, j) = std::numeric_limits<double>::quiet_NaN();
+      for (const int threads : {1, 4}) {
+        sched::set_global_threads(threads);
+        Matrix<double> got = c0;
+        syrk_tn(-1.5, a, beta, got);
+        for (std::size_t j = 0; j < m; ++j)
+          for (std::size_t i = 0; i < m; ++i)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                      std::bit_cast<std::uint64_t>(want(i, j)))
+                << "k=" << k << " m=" << m << " beta=" << beta
+                << " threads=" << threads << " i=" << i << " j=" << j;
+      }
+    }
+  }
+  sched::set_global_threads(0);
 }
 
 TEST(Lu, SolvesRandomRealSystem) {

@@ -205,7 +205,9 @@ TEST(SvcJob, ParseRejectsOutOfRangeSizes) {
   for (const Bound& k : {Bound{"N_CELLS", 1}, Bound{"GRID_PER_CELL", 1},
                          Bound{"N_EIG_PER_ATOM", 1}, Bound{"N_NUCHI_EIGS", 1},
                          Bound{"FD_RADIUS", 1}, Bound{"N_OMEGA", 1},
-                         Bound{"ISDF_NIP", 0}, Bound{"ISDF_OVERSAMPLE", 0}}) {
+                         Bound{"ISDF_NIP", 0}, Bound{"ISDF_OVERSAMPLE", 0},
+                         Bound{"CHEB_DEGREE_RPA", 1},
+                         Bound{"MAXIT_FILTERING", 0}}) {
     for (const int value : {0, -1}) {
       const std::string line =
           std::string(k.key) + ": " + std::to_string(value) + "\n";
@@ -219,6 +221,35 @@ TEST(SvcJob, ParseRejectsOutOfRangeSizes) {
       } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find(std::string(k.key) + " must be"),
                   std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(SvcJob, ParseRejectsFaultTargetsPastTheRun) {
+  // Parse only: one cell has 16 occupied orbitals, and N_OMEGA 3 has
+  // points 0..2. A target past either would inject nothing.
+  const std::string base = "N_CELLS: 1\nN_OMEGA: 3\n";
+  struct Target {
+    const char* key;
+    int count;
+  };
+  for (const Target& t :
+       {Target{"FAULT_ORBITAL", 16}, Target{"FAULT_OMEGA", 3}}) {
+    for (const int value : {-1, 0, t.count - 1})
+      EXPECT_NO_THROW((void)svc::parse_job(Config::parse(
+          base + t.key + ": " + std::to_string(value) + "\n")))
+          << t.key << "=" << value;
+    for (const int value : {-2, t.count, t.count + 90}) {
+      try {
+        (void)svc::parse_job(Config::parse(
+            base + t.key + ": " + std::to_string(value) + "\n"));
+        ADD_FAILURE() << t.key << "=" << value << " was accepted";
+      } catch (const Error& e) {
+        const std::string want = std::string(t.key) + " must be -1 or in [0, " +
+                                 std::to_string(t.count) + ")";
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
             << e.what();
       }
     }
