@@ -25,8 +25,8 @@
 // Precision / apply-path keys (DESIGN.md "Precision model",
 // docs/REPRODUCING.md "Sanitizer and precision matrix"):
 //   PRECISION   fp64 (default, bitwise-reproducible) or mixed: FP32 inner
-//               Sternheimer iterations with FP64 residual replacement and
-//               an FP32 CheFSI filter workspace; agrees with fp64 to
+//               Sternheimer iterations with FP64 residual replacement;
+//               the ground state is FP64 either way; agrees with fp64 to
 //               <= 1e-4 Ha/atom at the correlation energy
 //   SIMD        -1 inherit RSRPA_SIMD env (auto-on when compiled in),
 //               0 scalar stencil rows, 1 vectorized rows — both paths

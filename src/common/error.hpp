@@ -26,13 +26,6 @@ class NumericalBreakdown : public Error {
   explicit NumericalBreakdown(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when an iterative method exhausts its iteration budget without
-/// reaching the requested tolerance.
-class ConvergenceFailure : public Error {
- public:
-  explicit ConvergenceFailure(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] inline void require_failed(const char* expr, const char* file,
                                         int line, const std::string& msg) {

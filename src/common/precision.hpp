@@ -3,8 +3,10 @@
 // kFp64 is the default everywhere and reproduces the seed numerics
 // bitwise. kMixed enables FP32 inner iterations in the Sternheimer block
 // solvers (with FP64 residual replacement on the restart boundary the
-// resilience ladder owns) and FP32 storage for the Chebyshev filter
-// workspace in chefsi. See DESIGN.md "Precision model" for the contract.
+// resilience ladder owns). It is read in one place,
+// SternheimerOptions::precision, where Chi0Applier binds the FP32 inner
+// operator; the ground state is FP64 under either policy. See DESIGN.md
+// "Precision model" for the contract.
 #pragma once
 
 #include <stdexcept>

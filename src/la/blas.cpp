@@ -541,18 +541,6 @@ void axpy(cplxf alpha, std::span<const cplxf> x, std::span<cplxf> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-void scal(double alpha, std::span<double> x) {
-  for (double& v : x) v *= alpha;
-}
-
-void scal(cplx alpha, std::span<cplx> x) {
-  for (cplx& v : x) v *= alpha;
-}
-
-void scal(cplxf alpha, std::span<cplxf> x) {
-  for (cplxf& v : x) v *= alpha;
-}
-
 void gemm_nn(double alpha, const Matrix<double>& a, const Matrix<double>& b,
              double beta, Matrix<double>& c) {
   gemm_nn_impl(alpha, a, b, beta, c);

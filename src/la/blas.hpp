@@ -40,10 +40,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 void axpy(cplx alpha, std::span<const cplx> x, std::span<cplx> y);
 void axpy(cplxf alpha, std::span<const cplxf> x, std::span<cplxf> y);
 
-void scal(double alpha, std::span<double> x);
-void scal(cplx alpha, std::span<cplx> x);
-void scal(cplxf alpha, std::span<cplxf> x);
-
 // ---------- BLAS-3 ----------
 
 /// C = alpha * A * B + beta * C      (A: m x k, B: k x n, C: m x n)

@@ -99,7 +99,6 @@ void Chi0Applier::apply(const la::Matrix<double>& v, la::Matrix<double>& out,
   solver::DynamicBlockOptions dopts;
   dopts.solver.tol = opts_.tol;
   dopts.solver.max_iter = opts_.max_iter;
-  dopts.solver.precision = opts_.precision;
   dopts.enabled = opts_.dynamic_block;
   dopts.fixed_block = opts_.fixed_block;
   dopts.max_block = opts_.max_block;

@@ -1,7 +1,5 @@
 #include "rpa/presets.hpp"
 
-#include "dft/scf.hpp"
-
 namespace rsrpa::rpa {
 
 SystemPreset make_si_preset(std::size_t ncells, bool paper_scale) {
@@ -16,7 +14,7 @@ SystemPreset make_si_preset(std::size_t ncells, bool paper_scale) {
   return p;
 }
 
-BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
+BuiltSystem build_system(const SystemPreset& preset) {
   BuiltSystem out;
   out.preset = preset;
 
@@ -42,17 +40,8 @@ BuiltSystem build_system(const SystemPreset& preset, bool run_scf) {
   out.klap = std::make_shared<poisson::KroneckerLaplacian>(g, preset.fd_radius);
 
   Rng eig_rng(preset.seed + 1);
-  if (run_scf) {
-    dft::ScfOptions sopts;
-    dft::ScfResult scf =
-        dft::run_scf(*out.h, *out.klap, preset.n_occ(), sopts, eig_rng);
-    // Repackage with one extra state for the gap.
-    out.ks = dft::make_ks_system(out.h, preset.n_occ(), sopts.eig, eig_rng);
-  } else {
-    dft::ChefsiOptions copts;
-    copts.precision = preset.precision;
-    out.ks = dft::make_ks_system(out.h, preset.n_occ(), copts, eig_rng);
-  }
+  out.ks = dft::make_ks_system(out.h, preset.n_occ(), dft::ChefsiOptions{},
+                               eig_rng);
   return out;
 }
 

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "common/precision.hpp"
 #include "dft/ks_system.hpp"
 #include "poisson/kronecker.hpp"
 #include "rpa/erpa.hpp"
@@ -34,10 +33,6 @@ struct SystemPreset {
   /// scalar-only builds). The env var is only a default, never a
   /// process-wide latch, so two jobs in one process may disagree.
   int simd = -1;
-  /// Precision policy for the ground-state CheFSI filter workspace. The
-  /// Sternheimer precision is carried separately in SternheimerOptions;
-  /// svc::run_job sets both from the one PRECISION config key.
-  common::Precision precision = common::Precision::kFp64;
 
   [[nodiscard]] std::size_t n_atoms() const {
     return 8 * ncells - (vacancy ? 1 : 0);
@@ -66,8 +61,8 @@ struct BuiltSystem {
 };
 
 /// Build the crystal, Hamiltonian, Poisson operator and occupied orbitals
-/// for a preset. `run_scf` adds the self-consistent loop (slower; the
-/// solver-focused experiments use the fixed model potential).
-BuiltSystem build_system(const SystemPreset& preset, bool run_scf = false);
+/// for a preset: FP64 CheFSI on the fixed model potential (no SCF loop;
+/// examples/scf_ground_state runs dft::run_scf itself).
+BuiltSystem build_system(const SystemPreset& preset);
 
 }  // namespace rsrpa::rpa

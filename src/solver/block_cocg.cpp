@@ -133,7 +133,7 @@ SolveReport block_cocg_core(
 
 SolveReport block_cocg(const BlockOpC& a, const la::Matrix<cplx>& b,
                        la::Matrix<cplx>& y, const SolverOptions& opts) {
-  if (opts.precision == common::Precision::kMixed && opts.mixed_apply)
+  if (opts.mixed_apply)
     return mixed_outer_solve(a, opts.mixed_apply, b, y, opts);
   return block_cocg_core<cplx>(a, b, y, opts);
 }

@@ -1,5 +1,5 @@
-// Mixed-precision driver for the block Krylov solvers (SolverOptions::
-// precision == kMixed).
+// Mixed-precision driver for the block Krylov solvers (block_cocg with
+// SolverOptions::mixed_apply bound).
 //
 // The recurrence runs in FP32 — half the memory traffic per column on a
 // bandwidth-bound operator — while correctness is anchored in FP64 at

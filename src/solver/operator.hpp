@@ -10,7 +10,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/precision.hpp"
 #include "la/matrix.hpp"
 
 namespace rsrpa::ham {
@@ -35,15 +34,13 @@ struct SolverOptions {
   double tol = 1e-10;             ///< relative Frobenius residual (Eq. 10)
   double breakdown_tol = 1e-14;   ///< pivot-ratio floor for s x s solves
   bool record_history = false;    ///< store per-iteration relative residuals
-  /// Precision policy. kMixed runs the Krylov recurrence in FP32 through
-  /// `mixed_apply` with FP64 residual replacement on the outer loop
-  /// (solver/mixed.hpp); requires mixed_apply to be set, otherwise the
-  /// solve stays FP64. The contract per driver is bitwise-or-tolerance:
-  /// FP64 results are bitwise reproducible, mixed results agree with
-  /// FP64 to the driver's tolerance (<= 1e-4 Ha/atom at the energy).
-  common::Precision precision = common::Precision::kFp64;
-  /// FP32 application of the same coefficient operator (inner kernel of
-  /// the mixed path). Unset = mixed unavailable.
+  /// FP32 application of the same coefficient operator. Bound = the
+  /// mixed path: block_cocg runs its Krylov recurrence in FP32 through
+  /// this with FP64 residual replacement on the outer loop
+  /// (solver/mixed.hpp). Unset = the solve runs entirely in FP64. The
+  /// contract per driver is bitwise-or-tolerance: FP64 results are
+  /// bitwise reproducible, mixed results agree with FP64 to the driver's
+  /// tolerance (<= 1e-4 Ha/atom at the energy).
   BlockOpC32 mixed_apply;
 };
 

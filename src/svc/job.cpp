@@ -85,13 +85,12 @@ JobSpec parse_job(const Config& cfg) {
   // the RSRPA_SIMD env var is only the process default (see
   // grid/stencil.hpp).
   preset.simd = cfg.get_int_or("SIMD", -1);
-  // PRECISION governs the whole job: the CheFSI filter workspace (via the
-  // preset) and the Sternheimer inner iterations (via stern.precision,
-  // inherited by every METHOD backend below). Default fp64 reproduces the
-  // seed bitwise; mixed is bitwise-or-tolerance (<= 1e-4 Ha/atom).
+  // PRECISION governs the Sternheimer inner iterations only (via
+  // stern.precision, inherited by every METHOD backend below); the ground
+  // state is FP64 either way. Default fp64 reproduces the seed bitwise;
+  // mixed is bitwise-or-tolerance (<= 1e-4 Ha/atom).
   const common::Precision precision = common::precision_from_string(
       cfg.has("PRECISION") ? cfg.get_string("PRECISION") : "fp64");
-  preset.precision = precision;
 
   // RpaOptions' own defaults, with n_eig resolved from the preset alone
   // (no system build needed to know what a job will do).

@@ -5,20 +5,23 @@
 //     rows are bitwise-identical to the scalar fallback, so toggling
 //     SIMD never changes an fp64 result.
 //   - PRECISION mixed agrees with fp64 to <= 1e-4 Ha/atom at the
-//     correlation energy, on every METHOD backend.
+//     correlation energy on the Sternheimer and SLQ backends.
+//   - PRECISION governs the Sternheimer solves only: the ground state,
+//     and with it the direct and ISDF energies, is bitwise the same
+//     under fp64 and mixed.
 //   - Tolerances below single-precision reach are clamped at
 //     sqrt(eps_f32) in the FP32 inner solves; the FP64 residual
 //     replacement still meets the original request.
-//   - The FP32 Chebyshev workspace refuses schedules that underflow or
-//     overflow in float and falls back to FP64 for that filter call.
 //   - Kill/resume under mixed stays bitwise, and the precision policy
 //     joins the checkpoint fingerprint so fp64/mixed runs never
 //     cross-resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <type_traits>
@@ -27,7 +30,6 @@
 #include "common/config.hpp"
 #include "common/precision.hpp"
 #include "common/rng.hpp"
-#include "dft/chefsi.hpp"
 #include "grid/stencil.hpp"
 #include "hamiltonian/hamiltonian.hpp"
 #include "io/checkpoint.hpp"
@@ -37,7 +39,6 @@
 #include "rpa/erpa_slq.hpp"
 #include "rpa/presets.hpp"
 #include "solver/block_cocg.hpp"
-#include "solver/chebyshev.hpp"
 #include "solver/dynamic_block.hpp"
 #include "solver/mixed.hpp"
 #include "solver/operator.hpp"
@@ -264,7 +265,6 @@ TEST(ApplyCostModel, PinsBothElementSizes) {
   dopts.enabled = false;
   dopts.fixed_block = 2;  // two chunks: the totals sum per chunk
   dopts.solver.tol = 1e-6;
-  dopts.solver.precision = Precision::kMixed;
   dopts.solver.mixed_apply = [&op](const Matrix<cplxf>& in,
                                    Matrix<cplxf>& out) {
     op.apply_f32(in, out);
@@ -351,7 +351,6 @@ TEST(MixedSolve, BlockCocgAgreesWithFp64AndCountsF32) {
   EXPECT_EQ(r64.matvec_columns_f32, 0);
 
   solver::SolverOptions mopts = opts;
-  mopts.precision = Precision::kMixed;
   mopts.mixed_apply = sys.op32;
   Matrix<cplx> ym(n, s);
   ym.zero();
@@ -363,23 +362,6 @@ TEST(MixedSolve, BlockCocgAgreesWithFp64AndCountsF32) {
   // ... and the answer matches the FP64 solve to the requested tolerance
   // (both are within tol of the true solution).
   EXPECT_LT(rel_diff(ym, y64), 10.0 * opts.tol);
-}
-
-TEST(MixedSolve, WithoutMixedApplySilentlyStaysFp64) {
-  const std::size_t n = 32, s = 2;
-  DenseSymmetric sys(n, 5);
-  const Matrix<cplx> b = random_rhs(n, s, 9);
-  solver::SolverOptions opts;
-  opts.tol = 1e-8;
-  Matrix<cplx> ref(n, s), y(n, s);
-  ref.zero();
-  y.zero();
-  solver::block_cocg(sys.op64, b, ref, opts);
-  opts.precision = Precision::kMixed;  // but no mixed_apply bound
-  const solver::SolveReport rep = solver::block_cocg(sys.op64, b, y, opts);
-  EXPECT_EQ(rep.matvec_columns_f32, 0);
-  for (std::size_t j = 0; j < s; ++j)
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(y(i, j), ref(i, j));
 }
 
 TEST(MixedSolve, ToleranceBelowF32ReachIsClampedAndStillMet) {
@@ -394,7 +376,6 @@ TEST(MixedSolve, ToleranceBelowF32ReachIsClampedAndStillMet) {
   const Matrix<cplx> b = random_rhs(n, s, 91);
   solver::SolverOptions opts;
   opts.tol = 1e-12;
-  opts.precision = Precision::kMixed;
   opts.mixed_apply = sys.op32;
   Matrix<cplx> y(n, s);
   y.zero();
@@ -413,95 +394,6 @@ TEST(MixedSolve, ToleranceBelowF32ReachIsClampedAndStillMet) {
       den += std::norm(b(i, j));
     }
   EXPECT_LE(std::sqrt(num / den), 1e-11);
-}
-
-// ---------------------------------------------------------------------------
-// FP32 Chebyshev workspace guard.
-
-TEST(MixedChebyshev, F32FilterMatchesFp64OnSaneSchedule) {
-  const std::size_t n = 64, s = 4;
-  const std::vector<double> d = random_field(n, 13);  // diag in [0, 1]
-  const auto step64 = [&](const Matrix<double>& in, Matrix<double>& out,
-                          double c1, double c0, const Matrix<double>* extra,
-                          double c2) {
-    for (std::size_t j = 0; j < in.cols(); ++j)
-      for (std::size_t i = 0; i < n; ++i)
-        out(i, j) = (c1 * d[i] + c0) * in(i, j) +
-                    (extra != nullptr ? c2 * (*extra)(i, j) : 0.0);
-  };
-  const auto step32 = [&](const Matrix<float>& in, Matrix<float>& out,
-                          double c1, double c0, const Matrix<float>* extra,
-                          double c2) {
-    for (std::size_t j = 0; j < in.cols(); ++j)
-      for (std::size_t i = 0; i < n; ++i)
-        out(i, j) = static_cast<float>(
-            (c1 * d[i] + c0) * static_cast<double>(in(i, j)) +
-            (extra != nullptr ? c2 * static_cast<double>((*extra)(i, j))
-                              : 0.0));
-  };
-
-  Matrix<double> v64(n, s), v32(n, s);
-  for (std::size_t j = 0; j < s; ++j) {
-    const std::vector<double> col = random_field(n, 40 + j);
-    std::copy(col.begin(), col.end(), v64.col(j).begin());
-    std::copy(col.begin(), col.end(), v32.col(j).begin());
-  }
-  solver::chebyshev_filter_fused(step64, v64, 8, 0.5, 1.1, -0.2);
-  ASSERT_TRUE(solver::chebyshev_filter_fused_f32(step32, v32, 8, 0.5, 1.1,
-                                                 -0.2));
-  double num = 0.0, den = 0.0;
-  for (std::size_t j = 0; j < s; ++j)
-    for (std::size_t i = 0; i < n; ++i) {
-      num += (v32(i, j) - v64(i, j)) * (v32(i, j) - v64(i, j));
-      den += v64(i, j) * v64(i, j);
-    }
-  EXPECT_LT(std::sqrt(num / den), 1e-4);  // float workspace resolution
-}
-
-TEST(MixedChebyshev, GuardRefusesUnderflowingScheduleUntouched) {
-  // Spectrum bounds of magnitude 1e38 scale the first step coefficient
-  // sigma1 / e down to ~3e-39 — representable in double, denormal in
-  // float — so the FP32 filter must REFUSE before touching any data.
-  const std::size_t n = 8, s = 2;
-  int calls = 0;
-  const auto step = [&](const Matrix<float>&, Matrix<float>&, double, double,
-                        const Matrix<float>*, double) { ++calls; };
-  Matrix<double> v(n, s);
-  for (std::size_t j = 0; j < s; ++j) {
-    const std::vector<double> col = random_field(n, 60 + j);
-    std::copy(col.begin(), col.end(), v.col(j).begin());
-  }
-  const Matrix<double> before = v;
-  EXPECT_FALSE(
-      solver::chebyshev_filter_fused_f32(step, v, 4, 1e38, 3e38, -1e38));
-  EXPECT_EQ(calls, 0);
-  for (std::size_t j = 0; j < s; ++j)
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(v(i, j), before(i, j));
-}
-
-TEST(MixedChefsi, GroundStateMatchesFp64WithinTolerance) {
-  const ham::Hamiltonian h = make_test_hamiltonian();
-  dft::ChefsiOptions o64;
-  o64.tol = 1e-8;
-  Rng rng64(3);
-  const dft::GroundState g64 = dft::solve_ground_state(h, 4, o64, rng64);
-  ASSERT_TRUE(g64.converged);
-
-  dft::ChefsiOptions om = o64;
-  om.precision = Precision::kMixed;
-  obs::EventLog events;
-  om.events = &events;
-  Rng rngm(3);
-  const dft::GroundState gm = dft::solve_ground_state(h, 4, om, rngm);
-  ASSERT_TRUE(gm.converged);
-  // Rayleigh-Ritz stays FP64 and the filter only steers the subspace, so
-  // converged eigenvalues agree to the CheFSI tolerance.
-  for (std::size_t j = 0; j < 4; ++j)
-    EXPECT_NEAR(gm.eigenvalues[j], g64.eigenvalues[j],
-                1e-6 * std::max(1.0, std::abs(g64.eigenvalues[j])))
-        << "state " << j;
-  // The sane Si spectrum never trips the FP32-safety guard.
-  EXPECT_EQ(events.count(obs::events::kPrecisionFallback), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -532,7 +424,13 @@ double run_tiny(const char* method, const char* precision) {
 }
 
 TEST(PrecisionContract, AllFourBackendsMixedMatchesFp64) {
-  for (const char* m : {"sternheimer", "direct", "isdf", "slq"}) {
+  // The dense backends never run a Sternheimer solve, so PRECISION cannot
+  // reach them: bitwise.
+  for (const char* m : {"direct", "isdf"}) {
+    SCOPED_TRACE(m);
+    EXPECT_EQ(run_tiny(m, "mixed"), run_tiny(m, "fp64"));
+  }
+  for (const char* m : {"sternheimer", "slq"}) {
     SCOPED_TRACE(m);
     const double e64 = run_tiny(m, "fp64");
     const double em = run_tiny(m, "mixed");
@@ -540,10 +438,33 @@ TEST(PrecisionContract, AllFourBackendsMixedMatchesFp64) {
   }
 }
 
+TEST(PrecisionContract, GroundStateIgnoresPrecision) {
+  const auto build = [](const char* precision) {
+    return rpa::build_system(
+        svc::parse_job(Config::parse(tiny_cfg("sternheimer", precision)))
+            .preset);
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const rpa::BuiltSystem s64 = build("fp64");
+  const rpa::BuiltSystem sm = build("mixed");
+  const std::vector<double>& e64 = s64.ks.eigenvalues;
+  const std::vector<double>& em = sm.ks.eigenvalues;
+  ASSERT_EQ(em.size(), e64.size());
+  for (std::size_t j = 0; j < e64.size(); ++j)
+    ASSERT_EQ(bits(em[j]), bits(e64[j])) << "eigenvalue " << j;
+  const Matrix<double>& o64 = s64.ks.orbitals;
+  const Matrix<double>& om = sm.ks.orbitals;
+  ASSERT_EQ(om.rows(), o64.rows());
+  ASSERT_EQ(om.cols(), o64.cols());
+  for (std::size_t j = 0; j < o64.cols(); ++j)
+    for (std::size_t i = 0; i < o64.rows(); ++i)
+      ASSERT_EQ(bits(om(i, j)), bits(o64(i, j)))
+          << "orbital " << j << " row " << i;
+}
+
 TEST(PrecisionContract, ParseJobRoutesPrecisionEverywhere) {
   const svc::JobSpec spec =
       svc::parse_job(Config::parse(tiny_cfg("sternheimer", "mixed")));
-  EXPECT_EQ(spec.preset.precision, Precision::kMixed);
   EXPECT_EQ(spec.options.stern.precision, Precision::kMixed);
   EXPECT_EQ(spec.slq.stern.precision, Precision::kMixed);
 
